@@ -38,10 +38,10 @@ def _build_config(args, b_spec: str, theta_spec: str) -> RunConfig:
 
 def _emit(table, args, x_col: str, y_cols: list[str]) -> None:
     if args.out is None:
-        text = table_to_csv(table) if args.fmt == "csv" else table_to_json(table)
-        _sys.stdout.write(text)
         if args.plot:
             raise ValueError("--plot requires --out")
+        text = table_to_csv(table) if args.fmt == "csv" else table_to_json(table)
+        _sys.stdout.write(text)
         return
     write_table(table, args.fmt, args.out)
     if args.plot:

@@ -50,9 +50,11 @@ def correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     """(C, dC/dtheta, d2C/dtheta2) from the analytic Fourier form."""
     w, g = _kernel(sys, meas)
     gt = g * theta
-    c = float(np.dot(w, np.cos(gt))) / sys.dim
-    c1 = -float(np.dot(w * g, np.sin(gt))) / sys.dim
-    c2 = -float(np.dot(w * g * g, np.cos(gt))) / sys.dim
+    cos_gt = np.cos(gt)
+    wg = w * g
+    c = float(np.dot(w, cos_gt)) / sys.dim
+    c1 = -float(np.dot(wg, np.sin(gt))) / sys.dim
+    c2 = -float(np.dot(wg * g, cos_gt)) / sys.dim
     return c, c1, c2
 
 

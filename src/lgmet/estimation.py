@@ -5,7 +5,9 @@ finite differences of the outcome probabilities (the defining sum
 F = sum_l P_l (d ln P_l / d theta)^2) and the analytic correlation route
 F = (dC/dtheta)^2 / (1 - C^2).  The quantum Fisher information of the
 unitary family U(theta) rho U(-theta) with generator J_x comes from the
-standard spectral formula and is theta-independent.
+standard spectral formula (qfi_of_state, for any state) and is
+theta-independent; qfi evaluates it for the prepared states as an O(d)
+tridiagonal sum.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .correlations import correlation, correlation_derivatives, klg_equal_interval
+from .correlations import correlation, correlation_derivatives
 from .measurement import NoisyDichotomicMeasurement, prepare_states
 from .spin import SpinSystem
 
@@ -93,14 +95,8 @@ def fisher_from_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     return total
 
 
-def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                            theta: float) -> float:
-    """Fisher information (dC/dtheta)^2 / (1 - C^2) with the singular limit.
-
-    Where C^2 = 1 (projective common extrema) the 0/0 limit equals |C''|,
-    which is returned instead.
-    """
-    c, c1, c2 = correlation_derivatives(sys, meas, theta)
+def _fisher(c: float, c1: float, c2: float) -> float:
+    """(dC/dtheta)^2 / (1 - C^2) from (C, C', C''), with the |C''| limit at C^2 = 1."""
     den = 1.0 - c * c
     if den <= SINGULAR_DENOMINATOR:
         if abs(c1) > 1e-6:
@@ -108,6 +104,16 @@ def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                 "C^2 = 1 with |dC/dtheta| > 1e-6; numerical fault")
         return abs(c2)
     return c1 * c1 / den
+
+
+def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
+                            theta: float) -> float:
+    """Fisher information (dC/dtheta)^2 / (1 - C^2) with the singular limit.
+
+    Where C^2 = 1 (projective common extrema) the 0/0 limit equals |C''|,
+    which is returned instead.
+    """
+    return _fisher(*correlation_derivatives(sys, meas, theta))
 
 
 def qfi_of_state(sys: SpinSystem, rho: np.ndarray) -> float:
@@ -127,19 +133,40 @@ def qfi_of_state(sys: SpinSystem, rho: np.ndarray) -> float:
 
 
 def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) -> float:
-    """QFI for the prepared state of the given sign; theta-independent."""
+    """QFI for the prepared state of the given sign; theta-independent.
+
+    The prepared state is diagonal in the J_z basis and J_x is tridiagonal
+    there, so the spectral formula of qfi_of_state reduces to the O(d) sum
+    4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) |J_x[k, k+1]|^2.
+    """
     plus, minus = prepare_states(sys, meas)
     prep = plus if prep_sign == +1 else minus
-    return qfi_of_state(sys, prep.rho)
+    p = np.real(np.diag(prep.rho))
+    psum = p[:-1] + p[1:]
+    mask = psum > QFI_EIGENVALUE_CUTOFF
+    ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
+    return float(4.0 * np.sum(ratio * np.abs(np.diag(sys.jx, 1))[mask] ** 2))
+
+
+def _rows(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> list[EstimationRecord]:
+    """Records for one measurement at each theta; F_Q is computed once.
+
+    Each value is bit-identical to the one composed from correlation,
+    klg_equal_interval, fisher_from_correlation and qfi at that theta.
+    """
+    f_q = qfi(sys, meas, +1)
+    rows = []
+    for theta in thetas:
+        theta = float(theta)
+        c, c1, c2 = correlation_derivatives(sys, meas, theta)
+        k = 3.0 * c - correlation(sys, meas, 3.0 * theta)
+        f = _fisher(c, c1, c2)
+        rows.append(EstimationRecord(theta=theta, b=meas.b, C=c, K_LG=k, F=f, F_Q=f_q,
+                                     F_ratio=f / f_q if f_q > 0.0 else 0.0))
+    return rows
 
 
 def estimation_report(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                       theta: float) -> EstimationRecord:
     """Assemble C, K_LG, F (correlation route), F_Q and F/F_Q at one point."""
-    c = correlation(sys, meas, theta)
-    k = klg_equal_interval(sys, meas, theta)
-    f = fisher_from_correlation(sys, meas, theta)
-    f_q = qfi(sys, meas, +1)
-    ratio = f / f_q if f_q > 0.0 else 0.0
-    return EstimationRecord(theta=float(theta), b=meas.b, C=c, K_LG=k,
-                            F=f, F_Q=f_q, F_ratio=ratio)
+    return _rows(sys, meas, [theta])[0]

@@ -8,18 +8,20 @@ data section) or JSON, and can be rendered as a minimal SVG line chart.
 from __future__ import annotations
 
 import datetime
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .correlations import klg_equal_interval
-from .estimation import EstimationRecord, estimation_report
+from .estimation import EstimationRecord, _rows
 from .measurement import (PartitionSpec, build_measurement, format_partition,
                           parse_partition)
-from .spin import SpinSystem, make_spin_system
+from .spin import make_spin_system
 
 COLUMNS = ("theta", "b", "C", "K_LG", "F", "F_Q", "F_ratio")
 
@@ -37,17 +39,22 @@ def parse_grid(text: str, scale: float = 1.0) -> np.ndarray:
     """Parse "lo:hi:count" into a linspace, or a single real into a 1-grid.
 
     scale multiplies the parsed values (pi for theta given in pi units).
+    Non-finite values (nan, inf) are rejected.
     """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError("grid spec must be lo:hi:count, got %r" % text)
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = float(parts[0]) * scale, float(parts[1]) * scale
         count = int(parts[2])
         if count < 2:
             raise ValueError("grid count must be at least 2, got %d" % count)
-        return np.linspace(lo * scale, hi * scale, count)
-    return np.array([float(text) * scale])
+    else:
+        lo = hi = float(text) * scale
+        count = 1
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("grid values must be finite, got %r" % text)
+    return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
 
 
 @dataclass
@@ -64,6 +71,8 @@ class RunConfig:
         self.theta_values = np.atleast_1d(np.asarray(self.theta_values, float))
         if self.b_values.size == 0 or self.theta_values.size == 0:
             raise ValueError("empty parameter grid")
+        if not (np.all(np.isfinite(self.b_values)) and np.all(np.isfinite(self.theta_values))):
+            raise ValueError("every b and theta grid point must be finite")
         if np.any(self.b_values < 0.0) or np.any(self.b_values > 1.0):
             raise ValueError("every b grid point must lie in [0, 1]")
 
@@ -95,40 +104,33 @@ def _metadata(config: RunConfig, sweep: str) -> dict:
     }
 
 
-def _system(config: RunConfig) -> SpinSystem:
-    return make_spin_system(config.two_j)
+def _grid_rows(config: RunConfig) -> list[EstimationRecord]:
+    """Records over the Cartesian (b, theta) grid, sorted by (b, theta)."""
+    sys = make_spin_system(config.two_j)
+    rows = []
+    for b in config.b_values:
+        rows += _rows(sys, build_measurement(sys, float(b), config.partition),
+                      config.theta_values)
+    return rows
 
 
 def scan_theta(config: RunConfig) -> ScanTable:
     """One record per theta grid point at fixed b."""
     if config.b_values.size != 1:
         raise ValueError("scan_theta needs a single b value")
-    sys = _system(config)
-    meas = build_measurement(sys, float(config.b_values[0]), config.partition)
-    rows = [estimation_report(sys, meas, float(t)) for t in config.theta_values]
-    return ScanTable(_metadata(config, "theta"), rows)
+    return ScanTable(_metadata(config, "theta"), _grid_rows(config))
 
 
 def scan_b(config: RunConfig) -> ScanTable:
     """One record per b grid point at fixed theta."""
     if config.theta_values.size != 1:
         raise ValueError("scan_b needs a single theta value")
-    sys = _system(config)
-    theta = float(config.theta_values[0])
-    rows = [estimation_report(sys, build_measurement(sys, float(b), config.partition), theta)
-            for b in config.b_values]
-    return ScanTable(_metadata(config, "b"), rows)
+    return ScanTable(_metadata(config, "b"), _grid_rows(config))
 
 
 def phase_map(config: RunConfig) -> ScanTable:
     """Full Cartesian (b, theta) grid, rows sorted by (b, theta)."""
-    sys = _system(config)
-    rows = []
-    for b in config.b_values:
-        meas = build_measurement(sys, float(b), config.partition)
-        for t in config.theta_values:
-            rows.append(estimation_report(sys, meas, float(t)))
-    return ScanTable(_metadata(config, "phase-map"), rows)
+    return ScanTable(_metadata(config, "phase-map"), _grid_rows(config))
 
 
 def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
@@ -158,8 +160,17 @@ def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
     return 0.5 * (lo + hi)
 
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
+# Row templates filled for all rows at once.  The output is byte-identical to
+# formatting each value with "%.12g" (CSV) and to json.dumps(..., indent=2) of
+# the rows as dicts (JSON), which formats numbers exactly as the compact
+# encoder does: float.__repr__, NaN, Infinity, -Infinity.
+_CSV_ROW = ",".join(["%.12g"] * len(COLUMNS))
+_JSON_ROW = "    {\n" + ",\n".join("      %s: %%s" % json.dumps(c) for c in COLUMNS) + "\n    }"
+_row_values = operator.attrgetter(*COLUMNS)
+
+
+def _flat_values(rows: list[EstimationRecord]) -> tuple:
+    return tuple(itertools.chain.from_iterable(map(_row_values, rows)))
 
 
 def table_to_csv(table: ScanTable, include_metadata: bool = True) -> str:
@@ -168,17 +179,18 @@ def table_to_csv(table: ScanTable, include_metadata: bool = True) -> str:
         for key, value in table.metadata.items():
             lines.append("# %s: %s" % (key, json.dumps(value) if isinstance(value, dict) else value))
     lines.append(",".join(COLUMNS))
-    for row in table.rows:
-        lines.append(",".join(_fmt(getattr(row, c)) for c in COLUMNS))
+    if table.rows:
+        lines.append("\n".join([_CSV_ROW] * len(table.rows)) % _flat_values(table.rows))
     return "\n".join(lines) + "\n"
 
 
 def table_to_json(table: ScanTable) -> str:
-    payload = {
-        "metadata": table.metadata,
-        "rows": [row.as_dict() for row in table.rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    head = json.dumps({"metadata": table.metadata, "rows": []}, indent=2)
+    if not table.rows:
+        return head + "\n"
+    values = json.dumps(_flat_values(table.rows))[1:-1].split(", ")
+    body = ",\n".join([_JSON_ROW] * len(table.rows)) % tuple(values)
+    return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
 
 
 def table_from_json(text: str) -> ScanTable:

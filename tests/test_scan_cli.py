@@ -30,6 +30,11 @@ class TestParseGrid:
         with pytest.raises(ValueError):
             parse_grid("0:1")
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0:inf:5", "nan:1:5", "-inf:0:2"])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(text, scale=math.pi)
+
 
 class TestRunConfig:
     def test_rejects_b_out_of_range(self):
@@ -39,6 +44,13 @@ class TestRunConfig:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             RunConfig(b_values=np.array([]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(b_values=np.array([0.5, value]))
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(theta_values=np.array([value, 0.1]))
 
 
 class TestScans:
@@ -220,4 +232,17 @@ class TestCli:
         assert (tmp_path / "figure_2a.csv").exists()
 
     def test_plot_without_out_rejected(self, capsys):
-        assert main(["scan-theta", "--b", "1", "--theta", "0:1:9", "--plot"]) != 0
+        assert main(["scan-theta", "--b", "1", "--theta", "0.5", "--plot"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--plot requires --out" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--b", "--theta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_report_rejects_non_finite(self, flag, value, capsys):
+        # the --flag=value form, since argparse reads a bare "-inf" as an option
+        args = {"--b": "1", "--theta": "0.5", flag: value}
+        assert main(["report"] + ["%s=%s" % kv for kv in args.items()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lgmet: error:") and "finite" in captured.err

@@ -1,0 +1,89 @@
+"""Bulk table serializers against the per-row reference formatters they replace."""
+
+import json
+import math
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from lgmet.estimation import EstimationRecord
+from lgmet.scan import (COLUMNS, ScanTable, reproduce_figure, table_from_json,
+                        table_to_csv, table_to_json)
+
+
+def reference_json(table: ScanTable) -> str:
+    """One dict per row through the indented pure-Python encoder."""
+    payload = {"metadata": table.metadata, "rows": [asdict(row) for row in table.rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_csv(table: ScanTable, include_metadata: bool = True) -> str:
+    """Each value formatted on its own with "%.12g"."""
+    lines = []
+    if include_metadata:
+        for key, value in table.metadata.items():
+            lines.append("# %s: %s" % (key, json.dumps(value) if isinstance(value, dict) else value))
+    lines.append(",".join(COLUMNS))
+    for row in table.rows:
+        lines.append(",".join("%.12g" % getattr(row, c) for c in COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+METADATA = {"tool": "lgmet test", "sweep": "toy",
+            "config": {"two_j": 5, "b": [0.5, 1.0], "partition": "default"}}
+
+SPECIAL = (-0.0, 0.0, 1e-300, 5e-324, 1 / 3, -2 / 7, 1e22, 123456789012.5,
+           math.nan, math.inf, -math.inf)
+
+
+def _record(values) -> EstimationRecord:
+    return EstimationRecord(**dict(zip(COLUMNS, values)))
+
+
+def _tables():
+    rng = np.random.default_rng(5)
+    special = [_record(np.roll(SPECIAL, k)[:len(COLUMNS)].tolist()) for k in range(len(SPECIAL))]
+    ints = [_record([0, 1, -1, 2, 0, 35, 1]), _record([3, 0, 1, -2, 7, 7, 1])]
+    numpy_floats = [_record(np.float64(x) for x in rng.normal(size=len(COLUMNS)) * 10.0 ** k)
+                    for k in range(-5, 6)]
+    mixed = [_record([np.float64(0.5), 1, -0.0, math.nan, np.float64(math.inf), 2 / 3, True])]
+    return {
+        "empty": ScanTable(METADATA, []),
+        "empty-no-metadata": ScanTable({}, []),
+        "special": ScanTable(METADATA, special),
+        "int-valued": ScanTable(METADATA, ints),
+        "np.float64": ScanTable(METADATA, numpy_floats),
+        "mixed": ScanTable({}, mixed),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_tables()))
+def test_json_bytes_match_reference(name):
+    table = _tables()[name]
+    assert table_to_json(table) == reference_json(table)
+
+
+@pytest.mark.parametrize("name", sorted(_tables()))
+@pytest.mark.parametrize("include_metadata", [True, False])
+def test_csv_bytes_match_reference(name, include_metadata):
+    table = _tables()[name]
+    assert table_to_csv(table, include_metadata) == reference_csv(table, include_metadata)
+
+
+def test_figure_3_table_matches_reference(tmp_path):
+    (path,) = reproduce_figure("3", tmp_path, fmt="json")
+    text = path.read_text()
+    table = table_from_json(text)
+    assert len(table.rows) == 1280
+    assert text == reference_json(table)
+    assert table_to_json(table) == text
+    assert table_to_csv(table) == reference_csv(table)
+
+
+def test_non_number_rejected_like_reference():
+    table = ScanTable({}, [_record([np.int64(1)] + [0.0] * (len(COLUMNS) - 1))])
+    with pytest.raises(TypeError):
+        reference_json(table)
+    with pytest.raises(TypeError):
+        table_to_json(table)
