@@ -16,16 +16,38 @@ from .scan import (RunConfig, parse_grid, phase_map, reproduce_figure, scan_b,
                    render_svg_lineplot)
 
 
+VALUE_FLAGS = ("--b", "--theta", "--partition")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                        default="csv", help="output table format")
+    parser.add_argument("--plot", action="store_true",
+                        help="also write an SVG line plot next to each table")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--two-j", type=int, default=5,
                         help="twice the spin quantum number (default 5, spin 5/2)")
     parser.add_argument("--partition", default="default",
                         help='block spec "2mu:2m,...;..." or "default"')
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                        default="csv", help="output table format")
     parser.add_argument("--out", default=None, help="output file (default stdout)")
-    parser.add_argument("--plot", action="store_true",
-                        help="also write an SVG line plot next to --out")
+    _add_output(parser)
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Rewrite "--theta -1e-3" as "--theta=-1e-3" for every flag in VALUE_FLAGS.
+
+    argparse takes a separate value starting with '-' for an option unless it
+    looks like -0.5; -1e-3, -inf, -1:1:5 and "-5:-5;..." must reach the parsers.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _build_config(args, b_spec: str, theta_spec: str) -> RunConfig:
@@ -71,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="b grid, lo:hi:count")
     p.add_argument("--theta", required=True, help="theta grid in pi units, lo:hi:count")
 
-    p = sub.add_parser("figure", help="regenerate a figure dataset")
-    _add_common(p)
+    # no abbreviations, so that --out is not taken as --outdir
+    p = sub.add_parser("figure", help="regenerate a figure dataset", allow_abbrev=False)
+    _add_output(p)
     p.add_argument("which", choices=("1a", "1b", "2a", "2b", "3"))
     p.add_argument("--outdir", default=".", help="output directory")
 
@@ -108,7 +131,7 @@ def run(args) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_values(_sys.argv[1:] if argv is None else argv))
     try:
         run(args)
     except (ValueError, OSError, ArithmeticError) as exc:

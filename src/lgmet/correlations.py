@@ -5,15 +5,15 @@ through its Fourier form over the J_x spectrum:
 
     C(theta) = (1/d) sum_{k,l} |A~_{kl}|^2 cos((lam_k - lam_l) theta),
 
-with A~ = V^dag A V.  One diagonalization per (system, measurement) pair
-gives C and its analytic theta-derivatives in O(d^2) per point.
+with A~ = V^dag A V.  The weights |A~_{kl}|^2 belong to the measurement
+(meas.weights) and the gaps lam_k - lam_l to the spin system (sys.gaps), so
+C and its analytic theta-derivatives cost O(d^2) per point.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,20 +23,9 @@ from .spin import SpinSystem
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@lru_cache(maxsize=64)
-def _kernel(sys: SpinSystem, meas: NoisyDichotomicMeasurement):
-    """Fourier weights |A~_{kl}|^2 and eigenvalue gaps, flattened."""
-    lam, v = sys.jx_spectrum
-    a_tilde = v.conj().T @ meas.a @ v
-    weights = np.abs(a_tilde) ** 2
-    gaps = lam[:, None] - lam[None, :]
-    return weights.ravel(), gaps.ravel()
-
-
 def correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """C(theta); real, even, 2*pi periodic, bounded by C(0) = Tr A^2 / d."""
-    w, g = _kernel(sys, meas)
-    return float(np.dot(w, np.cos(g * theta))) / sys.dim
+    return float(np.dot(meas.weights, np.cos(sys.gaps * theta))) / sys.dim
 
 
 def correlation_two_time(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -48,7 +37,7 @@ def correlation_two_time(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
 def correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                             theta: float) -> tuple[float, float, float]:
     """(C, dC/dtheta, d2C/dtheta2) from the analytic Fourier form."""
-    w, g = _kernel(sys, meas)
+    w, g = meas.weights, sys.gaps
     gt = g * theta
     cos_gt = np.cos(gt)
     wg = w * g

@@ -53,8 +53,9 @@ def outcome_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                           prep_sign: int, theta: float) -> tuple[float, float]:
     """(P_plus, P_minus) for the second measurement after preparation prep_sign.
 
-    Evaluated directly as Tr(E_pm rho_sign(theta)) and cross-checked against
-    the closed form 1/2 pm sign*C(theta)/2.
+    Evaluated directly as Tr(E_pm rho_sign(theta)) with dense matrices formed
+    here, independent of the Fourier weights, and cross-checked against the
+    closed form 1/2 pm sign*C(theta)/2.
     """
     if prep_sign not in (+1, -1):
         raise ValueError("prep_sign must be +1 or -1")
@@ -62,9 +63,9 @@ def outcome_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     prep = plus if prep_sign == +1 else minus
     lam, v = sys.jx_spectrum
     u = (v * np.exp(-1j * theta * lam)) @ v.conj().T
-    rho_t = u @ prep.rho @ u.conj().T
-    p_plus = float(np.real(np.trace(meas.eplus @ rho_t)))
-    p_minus = float(np.real(np.trace(meas.eminus @ rho_t)))
+    rho_t = u @ np.diag(prep.populations) @ u.conj().T
+    p_plus = float(np.real(np.trace(np.diag((1.0 + meas.a_diag) / 2) @ rho_t)))
+    p_minus = float(np.real(np.trace(np.diag((1.0 - meas.a_diag) / 2) @ rho_t)))
 
     c = correlation(sys, meas, theta)
     if abs(p_plus - (0.5 + prep_sign * c / 2)) > 1e-10:
@@ -141,7 +142,7 @@ def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) 
     """
     plus, minus = prepare_states(sys, meas)
     prep = plus if prep_sign == +1 else minus
-    p = np.real(np.diag(prep.rho))
+    p = prep.populations
     psum = p[:-1] + p[1:]
     mask = psum > QFI_EIGENVALUE_CUTOFF
     ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]

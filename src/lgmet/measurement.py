@@ -4,7 +4,8 @@ The observable is diagonal in the J_z basis with entries
 (-1)^(j-m) * b^((m-mu)^2), where mu is the Gaussian center of the block
 containing m and b in [0, 1] is the measurability (b = e^{-1/(2 sigma^2)}).
 b = 1 is the projective parity operator; b = 0 keeps only the block centers
-(0^0 = 1 convention).
+(0^0 = 1 convention).  Only that diagonal is stored: E+- = (1 +- a)/2 and
+the prepared states act entrywise on it.
 
 All m and mu values are carried as the integers 2m / 2mu so half-integer
 spins need no floating-point bookkeeping.
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin import SpinSystem
-
-HERMITICITY_TOL = 1e-12
 
 
 class DegeneratePreparationError(ValueError):
@@ -53,12 +52,6 @@ class PartitionSpec:
         if seen != ladder:
             missing = sorted(ladder - seen)
             raise ValueError("partition does not cover m values (2m): %s" % missing)
-
-    def center_of(self, two_m: int) -> int:
-        for two_mu, members in self.blocks:
-            if two_m in members:
-                return two_mu
-        raise KeyError("2m=%d not in partition" % two_m)
 
 
 def default_partition(sys: SpinSystem) -> PartitionSpec:
@@ -102,22 +95,19 @@ def format_partition(partition: PartitionSpec) -> str:
 
 @dataclass(frozen=True, eq=False)
 class NoisyDichotomicMeasurement:
-    """Observable A (diagonal), POVM elements E+- = (I +- A)/2, measurability b."""
+    """Observable A = diag(a_diag), measurability b, and the Fourier weights
+    |(V^dag A V)_kl|^2 over the J_x eigenvectors V, raveled like SpinSystem.gaps.
+    """
 
     b: float
     partition: PartitionSpec
-    a: np.ndarray
-    eplus: np.ndarray
-    eminus: np.ndarray
-
-    @property
-    def a_diag(self) -> np.ndarray:
-        return np.real(np.diag(self.a))
+    a_diag: np.ndarray
+    weights: np.ndarray
 
 
 def build_measurement(sys: SpinSystem, b: float,
                       partition: PartitionSpec | None = None) -> NoisyDichotomicMeasurement:
-    """Build A and E+- for measurability b and a block partition.
+    """Build the diagonal of A and its Fourier weights for measurability b.
 
     partition=None uses the default +-j sign partition (half-integer spin only).
     """
@@ -127,17 +117,16 @@ def build_measurement(sys: SpinSystem, b: float,
         partition = default_partition(sys)
     partition.validate(sys)
 
-    diag = np.empty(sys.dim)
+    center = {two_m: two_mu for two_mu, members in partition.blocks for two_m in members}
+    a_diag = np.empty(sys.dim)
     for k in range(sys.dim):
         two_m = sys.two_j - 2 * k
-        two_mu = partition.center_of(two_m)
         sign = -1.0 if ((sys.two_j - two_m) // 2) % 2 else 1.0
-        gap_sq = ((two_m - two_mu) // 2) ** 2
-        diag[k] = sign * float(b) ** gap_sq  # 0**0 == 1 covers b=0 at m=mu
-    a = np.diag(diag).astype(complex)
-    eye = np.eye(sys.dim, dtype=complex)
-    return NoisyDichotomicMeasurement(float(b), partition, a,
-                                      (eye + a) / 2, (eye - a) / 2)
+        gap_sq = ((two_m - center[two_m]) // 2) ** 2
+        a_diag[k] = sign * float(b) ** gap_sq  # 0**0 == 1 covers b=0 at m=mu
+    v = sys.jx_spectrum.eigenvectors
+    weights = np.abs((v.conj().T * a_diag) @ v) ** 2
+    return NoisyDichotomicMeasurement(float(b), partition, a_diag, weights.ravel())
 
 
 def b_from_sigma(sigma: float) -> float:
@@ -156,10 +145,10 @@ def sigma_from_b(b: float) -> float:
 
 @dataclass(frozen=True)
 class PreparedState:
-    """One arm of the first measurement acting on the maximally mixed state."""
+    """One arm of the first measurement on I/d; populations is its J_z diagonal."""
 
     sign: int
-    rho: np.ndarray
+    populations: np.ndarray
     probability: float
 
 
@@ -167,15 +156,16 @@ def prepare_states(sys: SpinSystem,
                    meas: NoisyDichotomicMeasurement) -> tuple[PreparedState, PreparedState]:
     """Post-measurement states E^{1/2} (I/d) E^{1/2} / p for both outcomes.
 
-    A is diagonal, so E+- are diagonal and the square roots act entrywise.
+    A is diagonal, so E+- = (1 +- a)/2 are diagonal and the square roots act
+    entrywise: the populations are e / (d p) with p = sum(e) / d.
     """
     d = sys.dim
     out = []
-    for sign, e in ((+1, meas.eplus), (-1, meas.eminus)):
-        p = float(np.real(np.trace(e))) / d
+    for sign in (+1, -1):
+        e = (1.0 + sign * meas.a_diag) / 2
+        p = float(np.sum(e)) / d
         if p <= 0.0:
             raise DegeneratePreparationError(
                 "outcome %+d has zero probability; preparation undefined" % sign)
-        rho = e / (d * p)
-        out.append(PreparedState(sign, rho, p))
+        out.append(PreparedState(sign, e / (d * p), p))
     return out[0], out[1]

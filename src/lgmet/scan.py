@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .correlations import klg_equal_interval
 from .estimation import EstimationRecord, _rows
-from .measurement import (PartitionSpec, build_measurement, format_partition,
-                          parse_partition)
+from .measurement import PartitionSpec, build_measurement, format_partition
 from .spin import make_spin_system
 
 COLUMNS = ("theta", "b", "C", "K_LG", "F", "F_Q", "F_ratio")

@@ -62,7 +62,8 @@ class SpinSystem:
 
     two_j is 2j, so j may be half-integer.  jx_spectrum holds the spectral
     decomposition of J_x with eigenvalues snapped to the exact ladder
-    {-j, ..., j}; propagators and correlation kernels reuse it.
+    {-j, ..., j}; propagators and measurement weights reuse it.  gaps holds
+    the eigenvalue differences lam_k - lam_l, raveled over (k, l).
     """
 
     two_j: int
@@ -70,14 +71,7 @@ class SpinSystem:
     jx: np.ndarray
     jz: np.ndarray
     jx_spectrum: SpectralDecomposition
-
-    @property
-    def j(self) -> float:
-        return self.two_j / 2
-
-    def m_values(self) -> np.ndarray:
-        """m in basis order j, j-1, ..., -j."""
-        return (self.two_j - 2 * np.arange(self.dim)) / 2
+    gaps: np.ndarray
 
 
 def make_spin_system(two_j: int) -> SpinSystem:
@@ -100,7 +94,8 @@ def make_spin_system(two_j: int) -> SpinSystem:
     snapped = np.round(vals - (-j)) + (-j)
     if np.max(np.abs(vals - snapped)) > STRUCTURAL_TOL:
         raise AssertionError("J_x eigenvalues deviate from the exact ladder")
-    return SpinSystem(two_j, dim, jx, jz, SpectralDecomposition(snapped, vecs))
+    gaps = (snapped[:, None] - snapped[None, :]).ravel()
+    return SpinSystem(two_j, dim, jx, jz, SpectralDecomposition(snapped, vecs), gaps)
 
 
 def propagator(sys: SpinSystem, theta: float) -> np.ndarray:

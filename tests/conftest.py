@@ -33,7 +33,8 @@ def brute_force_correlation(sys, meas, theta):
     from scipy.linalg import expm
 
     u = expm(-1j * theta * sys.jx)
-    return float(np.real(np.trace(meas.a @ u @ meas.a @ u.conj().T))) / sys.dim
+    a = np.diag(meas.a_diag)
+    return float(np.real(np.trace(a @ u @ a @ u.conj().T))) / sys.dim
 
 
 def random_density_matrix(rng, dim):

@@ -107,9 +107,10 @@ def test_criterion_8_structural_invariants(spin52):
         part = random_partition(rng, 5, symmetric=symmetric)
         b = rng.uniform(0, 1)
         meas = build_measurement(spin52, b, part)
-        ok &= bool(np.all(meas.eplus + meas.eminus == np.eye(6)))
-        ok &= np.min(np.linalg.eigvalsh(meas.eplus)) >= -1e-12
-        ok &= np.min(np.linalg.eigvalsh(meas.eminus)) >= -1e-12
+        eplus, eminus = (1 + meas.a_diag) / 2, (1 - meas.a_diag) / 2
+        ok &= bool(np.all(eplus + eminus == 1.0))
+        ok &= np.min(eplus) >= -1e-12
+        ok &= np.min(eminus) >= -1e-12
         if symmetric:
             plus, minus = prepare_states(spin52, meas)
             ok &= abs(plus.probability - 0.5) <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -184,3 +185,14 @@ class TestCommonExtremumTheorem:
                 assert fisher_from_correlation(spin52, meas, theta_e) <= 1e-8
             else:
                 assert b == 1.0
+
+
+def test_measurement_freed_after_use(spin52):
+    """Correlation calls keep no reference to the measurement they were given."""
+    meas = build_measurement(spin52, 0.9)
+    correlation(spin52, meas, 0.4)
+    klg_equal_interval(spin52, meas, 0.4)
+    max_violation(spin52, meas, 0.0, 1.0)
+    ref = weakref.ref(meas)
+    del meas
+    assert ref() is None

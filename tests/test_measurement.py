@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgmet import (DegeneratePreparationError, b_from_sigma, build_measurement,
                    default_partition, format_partition, make_spin_system,
@@ -54,7 +55,7 @@ class TestBuildMeasurement:
     def test_projective_limit_is_parity(self, spin52):
         meas = build_measurement(spin52, 1.0)
         np.testing.assert_allclose(meas.a_diag, [1, -1, 1, -1, 1, -1], atol=1e-15)
-        np.testing.assert_allclose(meas.a @ meas.a, np.eye(6), atol=1e-15)
+        np.testing.assert_allclose(meas.a_diag ** 2, np.ones(6), atol=1e-15)
 
     def test_half_measurability_entry(self, spin52):
         meas = build_measurement(spin52, 0.5)
@@ -67,7 +68,7 @@ class TestBuildMeasurement:
 
     def test_povm_completeness_exact(self, spin52):
         meas = build_measurement(spin52, 0.73)
-        assert np.all(meas.eplus + meas.eminus == np.eye(6))
+        assert np.all((1 + meas.a_diag) / 2 + (1 - meas.a_diag) / 2 == 1.0)
 
     def test_trace_a_squared_bounded(self, spin52):
         for b in (0.0, 0.3, 0.8, 1.0):
@@ -94,9 +95,10 @@ class TestBuildMeasurement:
         for _ in range(100):
             part = random_partition(rng, 5)
             meas = build_measurement(spin52, rng.uniform(0, 1), part)
-            assert np.all(meas.eplus + meas.eminus == np.eye(6))
-            assert np.min(np.linalg.eigvalsh(meas.eplus)) >= -1e-12
-            assert np.min(np.linalg.eigvalsh(meas.eminus)) >= -1e-12
+            eplus, eminus = (1 + meas.a_diag) / 2, (1 - meas.a_diag) / 2
+            assert np.all(eplus + eminus == 1.0)
+            assert np.min(eplus) >= -1e-12
+            assert np.min(eminus) >= -1e-12
 
     def test_symmetric_partition_traceless(self, spin52):
         rng = np.random.default_rng(13)
@@ -130,14 +132,14 @@ class TestMeasurabilityConversions:
 class TestPrepareStates:
     def test_projective_preparation(self, spin52, parity52):
         plus, _ = prepare_states(spin52, parity52)
-        np.testing.assert_allclose(np.diag(plus.rho).real,
+        np.testing.assert_allclose(plus.populations,
                                    [1 / 3, 0, 1 / 3, 0, 1 / 3, 0], atol=1e-12)
         assert plus.probability == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_measurability_preparation(self, spin52):
         meas = build_measurement(spin52, 0.0)
         plus, _ = prepare_states(spin52, meas)
-        np.testing.assert_allclose(np.diag(plus.rho).real,
+        np.testing.assert_allclose(plus.populations,
                                    [1 / 3, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 0], atol=1e-12)
         assert plus.probability == pytest.approx(0.5, abs=1e-12)
 
@@ -151,7 +153,28 @@ class TestPrepareStates:
 
     def test_degenerate_arm_rejected(self, spin52):
         part = default_partition(spin52)
-        eye = np.eye(6, dtype=complex)
-        broken = NoisyDichotomicMeasurement(1.0, part, eye, eye, 0 * eye)
+        broken = NoisyDichotomicMeasurement(1.0, part, np.ones(6), np.zeros(36))
         with pytest.raises(DegeneratePreparationError):
             prepare_states(spin52, broken)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_j=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+def test_diagonal_form_matches_dense_form(two_j, seed, b):
+    """Weights and populations against the dense matrices they replace."""
+    sys = make_spin_system(two_j)
+    meas = build_measurement(sys, b, random_partition(np.random.default_rng(seed), two_j))
+    a = np.diag(meas.a_diag).astype(complex)
+    v = sys.jx_spectrum.eigenvectors
+    dense_weights = np.abs(v.conj().T @ a @ v) ** 2
+    assert np.array_equal(meas.weights, dense_weights.ravel())
+
+    eye = np.eye(sys.dim)
+    for sign, state in zip((+1, -1), prepare_states(sys, meas)):
+        e = np.real(eye + sign * a) / 2
+        p = np.trace(e) / sys.dim
+        root = np.sqrt(e)  # E is diagonal, so its square root is entrywise
+        rho = root @ (eye / sys.dim) @ root / p
+        assert state.probability == pytest.approx(p, rel=1e-14, abs=1e-16)
+        np.testing.assert_allclose(state.populations, np.diag(rho), rtol=1e-13, atol=1e-16)

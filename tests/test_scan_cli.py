@@ -240,9 +240,36 @@ class TestCli:
     @pytest.mark.parametrize("flag", ["--b", "--theta"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_report_rejects_non_finite(self, flag, value, capsys):
-        # the --flag=value form, since argparse reads a bare "-inf" as an option
+        # the --flag=value form; test_space_separated_values covers "--flag -inf"
         args = {"--b": "1", "--theta": "0.5", flag: value}
         assert main(["report"] + ["%s=%s" % kv for kv in args.items()]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("lgmet: error:") and "finite" in captured.err
+
+    @pytest.mark.parametrize("extra", [["--two-j", "7"],
+                                       ["--partition", "7:7,5,3,1;-7:-1,-3,-5,-7"],
+                                       ["--out", "x.csv"]])
+    def test_figure_rejects_sweep_flags(self, extra, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "1a", "--outdir", str(tmp_path)] + extra)
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_space_separated_values(self, capsys):
+        def data(argv):
+            assert main(argv) == 0
+            return [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+
+        spaced = data(["report", "--b", "1", "--theta", "-1e-3"])
+        assert spaced == data(["report", "--b", "1", "--theta=-1e-3"])
+        assert float(spaced[1].split(",")[0]) == pytest.approx(-1e-3 * math.pi)
+        assert data(["report", "--b", "1", "--theta", "1", "--partition", "-5:-1,-3,-5;5:5,3,1"]) \
+            == data(["report", "--b", "1", "--theta", "1"])
+
+    def test_space_separated_inf_reaches_grid_parser(self, capsys):
+        assert main(["scan-b", "--b", "0:1:3", "--theta", "-inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
