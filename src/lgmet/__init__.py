@@ -2,9 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .spin import (SpinSystem, SpectralDecomposition, make_spin_system, eigh,
-                   propagator, evolve, trace_product, is_hermitian,
-                   assert_hermitian, assert_density_matrix)
+from .spin import SpinSystem, SpectralDecomposition, make_spin_system
 from .measurement import (PartitionSpec, NoisyDichotomicMeasurement, PreparedState,
                           DegeneratePreparationError, default_partition,
                           build_measurement, prepare_states, b_from_sigma,
@@ -12,23 +10,17 @@ from .measurement import (PartitionSpec, NoisyDichotomicMeasurement, PreparedSta
 from .correlations import (correlation, correlation_two_time,
                            correlation_derivatives, klg_equal_interval,
                            klg_four_time, max_violation)
-from .estimation import (EstimationRecord, NearSingularProbabilityError,
-                         InconsistentCorrelationError, outcome_probabilities,
-                         fisher_from_probabilities, fisher_from_correlation,
-                         qfi, qfi_of_state, estimation_report)
+from .estimation import (EstimationRecord, InconsistentCorrelationError,
+                         fisher_from_correlation, qfi, estimation_report)
 
 __all__ = [
-    "SpinSystem", "SpectralDecomposition", "make_spin_system", "eigh",
-    "propagator", "evolve", "trace_product", "is_hermitian",
-    "assert_hermitian", "assert_density_matrix",
+    "SpinSystem", "SpectralDecomposition", "make_spin_system",
     "PartitionSpec", "NoisyDichotomicMeasurement", "PreparedState",
     "DegeneratePreparationError", "default_partition", "build_measurement",
     "prepare_states", "b_from_sigma", "sigma_from_b", "parse_partition",
     "format_partition",
     "correlation", "correlation_two_time", "correlation_derivatives",
     "klg_equal_interval", "klg_four_time", "max_violation",
-    "EstimationRecord", "NearSingularProbabilityError",
-    "InconsistentCorrelationError", "outcome_probabilities",
-    "fisher_from_probabilities", "fisher_from_correlation", "qfi",
-    "qfi_of_state", "estimation_report",
+    "EstimationRecord", "InconsistentCorrelationError",
+    "fisher_from_correlation", "qfi", "estimation_report",
 ]

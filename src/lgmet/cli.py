@@ -11,9 +11,9 @@ import math
 import sys as _sys
 
 from .measurement import parse_partition
-from .scan import (RunConfig, parse_grid, phase_map, reproduce_figure, scan_b,
-                   scan_theta, table_to_csv, table_to_json, write_table,
-                   render_svg_lineplot)
+from .scan import (FIGURE_SETTINGS, PLOT_COLUMNS, RunConfig, parse_grid,
+                   reproduce_figure, sweep, table_to_csv, table_to_json,
+                   write_table, render_svg_lineplot)
 
 
 VALUE_FLAGS = ("--b", "--theta", "--partition")
@@ -50,15 +50,15 @@ def _attach_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _build_config(args, b_spec: str, theta_spec: str) -> RunConfig:
+def _build_config(args) -> RunConfig:
     partition = None if args.partition == "default" else parse_partition(args.partition)
     return RunConfig(two_j=args.two_j,
-                     b_values=parse_grid(b_spec),
-                     theta_values=parse_grid(theta_spec, scale=math.pi),
+                     b_values=parse_grid(args.b),
+                     theta_values=parse_grid(args.theta, scale=math.pi),
                      partition=partition)
 
 
-def _emit(table, args, x_col: str, y_cols: list[str]) -> None:
+def _emit(table, args, x_col: str, y_cols: tuple[str, ...]) -> None:
     if args.out is None:
         if args.plot:
             raise ValueError("--plot requires --out")
@@ -77,56 +77,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "for noisy spin-J parity measurements")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scan-theta", help="sweep theta at fixed b")
-    _add_common(p)
-    p.add_argument("--b", required=True, help="measurability b (single value)")
-    p.add_argument("--theta", required=True,
-                   help="theta grid in pi units, lo:hi:count or single value")
-
-    p = sub.add_parser("scan-b", help="sweep b at fixed theta")
-    _add_common(p)
-    p.add_argument("--b", required=True, help="b grid, lo:hi:count or single value")
-    p.add_argument("--theta", required=True, help="theta in pi units (single value)")
-
-    p = sub.add_parser("phase-map", help="full Cartesian (b, theta) sweep")
-    _add_common(p)
-    p.add_argument("--b", required=True, help="b grid, lo:hi:count")
-    p.add_argument("--theta", required=True, help="theta grid in pi units, lo:hi:count")
+    # verb: (help, --b help, --theta help); each verb is a sweep in scan.PLOT_COLUMNS
+    for verb, (text, b_help, theta_help) in {
+            "scan-theta": ("sweep theta at fixed b", "measurability b (single value)",
+                           "theta grid in pi units, lo:hi:count or single value"),
+            "scan-b": ("sweep b at fixed theta", "b grid, lo:hi:count or single value",
+                       "theta in pi units (single value)"),
+            "phase-map": ("full Cartesian (b, theta) sweep", "b grid, lo:hi:count",
+                          "theta grid in pi units, lo:hi:count"),
+            "report": ("single-point estimation record", "measurability b (single value)",
+                       "theta in pi units (single value)")}.items():
+        p = sub.add_parser(verb, help=text)
+        _add_common(p)
+        p.add_argument("--b", required=True, help=b_help)
+        p.add_argument("--theta", required=True, help=theta_help)
 
     # no abbreviations, so that --out is not taken as --outdir
     p = sub.add_parser("figure", help="regenerate a figure dataset", allow_abbrev=False)
     _add_output(p)
-    p.add_argument("which", choices=("1a", "1b", "2a", "2b", "3"))
+    p.add_argument("which", choices=FIGURE_SETTINGS)
     p.add_argument("--outdir", default=".", help="output directory")
-
-    p = sub.add_parser("report", help="single-point estimation record")
-    _add_common(p)
-    p.add_argument("--b", required=True, help="measurability b")
-    p.add_argument("--theta", required=True, help="theta in pi units")
 
     return parser
 
 
 def run(args) -> None:
-    if args.command == "scan-theta":
-        table = scan_theta(_build_config(args, args.b, args.theta))
-        _emit(table, args, "theta", ["C", "K_LG", "F", "F_Q"])
-    elif args.command == "scan-b":
-        table = scan_b(_build_config(args, args.b, args.theta))
-        _emit(table, args, "b", ["K_LG", "F", "F_Q"])
-    elif args.command == "phase-map":
-        table = phase_map(_build_config(args, args.b, args.theta))
-        _emit(table, args, "K_LG", ["F_ratio"])
-    elif args.command == "figure":
-        paths = reproduce_figure(args.which, args.outdir, plot=args.plot,
-                                 fmt=args.fmt)
-        for path in paths:
+    if args.command == "figure":
+        for path in reproduce_figure(args.which, args.outdir, plot=args.plot,
+                                     fmt=args.fmt):
             print(path)
-    elif args.command == "report":
-        table = scan_theta(_build_config(args, args.b, args.theta))
-        _emit(table, args, "theta", ["F", "F_Q"])
-    else:  # pragma: no cover
-        raise ValueError("unknown command %r" % args.command)
+        return
+    config = _build_config(args)
+    if args.command == "report" and config.b_values.size * config.theta_values.size != 1:
+        raise ValueError("report needs a single --b and a single --theta value")
+    _emit(sweep(args.command, config), args, *PLOT_COLUMNS[args.command])
 
 
 def main(argv=None) -> int:

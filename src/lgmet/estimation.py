@@ -1,13 +1,10 @@
 """Classical and quantum Fisher information for the dichotomic parity probe.
 
-Two independent routes to the classical Fisher information are provided:
-finite differences of the outcome probabilities (the defining sum
-F = sum_l P_l (d ln P_l / d theta)^2) and the analytic correlation route
+The classical Fisher information comes from the correlation function,
 F = (dC/dtheta)^2 / (1 - C^2).  The quantum Fisher information of the
-unitary family U(theta) rho U(-theta) with generator J_x comes from the
-standard spectral formula (qfi_of_state, for any state) and is
-theta-independent; qfi evaluates it for the prepared states as an O(d)
-tridiagonal sum.
+unitary family U(theta) rho U(-theta) with generator J_x is
+theta-independent; qfi evaluates the spectral formula for the prepared
+states as an O(d) tridiagonal sum.
 """
 
 from __future__ import annotations
@@ -22,11 +19,6 @@ from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
 QFI_EIGENVALUE_CUTOFF = 1e-12
-DEFAULT_FD_STEP = 1e-5
-
-
-class NearSingularProbabilityError(ArithmeticError):
-    """An outcome probability vanishes while still carrying a derivative."""
 
 
 class InconsistentCorrelationError(ArithmeticError):
@@ -47,53 +39,6 @@ class EstimationRecord:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def outcome_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                          prep_sign: int, theta: float) -> tuple[float, float]:
-    """(P_plus, P_minus) for the second measurement after preparation prep_sign.
-
-    Evaluated directly as Tr(E_pm rho_sign(theta)) with dense matrices formed
-    here, independent of the Fourier weights, and cross-checked against the
-    closed form 1/2 pm sign*C(theta)/2.
-    """
-    if prep_sign not in (+1, -1):
-        raise ValueError("prep_sign must be +1 or -1")
-    plus, minus = prepare_states(sys, meas)
-    prep = plus if prep_sign == +1 else minus
-    lam, v = sys.jx_spectrum
-    u = (v * np.exp(-1j * theta * lam)) @ v.conj().T
-    rho_t = u @ np.diag(prep.populations) @ u.conj().T
-    p_plus = float(np.real(np.trace(np.diag((1.0 + meas.a_diag) / 2) @ rho_t)))
-    p_minus = float(np.real(np.trace(np.diag((1.0 - meas.a_diag) / 2) @ rho_t)))
-
-    c = correlation(sys, meas, theta)
-    if abs(p_plus - (0.5 + prep_sign * c / 2)) > 1e-10:
-        raise InconsistentCorrelationError(
-            "direct probability disagrees with 1/2 + sign*C/2 beyond 1e-10")
-    return p_plus, p_minus
-
-
-def fisher_from_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                              prep_sign: int, theta: float,
-                              fd_step: float = DEFAULT_FD_STEP) -> float:
-    """Fisher information from central finite differences of the probabilities."""
-    if not 1e-7 <= fd_step <= 1e-2:
-        raise ValueError("fd_step must lie in [1e-7, 1e-2]")
-    p = outcome_probabilities(sys, meas, prep_sign, theta)
-    p_hi = outcome_probabilities(sys, meas, prep_sign, theta + fd_step)
-    p_lo = outcome_probabilities(sys, meas, prep_sign, theta - fd_step)
-    total = 0.0
-    for pl, hi, lo in zip(p, p_hi, p_lo):
-        dp = (hi - lo) / (2.0 * fd_step)
-        if pl < 1e-14:
-            if abs(dp) > 1e-9:
-                raise NearSingularProbabilityError(
-                    "outcome probability below 1e-14 with nonzero derivative; "
-                    "use the correlation route")
-            continue
-        total += dp * dp / pl
-    return total
 
 
 def _fisher(c: float, c1: float, c2: float) -> float:
@@ -117,28 +62,13 @@ def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     return _fisher(*correlation_derivatives(sys, meas, theta))
 
 
-def qfi_of_state(sys: SpinSystem, rho: np.ndarray) -> float:
-    """QFI of theta -> U(theta) rho U(-theta) with generator J_x.
-
-    Spectral formula 2 sum_{k,l} (p_k - p_l)^2 / (p_k + p_l) |<v_k|J_x|v_l>|^2,
-    restricted to pairs with p_k + p_l above the null-subspace cutoff.
-    """
-    p, v = np.linalg.eigh(rho)
-    jx_t = v.conj().T @ sys.jx @ v
-    psum = p[:, None] + p[None, :]
-    pdiff = p[:, None] - p[None, :]
-    mask = psum > QFI_EIGENVALUE_CUTOFF
-    ratio = np.zeros_like(psum)
-    ratio[mask] = pdiff[mask] ** 2 / psum[mask]
-    return float(2.0 * np.sum(ratio * np.abs(jx_t) ** 2))
-
-
 def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) -> float:
     """QFI for the prepared state of the given sign; theta-independent.
 
     The prepared state is diagonal in the J_z basis and J_x is tridiagonal
-    there, so the spectral formula of qfi_of_state reduces to the O(d) sum
-    4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) |J_x[k, k+1]|^2.
+    there, so the spectral QFI formula reduces to the O(d) sum
+    4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) J_x[k, k+1]^2 over the pairs
+    with p_k + p_{k+1} above the null-subspace cutoff.
     """
     plus, minus = prepare_states(sys, meas)
     prep = plus if prep_sign == +1 else minus
@@ -146,7 +76,7 @@ def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) 
     psum = p[:-1] + p[1:]
     mask = psum > QFI_EIGENVALUE_CUTOFF
     ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
-    return float(4.0 * np.sum(ratio * np.abs(np.diag(sys.jx, 1))[mask] ** 2))
+    return float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
 
 
 def _rows(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> list[EstimationRecord]:

@@ -24,21 +24,32 @@ from .spin import make_spin_system
 
 COLUMNS = ("theta", "b", "C", "K_LG", "F", "F_Q", "F_ratio")
 
-FIGURE_SETTINGS = {
-    "1a": dict(kind="theta", b=1.0, theta=(0.0, math.pi, 512)),
-    "1b": dict(kind="theta", b=0.99, theta=(0.0, math.pi, 512)),
-    "2a": dict(kind="b", theta=0.95 * math.pi, b=(0.0, 1.0, 201)),
-    "2b": dict(kind="b", theta=0.34 * math.pi, b=(0.0, 1.0, 201)),
-    "3": dict(kind="map", b_list=(0.5, 0.7, 0.9, 0.99, 1.0),
-              theta=(0.0, math.pi / 2, 256)),
+PLOT_COLUMNS = {
+    "scan-theta": ("theta", ("C", "K_LG", "F", "F_Q")),
+    "scan-b": ("b", ("K_LG", "F", "F_Q")),
+    "phase-map": ("K_LG", ("F_ratio",)),
+    "report": ("theta", ("F", "F_Q")),
 }
+
+# figure -> (sweep, b grid, theta grid)
+FIGURE_SETTINGS = {
+    "1a": ("scan-theta", np.array([1.0]), np.linspace(0.0, math.pi, 512)),
+    "1b": ("scan-theta", np.array([0.99]), np.linspace(0.0, math.pi, 512)),
+    "2a": ("scan-b", np.linspace(0.0, 1.0, 201), np.array([0.95 * math.pi])),
+    "2b": ("scan-b", np.linspace(0.0, 1.0, 201), np.array([0.34 * math.pi])),
+    "3": ("phase-map", np.array([0.5, 0.7, 0.9, 0.99, 1.0]),
+          np.linspace(0.0, math.pi / 2, 256)),
+}
+
+# Largest "lo:hi:count" count; about 2000x the largest figure grid (512).
+MAX_GRID_COUNT = 10 ** 6
 
 
 def parse_grid(text: str, scale: float = 1.0) -> np.ndarray:
     """Parse "lo:hi:count" into a linspace, or a single real into a 1-grid.
 
     scale multiplies the parsed values (pi for theta given in pi units).
-    Non-finite values (nan, inf) are rejected.
+    Non-finite values (nan, inf) and counts above MAX_GRID_COUNT are rejected.
     """
     if ":" in text:
         parts = text.split(":")
@@ -48,6 +59,9 @@ def parse_grid(text: str, scale: float = 1.0) -> np.ndarray:
         count = int(parts[2])
         if count < 2:
             raise ValueError("grid count must be at least 2, got %d" % count)
+        if count > MAX_GRID_COUNT:
+            raise ValueError("grid count %d exceeds the limit of %d"
+                             % (count, MAX_GRID_COUNT))
     else:
         lo = hi = float(text) * scale
         count = 1
@@ -130,6 +144,13 @@ def scan_b(config: RunConfig) -> ScanTable:
 def phase_map(config: RunConfig) -> ScanTable:
     """Full Cartesian (b, theta) grid, rows sorted by (b, theta)."""
     return ScanTable(_metadata(config, "phase-map"), _grid_rows(config))
+
+
+def sweep(kind: str, config: RunConfig) -> ScanTable:
+    """Run the sweep named by a PLOT_COLUMNS key; "report" is a one-point scan_theta."""
+    # looked up at call time, so a rebinding of scan_theta etc. is honoured
+    return {"scan-theta": scan_theta, "scan-b": scan_b, "phase-map": phase_map,
+            "report": scan_theta}[kind](config)
 
 
 def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
@@ -274,28 +295,10 @@ def reproduce_figure(which: str, outdir, plot: bool = False,
     if which not in FIGURE_SETTINGS:
         raise ValueError("unknown figure %r (expected one of %s)"
                          % (which, ", ".join(FIGURE_SETTINGS)))
-    settings = FIGURE_SETTINGS[which]
+    kind, b_values, theta_values = FIGURE_SETTINGS[which]
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    if settings["kind"] == "theta":
-        lo, hi, n = settings["theta"]
-        config = RunConfig(b_values=np.array([settings["b"]]),
-                           theta_values=np.linspace(lo, hi, n))
-        table = scan_theta(config)
-        x_col, y_cols = "theta", ["C", "K_LG", "F", "F_Q"]
-    elif settings["kind"] == "b":
-        lo, hi, n = settings["b"]
-        config = RunConfig(b_values=np.linspace(lo, hi, n),
-                           theta_values=np.array([settings["theta"]]))
-        table = scan_b(config)
-        x_col, y_cols = "b", ["K_LG", "F", "F_Q"]
-    else:
-        lo, hi, n = settings["theta"]
-        config = RunConfig(b_values=np.array(settings["b_list"]),
-                           theta_values=np.linspace(lo, hi, n))
-        table = phase_map(config)
-        x_col, y_cols = "K_LG", ["F_ratio"]
+    table = sweep(kind, RunConfig(b_values=b_values, theta_values=theta_values))
 
     paths = []
     ext = "json" if fmt == "json" else "csv"
@@ -304,6 +307,6 @@ def reproduce_figure(which: str, outdir, plot: bool = False,
     paths.append(data_path)
     if plot:
         svg_path = outdir / ("figure_%s.svg" % which)
-        render_svg_lineplot(table, x_col, y_cols, svg_path)
+        render_svg_lineplot(table, *PLOT_COLUMNS[kind], svg_path)
         paths.append(svg_path)
     return paths

@@ -6,6 +6,8 @@ import pytest
 from lgmet import build_measurement, make_spin_system
 from lgmet.measurement import PartitionSpec
 
+import oracles
+
 
 @pytest.fixture(scope="session")
 def spin52():
@@ -32,17 +34,9 @@ def brute_force_correlation(sys, meas, theta):
     """Direct matrix evaluation Tr[A U A U^dag] / d with an independent expm."""
     from scipy.linalg import expm
 
-    u = expm(-1j * theta * sys.jx)
+    u = expm(-1j * theta * oracles.dense_jx(sys.two_j))
     a = np.diag(meas.a_diag)
     return float(np.real(np.trace(a @ u @ a @ u.conj().T))) / sys.dim
-
-
-def random_density_matrix(rng, dim):
-    """Random full-rank density matrix via Haar-ish unitary and Dirichlet weights."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, _ = np.linalg.qr(z)
-    p = rng.dirichlet(np.ones(dim))
-    return (q * p) @ q.conj().T
 
 
 def random_partition(rng, two_j, symmetric=False):

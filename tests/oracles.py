@@ -1,0 +1,102 @@
+"""Independent dense-matrix routes that the tests compare lgmet against.
+
+None of this runs in the pipeline.  Each route forms the d x d operators
+itself: the dense J_x from two_j alone, the propagator e^{-i theta J_x},
+outcome probabilities Tr(E_pm rho(theta)) with their finite-difference
+Fisher information, and the general eigh-based QFI of any state.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from lgmet.correlations import correlation
+from lgmet.estimation import QFI_EIGENVALUE_CUTOFF, InconsistentCorrelationError
+from lgmet.measurement import NoisyDichotomicMeasurement, prepare_states
+from lgmet.spin import SpinSystem
+
+DEFAULT_FD_STEP = 1e-5
+
+
+class NearSingularProbabilityError(ArithmeticError):
+    """An outcome probability vanishes while still carrying a derivative."""
+
+
+def dense_jx(two_j: int) -> np.ndarray:
+    """J_x = (J_+ + J_-)/2 in the J_z basis m = j, ..., -j, as a complex matrix.
+
+    J_+|m> = sqrt((j - m)(j + m + 1)) |m + 1>, and |m + 1> sits one index
+    before |m>.
+    """
+    j = two_j / 2
+    m = j - np.arange(two_j + 1)
+    jp = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1)), 1)
+    return ((jp + jp.T) / 2).astype(complex)
+
+
+def propagator(sys: SpinSystem, theta: float) -> np.ndarray:
+    """Unitary e^{-i theta J_x}, evaluated from the stored J_x spectrum."""
+    lam, v = sys.jx_spectrum
+    return (v * np.exp(-1j * theta * lam)) @ v.conj().T
+
+
+def outcome_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
+                          prep_sign: int, theta: float) -> tuple[float, float]:
+    """(P_plus, P_minus) for the second measurement after preparation prep_sign.
+
+    Evaluated directly as Tr(E_pm rho_sign(theta)) with dense matrices formed
+    here, independent of the Fourier weights, and cross-checked against the
+    closed form 1/2 pm sign*C(theta)/2.
+    """
+    if prep_sign not in (+1, -1):
+        raise ValueError("prep_sign must be +1 or -1")
+    plus, minus = prepare_states(sys, meas)
+    prep = plus if prep_sign == +1 else minus
+    u = propagator(sys, theta)
+    rho_t = u @ np.diag(prep.populations) @ u.conj().T
+    p_plus = float(np.real(np.trace(np.diag((1.0 + meas.a_diag) / 2) @ rho_t)))
+    p_minus = float(np.real(np.trace(np.diag((1.0 - meas.a_diag) / 2) @ rho_t)))
+
+    c = correlation(sys, meas, theta)
+    if abs(p_plus - (0.5 + prep_sign * c / 2)) > 1e-10:
+        raise InconsistentCorrelationError(
+            "direct probability disagrees with 1/2 + sign*C/2 beyond 1e-10")
+    return p_plus, p_minus
+
+
+def fisher_from_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
+                              prep_sign: int, theta: float,
+                              fd_step: float = DEFAULT_FD_STEP) -> float:
+    """Fisher information from central finite differences of the probabilities."""
+    if not 1e-7 <= fd_step <= 1e-2:
+        raise ValueError("fd_step must lie in [1e-7, 1e-2]")
+    p = outcome_probabilities(sys, meas, prep_sign, theta)
+    p_hi = outcome_probabilities(sys, meas, prep_sign, theta + fd_step)
+    p_lo = outcome_probabilities(sys, meas, prep_sign, theta - fd_step)
+    total = 0.0
+    for pl, hi, lo in zip(p, p_hi, p_lo):
+        dp = (hi - lo) / (2.0 * fd_step)
+        if pl < 1e-14:
+            if abs(dp) > 1e-9:
+                raise NearSingularProbabilityError(
+                    "outcome probability below 1e-14 with nonzero derivative; "
+                    "use the correlation route")
+            continue
+        total += dp * dp / pl
+    return total
+
+
+def qfi_of_state(sys: SpinSystem, rho: np.ndarray) -> float:
+    """QFI of theta -> U(theta) rho U(-theta) with generator J_x.
+
+    Spectral formula 2 sum_{k,l} (p_k - p_l)^2 / (p_k + p_l) |<v_k|J_x|v_l>|^2,
+    restricted to pairs with p_k + p_l above the null-subspace cutoff.
+    """
+    p, v = np.linalg.eigh(rho)
+    jx_t = v.conj().T @ dense_jx(sys.two_j) @ v
+    psum = p[:, None] + p[None, :]
+    pdiff = p[:, None] - p[None, :]
+    mask = psum > QFI_EIGENVALUE_CUTOFF
+    ratio = np.zeros_like(psum)
+    ratio[mask] = pdiff[mask] ** 2 / psum[mask]
+    return float(2.0 * np.sum(ratio * np.abs(jx_t) ** 2))

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from lgmet import (build_measurement, correlation, correlation_derivatives,
-                   correlation_two_time, fisher_from_correlation,
-                   fisher_from_probabilities, make_spin_system, max_violation,
-                   prepare_states, qfi)
+                   correlation_two_time, fisher_from_correlation, make_spin_system,
+                   max_violation, prepare_states, qfi)
 from lgmet.scan import (RunConfig, phase_map, reproduce_figure, scan_b,
                         violation_threshold_b)
 from conftest import parity_correlation_closed_form, random_partition
+from oracles import fisher_from_probabilities
 
 PI = math.pi
 

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import lgmet.scan
 from lgmet.cli import main
 from lgmet.estimation import EstimationRecord
-from lgmet.scan import (RunConfig, ScanTable, parse_grid, phase_map,
+from lgmet.scan import (MAX_GRID_COUNT, RunConfig, ScanTable, parse_grid, phase_map,
                         render_svg_lineplot, reproduce_figure, scan_b,
                         scan_theta, table_from_json, table_to_csv,
                         table_to_json, violation_threshold_b, write_table)
@@ -34,6 +35,13 @@ class TestParseGrid:
     def test_rejects_non_finite(self, text):
         with pytest.raises(ValueError, match="finite"):
             parse_grid(text, scale=math.pi)
+
+    def test_rejects_count_above_limit(self, monkeypatch):
+        # linspace must never see the count: a grid this large cannot be allocated
+        monkeypatch.setattr(np, "linspace", None)
+        for count in (MAX_GRID_COUNT + 1, 10 ** 18):
+            with pytest.raises(ValueError, match="limit of %d" % MAX_GRID_COUNT):
+                parse_grid("0:1:%d" % count)
 
 
 class TestRunConfig:
@@ -267,6 +275,33 @@ class TestCli:
         assert float(spaced[1].split(",")[0]) == pytest.approx(-1e-3 * math.pi)
         assert data(["report", "--b", "1", "--theta", "1", "--partition", "-5:-1,-3,-5;5:5,3,1"]) \
             == data(["report", "--b", "1", "--theta", "1"])
+
+    @pytest.mark.parametrize("grids", [["--b", "1", "--theta", "0:1:3"],
+                                       ["--b", "0:1:3", "--theta", "1"],
+                                       ["--b", "0.5:1:2", "--theta", "0:1:2"]])
+    def test_report_rejects_grids(self, grids, capsys):
+        assert main(["report"] + grids) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lgmet: error: report needs a single")
+
+    def test_huge_grid_count_is_a_clean_error(self, capsys):
+        assert main(["scan-theta", "--b", "1", "--theta", "0:1:%d" % 10 ** 18]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the limit of %d" % MAX_GRID_COUNT in captured.err
+
+    def test_verbs_look_up_sweeps_at_call_time(self, monkeypatch, capsys):
+        calls = []
+        original = lgmet.scan.scan_theta
+
+        def spy(config):
+            calls.append(config)
+            return original(config)
+
+        monkeypatch.setattr(lgmet.scan, "scan_theta", spy)
+        assert main(["report", "--b", "1", "--theta", "1"]) == 0
+        assert len(calls) == 1 and calls[0].theta_values[0] == math.pi
 
     def test_space_separated_inf_reaches_grid_parser(self, capsys):
         assert main(["scan-b", "--b", "0:1:3", "--theta", "-inf"]) == 2

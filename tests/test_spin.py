@@ -4,40 +4,29 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from lgmet import (assert_density_matrix, eigh, evolve, is_hermitian,
-                   make_spin_system, propagator, trace_product)
-from conftest import random_density_matrix
+from lgmet import make_spin_system
+from oracles import dense_jx, propagator
 
 
 class TestMakeSpinSystem:
     def test_spin_half(self):
         sys = make_spin_system(1)
-        np.testing.assert_allclose(sys.jx, [[0, 0.5], [0.5, 0]], atol=1e-15)
-        np.testing.assert_allclose(sys.jz, np.diag([0.5, -0.5]), atol=1e-15)
-
-    def test_spin_five_halves_jz(self):
-        sys = make_spin_system(5)
-        assert sys.dim == 6
-        np.testing.assert_allclose(
-            np.diag(sys.jz).real, [2.5, 1.5, 0.5, -0.5, -1.5, -2.5], atol=1e-15)
+        assert sys.dim == 2
+        np.testing.assert_allclose(sys.jx_ladder, [0.5], atol=1e-15)
 
     def test_ladder_element(self):
         sys = make_spin_system(5)
         # element between m=5/2 and m=3/2
-        assert sys.jx[0, 1].real == pytest.approx(math.sqrt(5) / 2, abs=1e-14)
+        assert sys.jx_ladder[0] == pytest.approx(math.sqrt(5) / 2, abs=1e-14)
 
     def test_jx_spectrum_is_exact_ladder(self):
         for two_j in (1, 2, 5, 11):
             sys = make_spin_system(two_j)
-            vals = np.linalg.eigvalsh(sys.jx)
+            vals, vecs = sys.jx_spectrum
             expected = np.arange(-two_j / 2, two_j / 2 + 1)
-            np.testing.assert_allclose(vals, expected, atol=1e-10)
-
-    def test_jx_structure(self):
-        sys = make_spin_system(7)
-        assert is_hermitian(sys.jx)
-        assert np.max(np.abs(np.diag(sys.jx))) == 0.0
-        assert np.max(np.abs(np.triu(sys.jx, 2))) == 0.0
+            assert np.array_equal(vals, expected)
+            recon = (vecs * vals) @ vecs.conj().T
+            assert np.max(np.abs(recon - dense_jx(two_j))) <= 1e-10
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_rejects_bad_two_j(self, bad):
@@ -46,45 +35,11 @@ class TestMakeSpinSystem:
 
     @pytest.mark.parametrize("two_j", [1, 4, 5])
     def test_trace_identity(self, two_j):
-        # Tr Jx^2 = Tr Jz^2 = d j(j+1)/3
+        # Tr Jx^2 = 2 sum_k Jx[k, k+1]^2 = d j(j+1)/3
         sys = make_spin_system(two_j)
         j = two_j / 2
         expected = sys.dim * j * (j + 1) / 3
-        assert trace_product(sys.jx, sys.jx).real == pytest.approx(expected, abs=1e-10)
-        assert trace_product(sys.jz, sys.jz).real == pytest.approx(expected, abs=1e-10)
-
-
-class TestEigh:
-    def test_diagonal(self):
-        dec = eigh(np.diag([2.0, 1.0]).astype(complex))
-        np.testing.assert_allclose(dec.eigenvalues, [1.0, 2.0])
-        np.testing.assert_allclose(np.abs(dec.eigenvectors), np.eye(2)[:, ::-1], atol=1e-14)
-
-    def test_identity(self):
-        dec = eigh(np.eye(4, dtype=complex))
-        np.testing.assert_allclose(dec.eigenvalues, 1.0)
-
-    def test_jx_spectrum(self, spin52):
-        dec = eigh(spin52.jx)
-        np.testing.assert_allclose(dec.eigenvalues,
-                                   [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], atol=1e-10)
-        # residual oracle: Jx v = lambda v
-        for lam, v in zip(dec.eigenvalues, dec.eigenvectors.T):
-            assert np.max(np.abs(spin52.jx @ v - lam * v)) <= 1e-10
-
-    def test_invariants_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            z = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            h = (z + z.conj().T) / 2
-            vals, vecs = eigh(h)
-            recon = (vecs * vals) @ vecs.conj().T
-            assert np.max(np.abs(h - recon)) <= 1e-10
-            assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        assert 2 * np.sum(sys.jx_ladder ** 2) == pytest.approx(expected, abs=1e-10)
 
 
 class TestPropagator:
@@ -117,58 +72,5 @@ class TestPropagator:
     def test_matches_series_exponential(self, spin52):
         rng = np.random.default_rng(3)
         for theta in rng.uniform(-10, 10, size=12):
-            u_ref = expm(-1j * theta * spin52.jx)
+            u_ref = expm(-1j * theta * dense_jx(5))
             assert np.max(np.abs(propagator(spin52, theta) - u_ref)) <= 1e-8
-
-
-class TestEvolve:
-    def test_maximally_mixed_fixed_point(self, spin52):
-        rho = np.eye(6, dtype=complex) / 6
-        np.testing.assert_allclose(evolve(spin52, rho, 1.234), rho, atol=1e-12)
-
-    def test_zero_theta_identity(self, spin52):
-        rng = np.random.default_rng(0)
-        rho = random_density_matrix(rng, 6)
-        np.testing.assert_allclose(evolve(spin52, rho, 0.0), rho, atol=1e-12)
-
-    def test_pi_rotation_reverses_m(self, spin52):
-        rho = np.zeros((6, 6), dtype=complex)
-        rho[0, 0] = 1.0  # |m = 5/2>
-        out = evolve(spin52, rho, math.pi)
-        assert out[5, 5].real == pytest.approx(1.0, abs=1e-10)
-
-    def test_preserves_density_properties(self, spin52):
-        rng = np.random.default_rng(42)
-        for _ in range(100):
-            rho = random_density_matrix(rng, 6)
-            out = evolve(spin52, rho, rng.uniform(-6, 6))
-            assert_density_matrix(out, tol=1e-10)
-            np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(out)),
-                                       np.sort(np.linalg.eigvalsh(rho)), atol=1e-10)
-
-    def test_dimension_mismatch(self, spin52):
-        with pytest.raises(ValueError):
-            evolve(spin52, np.eye(4, dtype=complex) / 4, 0.1)
-
-
-class TestTraceProduct:
-    def test_identity(self):
-        assert trace_product(np.eye(6), np.eye(6)).real == pytest.approx(6.0)
-
-    def test_jz_squared(self, spin52):
-        assert trace_product(spin52.jz, spin52.jz).real == pytest.approx(17.5)
-
-    def test_jx_squared_against_summation(self, spin52):
-        direct = sum((spin52.jx @ spin52.jx)[k, k].real for k in range(6))
-        assert trace_product(spin52.jx, spin52.jx).real == pytest.approx(direct, abs=1e-12)
-        assert direct == pytest.approx(17.5, abs=1e-10)
-
-    def test_cyclicity(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        assert abs(trace_product(a, b) - trace_product(b, a)) <= 1e-12 * np.abs(a).sum()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_product(np.eye(3), np.eye(4))

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
                    fisher_from_correlation, klg_equal_interval, make_spin_system,
-                   prepare_states, qfi, qfi_of_state)
+                   prepare_states, qfi)
 from lgmet.measurement import PartitionSpec
 from lgmet.scan import RunConfig, phase_map, scan_b, scan_theta
+from oracles import qfi_of_state
 
 
 @st.composite
