@@ -5,9 +5,12 @@ through its Fourier form over the J_x spectrum:
 
     C(theta) = (1/d) sum_{k,l} |A~_{kl}|^2 cos((lam_k - lam_l) theta),
 
-with A~ = V^dag A V.  The weights |A~_{kl}|^2 belong to the measurement
-(meas.weights) and the gaps lam_k - lam_l to the spin system (sys.gaps), so
-C and its analytic theta-derivatives cost O(d^2) per point.
+with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
+(meas.weights).  Each gap lam_k - lam_l is one of the 2d - 1 integer
+frequencies of the spin system (sys.frequencies, at sys.gap_index), so a
+point costs O(d) trig, evaluated once per frequency, plus an O(d^2) gather
+and dot product.  The sum runs over (k, l) in the same order as a direct
+d^2 evaluation, so every value equals that evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -22,10 +25,45 @@ from .spin import SpinSystem
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# thetas per trig table in _trig_rows, so a table holds 256 (2d - 1) floats;
+# one table for a 10^6-point grid at two_j = 801 would take 13 GB
+THETA_BLOCK = 256
+
+
+def _trig_rows(fn, sys: SpinSystem, thetas):
+    """Yield fn(n theta) over the frequencies n of sys, one row per theta in turn.
+
+    A block of THETA_BLOCK thetas is evaluated as one (theta, n) table;
+    row.take(sys.gap_index) spreads a row over the raveled (k, l) gaps.
+    """
+    thetas = np.asarray(thetas, float)
+    for start in range(0, thetas.size, THETA_BLOCK):
+        yield from fn(np.multiply.outer(thetas[start:start + THETA_BLOCK], sys.frequencies))
+
+
+def _correlations(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas):
+    """Yield C(theta) for each theta in turn."""
+    for cos_row in _trig_rows(np.cos, sys, thetas):
+        yield float(np.dot(meas.weights, cos_row.take(sys.gap_index))) / sys.dim
+
+
+def _derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas):
+    """Yield (C, dC/dtheta, d2C/dtheta2) for each theta in turn."""
+    w, idx, d = meas.weights, sys.gap_index, sys.dim
+    g = sys.frequencies.take(idx)
+    wg = w * g
+    wg2 = wg * g
+    for cos_row, sin_row in zip(_trig_rows(np.cos, sys, thetas), _trig_rows(np.sin, sys, thetas)):
+        cos_gt = cos_row.take(idx)
+        yield (float(np.dot(w, cos_gt)) / d,
+               -float(np.dot(wg, sin_row.take(idx))) / d,
+               -float(np.dot(wg2, cos_gt)) / d)
+
 
 def correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """C(theta); real, even, 2*pi periodic, bounded by C(0) = Tr A^2 / d."""
-    return float(np.dot(meas.weights, np.cos(sys.gaps * theta))) / sys.dim
+    (c,) = _correlations(sys, meas, [theta])
+    return c
 
 
 def correlation_two_time(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -37,14 +75,8 @@ def correlation_two_time(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
 def correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                             theta: float) -> tuple[float, float, float]:
     """(C, dC/dtheta, d2C/dtheta2) from the analytic Fourier form."""
-    w, g = meas.weights, sys.gaps
-    gt = g * theta
-    cos_gt = np.cos(gt)
-    wg = w * g
-    c = float(np.dot(w, cos_gt)) / sys.dim
-    c1 = -float(np.dot(wg, np.sin(gt))) / sys.dim
-    c2 = -float(np.dot(wg * g, cos_gt)) / sys.dim
-    return c, c1, c2
+    (derivatives,) = _derivatives(sys, meas, [theta])
+    return derivatives
 
 
 def klg_equal_interval(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -84,7 +116,8 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
         return abs(klg_equal_interval(sys, meas, theta))
 
     grid = np.linspace(theta_lo, theta_hi, grid_points)
-    values = np.array([f(t) for t in grid])
+    values = np.abs(3.0 * np.fromiter(_correlations(sys, meas, grid), float, grid_points)
+                    - np.fromiter(_correlations(sys, meas, 3.0 * grid), float, grid_points))
     i = int(np.argmax(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_points - 1)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .correlations import correlation, correlation_derivatives
+from .correlations import _correlations, _derivatives, correlation_derivatives
 from .measurement import NoisyDichotomicMeasurement, prepare_states
 from .spin import SpinSystem
 
@@ -86,11 +86,11 @@ def _rows(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> list[Est
     klg_equal_interval, fisher_from_correlation and qfi at that theta.
     """
     f_q = qfi(sys, meas, +1)
+    thetas = np.asarray(thetas, float)
     rows = []
-    for theta in thetas:
-        theta = float(theta)
-        c, c1, c2 = correlation_derivatives(sys, meas, theta)
-        k = 3.0 * c - correlation(sys, meas, 3.0 * theta)
+    for theta, (c, c1, c2), c3 in zip(thetas.tolist(), _derivatives(sys, meas, thetas),
+                                      _correlations(sys, meas, 3.0 * thetas)):
+        k = 3.0 * c - c3
         f = _fisher(c, c1, c2)
         rows.append(EstimationRecord(theta=theta, b=meas.b, C=c, K_LG=k, F=f, F_Q=f_q,
                                      F_ratio=f / f_q if f_q > 0.0 else 0.0))

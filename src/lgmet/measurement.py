@@ -96,7 +96,8 @@ def format_partition(partition: PartitionSpec) -> str:
 @dataclass(frozen=True, eq=False)
 class NoisyDichotomicMeasurement:
     """Observable A = diag(a_diag), measurability b, and the Fourier weights
-    |(V^dag A V)_kl|^2 over the J_x eigenvectors V, raveled like SpinSystem.gaps.
+    (V^T A V)_kl^2 over the real J_x eigenvectors V, raveled like
+    SpinSystem.gap_index.
     """
 
     b: float
@@ -125,7 +126,7 @@ def build_measurement(sys: SpinSystem, b: float,
         gap_sq = ((two_m - center[two_m]) // 2) ** 2
         a_diag[k] = sign * float(b) ** gap_sq  # 0**0 == 1 covers b=0 at m=mu
     v = sys.jx_spectrum.eigenvectors
-    weights = np.abs((v.conj().T * a_diag) @ v) ** 2
+    weights = ((v.T * a_diag) @ v) ** 2
     return NoisyDichotomicMeasurement(float(b), partition, a_diag, weights.ravel())
 
 

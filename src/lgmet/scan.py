@@ -43,6 +43,8 @@ FIGURE_SETTINGS = {
 
 # Largest "lo:hi:count" count; about 2000x the largest figure grid (512).
 MAX_GRID_COUNT = 10 ** 6
+# Largest number of rows (b count times theta count) in one sweep.
+MAX_ROW_COUNT = 10 ** 6
 
 
 def parse_grid(text: str, scale: float = 1.0) -> np.ndarray:
@@ -88,6 +90,10 @@ class RunConfig:
             raise ValueError("every b and theta grid point must be finite")
         if np.any(self.b_values < 0.0) or np.any(self.b_values > 1.0):
             raise ValueError("every b grid point must lie in [0, 1]")
+        rows = self.b_values.size * self.theta_values.size
+        if rows > MAX_ROW_COUNT:
+            raise ValueError("%d b values times %d theta values is %d rows, above the limit of %d"
+                             % (self.b_values.size, self.theta_values.size, rows, MAX_ROW_COUNT))
 
     def describe(self) -> dict:
         return {
@@ -130,14 +136,14 @@ def _grid_rows(config: RunConfig) -> list[EstimationRecord]:
 def scan_theta(config: RunConfig) -> ScanTable:
     """One record per theta grid point at fixed b."""
     if config.b_values.size != 1:
-        raise ValueError("scan_theta needs a single b value")
+        raise ValueError("scan-theta needs a single --b value")
     return ScanTable(_metadata(config, "theta"), _grid_rows(config))
 
 
 def scan_b(config: RunConfig) -> ScanTable:
     """One record per b grid point at fixed theta."""
     if config.theta_values.size != 1:
-        raise ValueError("scan_b needs a single theta value")
+        raise ValueError("scan-b needs a single --theta value")
     return ScanTable(_metadata(config, "b"), _grid_rows(config))
 
 

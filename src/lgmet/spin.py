@@ -28,16 +28,20 @@ class SpinSystem:
 
     two_j is 2j, so j may be half-integer.  J_x is tridiagonal in the J_z
     basis; jx_ladder holds its real off-diagonal J_x[k, k+1] (length dim - 1).
-    jx_spectrum holds the spectral decomposition of J_x with eigenvalues
-    snapped to the exact ladder {-j, ..., j}; measurement weights reuse it.
-    gaps holds the eigenvalue differences lam_k - lam_l, raveled over (k, l).
+    jx_spectrum holds the spectral decomposition of the real symmetric J_x:
+    the eigenvalues are the exact ladder -j, -j + 1, ..., j in ascending
+    order, and the eigenvectors are real; measurement weights reuse them.
+    The gap lam_k - lam_l is therefore the integer k - l: frequencies holds
+    the 2 dim - 1 values -(dim - 1), ..., dim - 1 as floats, and gap_index
+    the position k - l + dim - 1 of each gap in it, raveled over (k, l).
     """
 
     two_j: int
     dim: int
     jx_ladder: np.ndarray
     jx_spectrum: SpectralDecomposition
-    gaps: np.ndarray
+    frequencies: np.ndarray
+    gap_index: np.ndarray
 
 
 def make_spin_system(two_j: int) -> SpinSystem:
@@ -51,14 +55,14 @@ def make_spin_system(two_j: int) -> SpinSystem:
 
     # ladder element between m and m-1: (1/2) sqrt(j(j+1) - m(m-1))
     off = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
-    # dense J_x only for eigh; this exact matrix fixes the eigenvectors and weights
-    jx = np.diag(off, 1) + np.diag(off, -1)
-    jx = jx.astype(complex)
-
-    vals, vecs = np.linalg.eigh(jx)
-    # J_x spectrum is exactly {-j, ..., j}; snap to the ladder for exact phases
-    snapped = np.round(vals - (-j)) + (-j)
-    if np.max(np.abs(vals - snapped)) > STRUCTURAL_TOL:
+    # J_x is real symmetric, so eigh gives real eigenvectors
+    vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    # J_x spectrum is exactly {-j, ..., j}; eigh sorts ascending, so it is the ladder
+    k = np.arange(dim, dtype=np.intp)
+    ladder = k - j
+    if np.max(np.abs(vals - ladder)) > STRUCTURAL_TOL:
         raise AssertionError("J_x eigenvalues deviate from the exact ladder")
-    gaps = (snapped[:, None] - snapped[None, :]).ravel()
-    return SpinSystem(two_j, dim, off, SpectralDecomposition(snapped, vecs), gaps)
+    frequencies = np.arange(1.0 - dim, dim)
+    gap_index = (k[:, None] - k + (dim - 1)).ravel()
+    return SpinSystem(two_j, dim, off, SpectralDecomposition(ladder, vecs),
+                      frequencies, gap_index)

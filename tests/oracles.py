@@ -3,7 +3,9 @@
 None of this runs in the pipeline.  Each route forms the d x d operators
 itself: the dense J_x from two_j alone, the propagator e^{-i theta J_x},
 outcome probabilities Tr(E_pm rho(theta)) with their finite-difference
-Fisher information, and the general eigh-based QFI of any state.
+Fisher information, and the general eigh-based QFI of any state.  The
+direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps,
+in the summation order lgmet uses, so lgmet must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +34,30 @@ def dense_jx(two_j: int) -> np.ndarray:
     m = j - np.arange(two_j + 1)
     jp = np.diag(np.sqrt((j - m[1:]) * (j + m[1:] + 1)), 1)
     return ((jp + jp.T) / 2).astype(complex)
+
+
+def gaps(sys: SpinSystem) -> np.ndarray:
+    """Eigenvalue differences lam_k - lam_l of the stored J_x spectrum, raveled over (k, l)."""
+    lam = sys.jx_spectrum.eigenvalues
+    return (lam[:, None] - lam[None, :]).ravel()
+
+
+def direct_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
+                       theta: float) -> float:
+    """C(theta) = weights . cos(gaps theta) / d, with cos taken on every gap."""
+    return float(np.dot(meas.weights, np.cos(gaps(sys) * theta))) / sys.dim
+
+
+def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
+                                   theta: float) -> tuple[float, float, float]:
+    """(C, C', C'') as weights . (cos, -g sin, -g^2 cos)(g theta) / d over the gaps g."""
+    w, g = meas.weights, gaps(sys)
+    gt = g * theta
+    cos_gt = np.cos(gt)
+    wg = w * g
+    return (float(np.dot(w, cos_gt)) / sys.dim,
+            -float(np.dot(wg, np.sin(gt))) / sys.dim,
+            -float(np.dot(wg * g, cos_gt)) / sys.dim)
 
 
 def propagator(sys: SpinSystem, theta: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from lgmet import (DegeneratePreparationError, b_from_sigma, build_measurement,
                    parse_partition, prepare_states, sigma_from_b)
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec
 from conftest import random_partition
+from oracles import dense_jx
 
 
 class TestPartition:
@@ -178,3 +179,14 @@ def test_diagonal_form_matches_dense_form(two_j, seed, b):
         rho = root @ (eye / sys.dim) @ root / p
         assert state.probability == pytest.approx(p, rel=1e-14, abs=1e-16)
         np.testing.assert_allclose(state.populations, np.diag(rho), rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("two_j", [201, 401])
+def test_weights_match_complex_dense_route(two_j):
+    """Real-eigenvector weights against |V^dag A V|^2 from the complex eigh of the dense J_x."""
+    sys = make_spin_system(two_j)
+    v = np.linalg.eigh(dense_jx(two_j))[1]
+    for b in (0.3, 0.99, 1.0):
+        meas = build_measurement(sys, b)
+        dense = np.abs(v.conj().T @ np.diag(meas.a_diag).astype(complex) @ v) ** 2
+        np.testing.assert_allclose(meas.weights, dense.ravel(), rtol=0, atol=1e-14)

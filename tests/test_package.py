@@ -1,7 +1,11 @@
-"""The public API resolves, and the runtime package does not reach into tests/."""
+"""The public API resolves, the runtime package does not reach into tests/,
+and the spin system and measurement hold only real arrays."""
 
 import ast
+import dataclasses
 import pathlib
+
+import numpy as np
 
 import lgmet
 
@@ -28,3 +32,19 @@ def test_runtime_imports_nothing_from_tests():
             offenders += ["%s: %s" % (path.name, n) for n in names
                           if n.split(".")[0] in test_modules]
     assert offenders == []
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_spin_system_and_measurement_hold_no_complex_array():
+    sys = lgmet.make_spin_system(5)
+    for obj in (sys, lgmet.build_measurement(sys, 0.9)):
+        arrays = [a for f in dataclasses.fields(obj) for a in _arrays(getattr(obj, f.name))]
+        assert len(arrays) >= 2
+        assert not any(np.iscomplexobj(a) for a in arrays), type(obj).__name__

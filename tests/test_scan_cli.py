@@ -7,7 +7,7 @@ import pytest
 import lgmet.scan
 from lgmet.cli import main
 from lgmet.estimation import EstimationRecord
-from lgmet.scan import (MAX_GRID_COUNT, RunConfig, ScanTable, parse_grid, phase_map,
+from lgmet.scan import (MAX_GRID_COUNT, MAX_ROW_COUNT, RunConfig, ScanTable, parse_grid, phase_map,
                         render_svg_lineplot, reproduce_figure, scan_b,
                         scan_theta, table_from_json, table_to_csv,
                         table_to_json, violation_threshold_b, write_table)
@@ -59,6 +59,13 @@ class TestRunConfig:
             RunConfig(b_values=np.array([0.5, value]))
         with pytest.raises(ValueError, match="finite"):
             RunConfig(theta_values=np.array([value, 0.1]))
+
+    def test_rejects_row_count_above_limit(self):
+        side = math.isqrt(MAX_ROW_COUNT)
+        assert RunConfig(b_values=np.zeros(MAX_ROW_COUNT // side),
+                         theta_values=np.zeros(side)) is not None
+        with pytest.raises(ValueError, match="rows, above the limit of %d" % MAX_ROW_COUNT):
+            RunConfig(b_values=np.zeros(MAX_ROW_COUNT // side + 1), theta_values=np.zeros(side))
 
 
 class TestScans:
@@ -290,6 +297,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds the limit of %d" % MAX_GRID_COUNT in captured.err
+
+    def test_huge_phase_map_is_a_clean_error(self, capsys):
+        grid = "0:1:%d" % MAX_GRID_COUNT
+        assert main(["phase-map", "--b", grid, "--theta", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rows, above the limit of %d" % MAX_ROW_COUNT in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["scan-theta", "--b", "0:1:3", "--theta", "1"], "scan-theta needs a single --b value"),
+        (["scan-b", "--b", "0.5", "--theta", "0:1:3"], "scan-b needs a single --theta value")])
+    def test_sweep_errors_name_the_verb(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lgmet: error: %s\n" % message
 
     def test_verbs_look_up_sweeps_at_call_time(self, monkeypatch, capsys):
         calls = []

@@ -28,6 +28,25 @@ class TestMakeSpinSystem:
             recon = (vecs * vals) @ vecs.conj().T
             assert np.max(np.abs(recon - dense_jx(two_j))) <= 1e-10
 
+    @pytest.mark.parametrize("two_j", [1, 5, 51, 201])
+    def test_real_eigenvectors_match_complex_eigh_up_to_sign(self, two_j):
+        vecs = make_spin_system(two_j).jx_spectrum.eigenvectors
+        assert vecs.dtype == np.float64
+        ref = np.linalg.eigh(dense_jx(two_j))[1]
+        assert not ref.imag.any()
+        pivot = np.argmax(np.abs(vecs), axis=0), np.arange(two_j + 1)
+        signs = np.sign(vecs[pivot] * ref.real[pivot])
+        assert np.array_equal(vecs * signs, ref.real)
+
+    @pytest.mark.parametrize("two_j", [1, 4, 5, 12])
+    def test_gap_table(self, two_j):
+        sys = make_spin_system(two_j)
+        lam = sys.jx_spectrum.eigenvalues
+        assert np.array_equal(sys.frequencies, np.arange(-two_j, two_j + 1))
+        assert sys.gap_index.dtype == np.intp
+        gaps = sys.frequencies[sys.gap_index]
+        assert np.array_equal(gaps, (lam[:, None] - lam[None, :]).ravel())
+
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_rejects_bad_two_j(self, bad):
         with pytest.raises(ValueError):
