@@ -29,6 +29,10 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # one table for a 10^6-point grid at two_j = 801 would take 13 GB
 THETA_BLOCK = 256
 
+# Largest grid count, for every "lo:hi:count" sweep grid and every
+# max_violation grid; about 2000x the largest figure grid (512).
+MAX_GRID_COUNT = 10 ** 6
+
 
 def _trig_rows(fn, sys: SpinSystem, thetas):
     """Yield fn(n theta) over the frequencies n of sys, one row per theta in turn.
@@ -85,6 +89,27 @@ def klg_equal_interval(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     return 3.0 * correlation(sys, meas, theta) - correlation(sys, meas, 3.0 * theta)
 
 
+def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:
+    """Matrix Q with K_LG(theta) = a^T Q a for every observable diagonal a.
+
+    C(t) = (1/d) sum_kl a_k a_l |U_kl(t)|^2 with U(t) = V diag(e^{-i lam t}) V^T,
+    so Q = (3 |U(theta)|^2 - |U(3 theta)|^2) / d.  The real and imaginary
+    parts of U are real matmuls into one buffer, squared and summed in place,
+    so three d x d arrays are live at a time.
+    """
+    lam, v = sys.jx_spectrum
+    kernel, square, scaled = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
+    for weight, t in ((3.0, theta), (-1.0, 3.0 * theta)):
+        for trig in (np.cos, np.sin):
+            np.multiply(v, trig(lam * t), out=scaled)
+            np.matmul(scaled, v.T, out=square)  # real or imaginary part of U(t)
+            square *= square
+            square *= weight
+            kernel += square
+    kernel /= sys.dim
+    return kernel
+
+
 def klg_four_time(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                   t1: float, t2: float, t3: float, t4: float) -> float:
     """Four-time Leggett-Garg parameter C12 + C23 + C34 - C14."""
@@ -103,14 +128,20 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     """Locate the maximum of |K_LG| on [theta_lo, theta_hi].
 
     Dense-grid argmax followed by golden-section refinement of the bracketing
-    interval down to a theta error of 1e-8.  Returns (theta_star, k_max).
+    interval down to a theta error of 1e-8 (a few float spacings for |theta|
+    beyond about 3e7).  Returns (theta_star, k_max).
     """
+    if not (math.isfinite(theta_lo) and math.isfinite(theta_hi)):
+        raise ValueError("theta_lo and theta_hi must be finite, got %r and %r"
+                         % (theta_lo, theta_hi))
     if theta_lo > theta_hi:
         raise ValueError("theta_lo must not exceed theta_hi")
-    if theta_lo == theta_hi:
-        return theta_lo, abs(klg_equal_interval(sys, meas, theta_lo))
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
+    if grid_points > MAX_GRID_COUNT:
+        raise ValueError("grid_points %d exceeds the limit of %d" % (grid_points, MAX_GRID_COUNT))
+    if theta_lo == theta_hi:
+        return theta_lo, abs(klg_equal_interval(sys, meas, theta_lo))
 
     def f(theta: float) -> float:
         return abs(klg_equal_interval(sys, meas, theta))
@@ -122,11 +153,14 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_points - 1)]
 
-    # golden-section maximization on [lo, hi]
+    # golden-section maximization on [lo, hi], down to 1e-8 or, for |theta|
+    # beyond about 3e7, to 4 float spacings of theta: a bracket of about 3
+    # spacings can stop shrinking
+    tol = max(1e-8, 4.0 * math.ulp(max(abs(lo), abs(hi))))
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
-    while hi - lo > 1e-8:
+    while hi - lo > tol:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + GOLDEN * (hi - lo)

@@ -117,17 +117,24 @@ def build_measurement(sys: SpinSystem, b: float,
     if partition is None:
         partition = default_partition(sys)
     partition.validate(sys)
-
-    center = {two_m: two_mu for two_mu, members in partition.blocks for two_m in members}
-    a_diag = np.empty(sys.dim)
-    for k in range(sys.dim):
-        two_m = sys.two_j - 2 * k
-        sign = -1.0 if ((sys.two_j - two_m) // 2) % 2 else 1.0
-        gap_sq = ((two_m - center[two_m]) // 2) ** 2
-        a_diag[k] = sign * float(b) ** gap_sq  # 0**0 == 1 covers b=0 at m=mu
+    a_diag = _a_diag(sys, b, partition)
     v = sys.jx_spectrum.eigenvectors
     weights = ((v.T * a_diag) @ v) ** 2
     return NoisyDichotomicMeasurement(float(b), partition, a_diag, weights.ravel())
+
+
+def _a_diag(sys: SpinSystem, b: float, partition: PartitionSpec) -> np.ndarray:
+    """Diagonal (-1)^(j-m) b^((m-mu)^2) of A over m = j, ..., -j; partition already validated.
+
+    Each power is a scalar float ** int, taken once per gap |m - mu| and
+    gathered: np.power differs from it in the last bit for some (b, exponent).
+    """
+    gaps = [0] * sys.dim  # |m - mu| at index k = j - m
+    for two_mu, members in partition.blocks:
+        for two_m in members:
+            gaps[(sys.two_j - two_m) // 2] = abs(two_m - two_mu) // 2
+    powers = [float(b) ** (g * g) for g in range(max(gaps) + 1)]  # 0**0 == 1 covers b=0 at m=mu
+    return np.array([-powers[g] if k % 2 else powers[g] for k, g in enumerate(gaps)])
 
 
 def b_from_sigma(sigma: float) -> float:

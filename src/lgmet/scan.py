@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .correlations import klg_equal_interval
+from .correlations import MAX_GRID_COUNT, _klg_kernel
 from .estimation import EstimationRecord, _rows
-from .measurement import PartitionSpec, build_measurement, format_partition
+from .measurement import (PartitionSpec, _a_diag, build_measurement, default_partition,
+                          format_partition)
 from .spin import make_spin_system
 
 COLUMNS = ("theta", "b", "C", "K_LG", "F", "F_Q", "F_ratio")
@@ -41,8 +42,6 @@ FIGURE_SETTINGS = {
           np.linspace(0.0, math.pi / 2, 256)),
 }
 
-# Largest "lo:hi:count" count; about 2000x the largest figure grid (512).
-MAX_GRID_COUNT = 10 ** 6
 # Largest number of rows (b count times theta count) in one sweep.
 MAX_ROW_COUNT = 10 ** 6
 
@@ -164,26 +163,40 @@ def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
                           partition: PartitionSpec | None = None) -> float:
     """Smallest b in (b_lo, b_hi] with |K_LG(theta)| > 2, by bisection.
 
-    Requires no violation at b_lo and violation at b_hi.
+    Requires no violation at b_lo and violation at b_hi.  K_LG at the fixed
+    theta is the quadratic form a^T Q a in the observable diagonal a, so Q is
+    built once (O(d^3)) and each step costs O(d^2).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive, got %r" % tol)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite, got %r" % theta)
+    if not 0.0 <= b_lo < b_hi <= 1.0:
+        raise ValueError("need 0 <= b_lo < b_hi <= 1, got b_lo=%r, b_hi=%r" % (b_lo, b_hi))
     sys = make_spin_system(two_j)
+    if partition is None:
+        partition = default_partition(sys)
+    partition.validate(sys)
+    kernel = _klg_kernel(sys, theta)
 
     def violates(b: float) -> bool:
-        meas = build_measurement(sys, b, partition)
-        return abs(klg_equal_interval(sys, meas, theta)) > 2.0
+        a = _a_diag(sys, b, partition)
+        return abs(float(a @ kernel @ a)) > 2.0
 
     if violates(b_lo):
         raise ValueError("already violated at b_lo=%g" % b_lo)
     if not violates(b_hi):
         raise ValueError("no violation at b_hi=%g" % b_hi)
     lo, hi = b_lo, b_hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    # a tol below the float spacing at b* ends when lo and hi are adjacent floats
+    while hi - lo > tol and lo < mid < hi:
         if violates(mid):
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 # Row templates filled for all rows at once.  The output is byte-identical to

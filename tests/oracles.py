@@ -4,6 +4,7 @@ None of this runs in the pipeline.  Each route forms the d x d operators
 itself: the dense J_x from two_j alone, the propagator e^{-i theta J_x},
 outcome probabilities Tr(E_pm rho(theta)) with their finite-difference
 Fisher information, and the general eigh-based QFI of any state.  The
+threshold bisection builds a full measurement at every step.  The
 direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps,
 in the summation order lgmet uses, so lgmet must match them bit for bit.
 """
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from lgmet.correlations import correlation
+from lgmet.correlations import correlation, klg_equal_interval
 from lgmet.estimation import QFI_EIGENVALUE_CUTOFF, InconsistentCorrelationError
-from lgmet.measurement import NoisyDichotomicMeasurement, prepare_states
-from lgmet.spin import SpinSystem
+from lgmet.measurement import (NoisyDichotomicMeasurement, PartitionSpec, build_measurement,
+                               prepare_states)
+from lgmet.spin import SpinSystem, make_spin_system
 
 DEFAULT_FD_STEP = 1e-5
 
@@ -126,3 +128,27 @@ def qfi_of_state(sys: SpinSystem, rho: np.ndarray) -> float:
     ratio = np.zeros_like(psum)
     ratio[mask] = pdiff[mask] ** 2 / psum[mask]
     return float(2.0 * np.sum(ratio * np.abs(jx_t) ** 2))
+
+
+def threshold_b(two_j: int, theta: float, b_lo: float = 0.0, b_hi: float = 1.0,
+                tol: float = 1e-4, partition: PartitionSpec | None = None) -> float:
+    """Smallest b in (b_lo, b_hi] with |K_LG(theta)| > 2, by bisection.
+
+    Every step builds the measurement and reads K_LG from its Fourier weights
+    (klg_equal_interval), not from a fixed-theta kernel.
+    """
+    sys = make_spin_system(two_j)
+
+    def violates(b: float) -> bool:
+        return abs(klg_equal_interval(sys, build_measurement(sys, b, partition), theta)) > 2.0
+
+    if violates(b_lo) or not violates(b_hi):
+        raise ValueError("[b_lo, b_hi] does not bracket the violation threshold")
+    lo, hi = b_lo, b_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if violates(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

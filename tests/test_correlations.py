@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from lgmet import (build_measurement, correlation, correlation_derivatives,
                    correlation_two_time, fisher_from_correlation,
-                   klg_equal_interval, klg_four_time, max_violation)
-from conftest import brute_force_correlation, parity_correlation_closed_form
+                   klg_equal_interval, klg_four_time, make_spin_system, max_violation)
+import lgmet.correlations
+from lgmet.correlations import MAX_GRID_COUNT, _klg_kernel
+from conftest import brute_force_correlation, parity_correlation_closed_form, random_partition
 
 
 class TestCorrelation:
@@ -162,6 +164,66 @@ class TestMaxViolation:
             max_violation(spin52, parity52, 1.0, 0.0)
         with pytest.raises(ValueError):
             max_violation(spin52, parity52, 0.0, 1.0, grid_points=8)
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+                       (math.inf, math.inf), (math.nan, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                max_violation(spin52, parity52, lo, hi)
+
+    @pytest.mark.parametrize("lo", [1e9, -1e12, 2.0 ** 60])
+    def test_terminates_at_large_theta(self, spin52, parity52, monkeypatch, lo):
+        # 1e-8 is below the float spacing there; count evaluations so that a
+        # regression fails here instead of hanging the suite
+        calls = []
+        klg = klg_equal_interval
+
+        def counted(*args):
+            calls.append(1)
+            if len(calls) > 500:
+                raise AssertionError("golden section did not terminate")
+            return klg(*args)
+
+        monkeypatch.setattr(lgmet.correlations, "klg_equal_interval", counted)
+        hi = lo + 1e6 * math.ulp(lo)
+        theta_star, k_max = max_violation(spin52, parity52, lo, hi)
+        assert lo <= theta_star <= hi
+        assert k_max == abs(klg(spin52, parity52, theta_star))
+
+    def test_rejects_grid_above_limit(self, spin52, parity52, monkeypatch):
+        # linspace must never see the count: a grid this large cannot be allocated
+        monkeypatch.setattr(np, "linspace", None)
+        for count in (MAX_GRID_COUNT + 1, 10 ** 18):
+            with pytest.raises(ValueError, match="limit of %d" % MAX_GRID_COUNT):
+                max_violation(spin52, parity52, 0.0, 1.0, grid_points=count)
+
+
+def _kernel_klg_error(sys, meas, theta):
+    """|a^T Q a - klg_equal_interval| and its bound max(1e-13, 1e-15 d |theta|)."""
+    got = float(meas.a_diag @ _klg_kernel(sys, theta) @ meas.a_diag)
+    return abs(got - klg_equal_interval(sys, meas, theta)), max(1e-13, 1e-15 * sys.dim * abs(theta))
+
+
+class TestKlgKernel:
+    """The fixed-theta quadratic form against the Fourier-weight route."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_j=st.integers(1, 15), seed=st.integers(0, 2 ** 32 - 1),
+           b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           theta=st.one_of(st.sampled_from([0.0, math.pi, -math.pi, 0.95 * math.pi, 1e3]),
+                           st.floats(-2 * math.pi, 2 * math.pi), st.floats(-1e3, 1e3)))
+    def test_matches_fourier_route(self, two_j, seed, b, theta):
+        sys = make_spin_system(two_j)
+        meas = build_measurement(sys, b, random_partition(np.random.default_rng(seed), two_j))
+        error, bound = _kernel_klg_error(sys, meas, theta)
+        assert error <= bound
+
+    @pytest.mark.parametrize("two_j", [201, 401])
+    def test_large_spin(self, two_j):
+        sys = make_spin_system(two_j)
+        for b in (0.3, 0.99, 1.0):
+            meas = build_measurement(sys, b)
+            for theta in (1.0 / sys.dim, 3 * math.pi / sys.dim, 0.95 * math.pi, -7.0, 999.9):
+                error, bound = _kernel_klg_error(sys, meas, theta)
+                assert error <= bound
 
 
 class TestCommonExtremumTheorem:

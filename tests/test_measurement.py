@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lgmet import (DegeneratePreparationError, b_from_sigma, build_measurement,
                    default_partition, format_partition, make_spin_system,
                    parse_partition, prepare_states, sigma_from_b)
-from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec
+from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diag
 from conftest import random_partition
 from oracles import dense_jx
 
@@ -179,6 +179,30 @@ def test_diagonal_form_matches_dense_form(two_j, seed, b):
         rho = root @ (eye / sys.dim) @ root / p
         assert state.probability == pytest.approx(p, rel=1e-14, abs=1e-16)
         np.testing.assert_allclose(state.populations, np.diag(rho), rtol=1e-13, atol=1e-16)
+
+
+def _a_diag_loop(sys, b, partition):
+    """(-1)^(j-m) b^((m-mu)^2), one Python float ** int per entry."""
+    center = {two_m: two_mu for two_mu, members in partition.blocks for two_m in members}
+    a = np.empty(sys.dim)
+    for k in range(sys.dim):
+        two_m = sys.two_j - 2 * k
+        sign = -1.0 if ((sys.two_j - two_m) // 2) % 2 else 1.0
+        a[k] = sign * float(b) ** (((two_m - center[two_m]) // 2) ** 2)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_j=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1),
+       b=st.one_of(st.sampled_from([0.0, 1.0] + np.linspace(0.0, 1.0, 201).tolist()),
+                   st.floats(0.0, 1.0)))
+def test_a_diag_matches_scalar_loop(two_j, seed, b):
+    """The gathered diagonal is bit-equal to a scalar power per entry."""
+    sys = make_spin_system(two_j)
+    partition = random_partition(np.random.default_rng(seed), two_j)
+    a = _a_diag(sys, b, partition)
+    assert a.tobytes() == _a_diag_loop(sys, b, partition).tobytes()
+    assert build_measurement(sys, b, partition).a_diag.tobytes() == a.tobytes()
 
 
 @pytest.mark.parametrize("two_j", [201, 401])

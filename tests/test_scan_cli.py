@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 import lgmet.scan
+from lgmet import build_measurement, make_spin_system, max_violation
 from lgmet.cli import main
 from lgmet.estimation import EstimationRecord
+from lgmet.measurement import PartitionSpec
 from lgmet.scan import (MAX_GRID_COUNT, MAX_ROW_COUNT, RunConfig, ScanTable, parse_grid, phase_map,
                         render_svg_lineplot, reproduce_figure, scan_b,
                         scan_theta, table_from_json, table_to_csv,
                         table_to_json, violation_threshold_b, write_table)
+import oracles
 
 
 class TestParseGrid:
@@ -111,6 +114,83 @@ class TestScans:
     def test_violation_threshold_bisection(self):
         b_star = violation_threshold_b(5, 0.95 * math.pi, tol=1e-4)
         assert 0.93 <= b_star <= 0.95
+
+
+def _bench_theta_star(two_j):
+    """theta* at b = 1 as the threshold_search benchmark finds it: [0, 3 pi / d], 32 points."""
+    sys = make_spin_system(two_j)
+    return max_violation(sys, build_measurement(sys, 1.0), 0.0, 3 * math.pi / sys.dim, 32)[0]
+
+
+class TestViolationThreshold:
+    @pytest.mark.parametrize("two_j, theta, tol", [
+        (5, 0.95 * math.pi, 1e-4),
+        (5, 0.95 * math.pi, 1e-6),
+        *[(two_j, None, 1e-6) for two_j in (5, 51, 201, 401)],
+    ])
+    def test_matches_measurement_bisection(self, two_j, theta, tol):
+        """Against a bisection that builds a measurement and reads klg_equal_interval per step."""
+        if theta is None:
+            theta = _bench_theta_star(two_j)
+        b_star = violation_threshold_b(two_j, theta, tol=tol)
+        assert abs(b_star - oracles.threshold_b(two_j, theta, tol=tol)) <= tol
+
+    def test_explicit_partition(self):
+        part = PartitionSpec(((5, (5, 3)), (1, (1, -1)), (-5, (-3, -5))))
+        b_star = violation_threshold_b(5, 0.95 * math.pi, tol=1e-6, partition=part)
+        assert abs(b_star - oracles.threshold_b(5, 0.95 * math.pi, tol=1e-6, partition=part)) <= 1e-6
+
+    def test_no_measurement_per_step(self, monkeypatch):
+        """The bisection steps read a fixed-theta kernel, not a new measurement."""
+        builds, steps = [], []
+        build, a_diag = lgmet.scan.build_measurement, lgmet.scan._a_diag
+        monkeypatch.setattr(lgmet.scan, "build_measurement",
+                            lambda *args, **kw: builds.append(1) or build(*args, **kw))
+        monkeypatch.setattr(lgmet.scan, "_a_diag",
+                            lambda *args, **kw: steps.append(1) or a_diag(*args, **kw))
+        counts = {}
+        for tol in (1e-2, 1e-8):
+            del builds[:], steps[:]
+            violation_threshold_b(5, 0.95 * math.pi, tol=tol)
+            counts[tol] = len(builds), len(steps)
+        assert counts[1e-8][1] > counts[1e-2][1] + 10
+        assert counts[1e-8][0] == counts[1e-2][0] <= 1
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"), ({"theta": math.nan}, "theta"),
+        ({"theta": math.inf}, "theta"), ({"theta": -math.inf}, "theta"),
+        ({"b_lo": -0.1}, "b_lo"), ({"b_hi": 1.5}, "b_hi"), ({"b_lo": 0.6, "b_hi": 0.6}, "b_lo"),
+        ({"b_lo": 0.9, "b_hi": 0.2}, "b_lo"), ({"b_lo": math.nan}, "b_lo"),
+        ({"b_hi": math.nan}, "b_hi"),
+    ])
+    def test_rejects_bad_arguments_before_any_work(self, monkeypatch, kwargs, match):
+        # a check that lets the call through reaches the spin build and fails with
+        # AssertionError, instead of looping forever (tol <= 0) or answering nan
+        def no_spin(two_j):
+            raise AssertionError("spin system built before the arguments were checked")
+
+        monkeypatch.setattr(lgmet.scan, "make_spin_system", no_spin)
+        args = {"two_j": 5, "theta": 0.95 * math.pi, **kwargs}
+        with pytest.raises(ValueError, match=match):
+            violation_threshold_b(**args)
+
+    def test_tol_below_float_spacing_terminates(self, monkeypatch):
+        # the bracket stops shrinking at adjacent floats; count steps so that a
+        # regression fails here instead of hanging the suite
+        steps = []
+        a_diag = lgmet.scan._a_diag
+
+        def counted(*args):
+            steps.append(1)
+            if len(steps) > 200:
+                raise AssertionError("bisection did not terminate")
+            return a_diag(*args)
+
+        monkeypatch.setattr(lgmet.scan, "_a_diag", counted)
+        b_star = violation_threshold_b(5, 0.95 * math.pi, tol=1e-300)
+        coarse = violation_threshold_b(5, 0.95 * math.pi, tol=1e-12)
+        assert abs(b_star - coarse) <= 1e-12
 
 
 def _toy_table():
