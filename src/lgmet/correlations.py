@@ -16,7 +16,6 @@ d^2 evaluation, so every value equals that evaluation bit for bit.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
@@ -45,42 +44,38 @@ def _trig_rows(fn, sys: SpinSystem, thetas):
         yield from fn(np.multiply.outer(thetas[start:start + THETA_BLOCK], sys.frequencies))
 
 
-def _correlations(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas):
-    """Yield C(theta) for each theta in turn."""
-    for cos_row in _trig_rows(np.cos, sys, thetas):
-        yield float(np.dot(meas.weights, cos_row.take(sys.gap_index))) / sys.dim
+def _correlations(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.ndarray:
+    """C(theta) for each theta, shape (T,)."""
+    thetas = np.asarray(thetas, float)
+    w, idx = meas.weights, sys.gap_index
+    dots = (np.dot(w, cos_row.take(idx)) for cos_row in _trig_rows(np.cos, sys, thetas))
+    return np.fromiter(dots, float, thetas.size) / sys.dim
 
 
-def _derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas):
-    """Yield (C, dC/dtheta, d2C/dtheta2) for each theta in turn."""
-    w, idx, d = meas.weights, sys.gap_index, sys.dim
+def _derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.ndarray:
+    """(C, dC/dtheta, d2C/dtheta2) for each theta, shape (T, 3)."""
+    thetas = np.asarray(thetas, float)
+    w, idx = meas.weights, sys.gap_index
     g = sys.frequencies.take(idx)
     wg = w * g
     wg2 = wg * g
-    for cos_row, sin_row in zip(_trig_rows(np.cos, sys, thetas), _trig_rows(np.sin, sys, thetas)):
+    out = np.empty((thetas.size, 3))
+    for i, (cos_row, sin_row) in enumerate(zip(_trig_rows(np.cos, sys, thetas),
+                                               _trig_rows(np.sin, sys, thetas))):
         cos_gt = cos_row.take(idx)
-        yield (float(np.dot(w, cos_gt)) / d,
-               -float(np.dot(wg, sin_row.take(idx))) / d,
-               -float(np.dot(wg2, cos_gt)) / d)
+        out[i] = np.dot(w, cos_gt), -np.dot(wg, sin_row.take(idx)), -np.dot(wg2, cos_gt)
+    return out / sys.dim
 
 
 def correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """C(theta); real, even, 2*pi periodic, bounded by C(0) = Tr A^2 / d."""
-    (c,) = _correlations(sys, meas, [theta])
-    return c
-
-
-def correlation_two_time(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                         t_i: float, t_j: float) -> float:
-    """C_ij for measurements at t_i and t_j; stationary because rho_0 = I/d."""
-    return correlation(sys, meas, t_j - t_i)
+    return float(_correlations(sys, meas, [theta])[0])
 
 
 def correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                             theta: float) -> tuple[float, float, float]:
     """(C, dC/dtheta, d2C/dtheta2) from the analytic Fourier form."""
-    (derivatives,) = _derivatives(sys, meas, [theta])
-    return derivatives
+    return tuple(_derivatives(sys, meas, [theta])[0].tolist())
 
 
 def klg_equal_interval(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -97,7 +92,8 @@ def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:
     parts of U are real matmuls into one buffer, squared and summed in place,
     so three d x d arrays are live at a time.
     """
-    lam, v = sys.jx_spectrum
+    v = sys.eigenvectors
+    lam = np.arange(sys.dim) - sys.two_j / 2
     kernel, square, scaled = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
     for weight, t in ((3.0, theta), (-1.0, 3.0 * theta)):
         for trig in (np.cos, np.sin):
@@ -108,18 +104,6 @@ def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:
             kernel += square
     kernel /= sys.dim
     return kernel
-
-
-def klg_four_time(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                  t1: float, t2: float, t3: float, t4: float) -> float:
-    """Four-time Leggett-Garg parameter C12 + C23 + C34 - C14."""
-    if not (t1 <= t2 <= t3 <= t4):
-        warnings.warn("measurement times are not ordered t1 <= t2 <= t3 <= t4",
-                      stacklevel=2)
-    return (correlation_two_time(sys, meas, t1, t2)
-            + correlation_two_time(sys, meas, t2, t3)
-            + correlation_two_time(sys, meas, t3, t4)
-            - correlation_two_time(sys, meas, t1, t4))
 
 
 def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -136,6 +120,8 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                          % (theta_lo, theta_hi))
     if theta_lo > theta_hi:
         raise ValueError("theta_lo must not exceed theta_hi")
+    if not isinstance(grid_points, (int, np.integer)):
+        raise ValueError("grid_points must be an integer, got %r" % (grid_points,))
     if grid_points < 16:
         raise ValueError("grid_points must be at least 16")
     if grid_points > MAX_GRID_COUNT:
@@ -147,8 +133,7 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
         return abs(klg_equal_interval(sys, meas, theta))
 
     grid = np.linspace(theta_lo, theta_hi, grid_points)
-    values = np.abs(3.0 * np.fromiter(_correlations(sys, meas, grid), float, grid_points)
-                    - np.fromiter(_correlations(sys, meas, 3.0 * grid), float, grid_points))
+    values = np.abs(3.0 * _correlations(sys, meas, grid) - _correlations(sys, meas, 3.0 * grid))
     i = int(np.argmax(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_points - 1)]

@@ -4,52 +4,37 @@ The classical Fisher information comes from the correlation function,
 F = (dC/dtheta)^2 / (1 - C^2).  The quantum Fisher information of the
 unitary family U(theta) rho U(-theta) with generator J_x is
 theta-independent; qfi evaluates the spectral formula for the prepared
-states as an O(d) tridiagonal sum.
+states as an O(d) tridiagonal sum.  A sweep row holds the COLUMNS values of
+one (theta, b) point; rows are float64 record arrays of ROW_DTYPE.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
-
 import numpy as np
 
-from .correlations import _correlations, _derivatives, correlation_derivatives
+from .correlations import _correlations, _derivatives
 from .measurement import NoisyDichotomicMeasurement, prepare_states
 from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
 QFI_EIGENVALUE_CUTOFF = 1e-12
 
+COLUMNS = ("theta", "b", "C", "K_LG", "F", "F_Q", "F_ratio")
+# np.record, so that a row read from any array of this dtype has .F etc.
+ROW_DTYPE = np.dtype((np.record, [(name, np.float64) for name in COLUMNS]))
+
 
 class InconsistentCorrelationError(ArithmeticError):
     """C^2 = 1 with a nonzero slope; smoothness is violated numerically."""
 
 
-@dataclass(frozen=True)
-class EstimationRecord:
-    """One (theta, b) evaluation: correlation, K_LG, F, F_Q, and F/F_Q."""
-
-    theta: float
-    b: float
-    C: float
-    K_LG: float
-    F: float
-    F_Q: float
-    F_ratio: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def _fisher(c: float, c1: float, c2: float) -> float:
-    """(dC/dtheta)^2 / (1 - C^2) from (C, C', C''), with the |C''| limit at C^2 = 1."""
+def _fisher(c, c1, c2):
+    """(dC/dtheta)^2 / (1 - C^2) from arrays of (C, C', C''), with the |C''| limit at C^2 = 1."""
     den = 1.0 - c * c
-    if den <= SINGULAR_DENOMINATOR:
-        if abs(c1) > 1e-6:
-            raise InconsistentCorrelationError(
-                "C^2 = 1 with |dC/dtheta| > 1e-6; numerical fault")
-        return abs(c2)
-    return c1 * c1 / den
+    singular = den <= SINGULAR_DENOMINATOR
+    if np.any(singular & (np.abs(c1) > 1e-6)):
+        raise InconsistentCorrelationError("C^2 = 1 with |dC/dtheta| > 1e-6; numerical fault")
+    return np.where(singular, np.abs(c2), c1 * c1 / np.where(singular, 1.0, den))
 
 
 def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -59,7 +44,7 @@ def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     Where C^2 = 1 (projective common extrema) the 0/0 limit equals |C''|,
     which is returned instead.
     """
-    return _fisher(*correlation_derivatives(sys, meas, theta))
+    return float(_fisher(*_derivatives(sys, meas, [theta])[0]))
 
 
 def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) -> float:
@@ -70,6 +55,8 @@ def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) 
     4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) J_x[k, k+1]^2 over the pairs
     with p_k + p_{k+1} above the null-subspace cutoff.
     """
+    if prep_sign not in (+1, -1):
+        raise ValueError("prep_sign must be +1 or -1, got %r" % (prep_sign,))
     plus, minus = prepare_states(sys, meas)
     prep = plus if prep_sign == +1 else minus
     p = prep.populations
@@ -79,25 +66,26 @@ def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) 
     return float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
 
 
-def _rows(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> list[EstimationRecord]:
-    """Records for one measurement at each theta; F_Q is computed once.
+def _rows(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.recarray:
+    """Table rows for one measurement, one per theta, filled column by column.
 
-    Each value is bit-identical to the one composed from correlation,
-    klg_equal_interval, fisher_from_correlation and qfi at that theta.
+    F_Q is computed once.  Each value is bit-identical to the one composed
+    from correlation, klg_equal_interval, fisher_from_correlation and qfi at
+    that theta.
     """
     f_q = qfi(sys, meas, +1)
     thetas = np.asarray(thetas, float)
-    rows = []
-    for theta, (c, c1, c2), c3 in zip(thetas.tolist(), _derivatives(sys, meas, thetas),
-                                      _correlations(sys, meas, 3.0 * thetas)):
-        k = 3.0 * c - c3
-        f = _fisher(c, c1, c2)
-        rows.append(EstimationRecord(theta=theta, b=meas.b, C=c, K_LG=k, F=f, F_Q=f_q,
-                                     F_ratio=f / f_q if f_q > 0.0 else 0.0))
-    return rows
+    c, c1, c2 = _derivatives(sys, meas, thetas).T
+    f = _fisher(c, c1, c2)
+    columns = (thetas, meas.b, c, 3.0 * c - _correlations(sys, meas, 3.0 * thetas),
+               f, f_q, f / f_q if f_q > 0.0 else 0.0)
+    rows = np.empty(thetas.shape, ROW_DTYPE)
+    for name, values in zip(COLUMNS, columns):
+        rows[name] = values
+    return rows.view(np.recarray)
 
 
 def estimation_report(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                      theta: float) -> EstimationRecord:
+                      theta: float) -> np.record:
     """Assemble C, K_LG, F (correlation route), F_Q and F/F_Q at one point."""
     return _rows(sys, meas, [theta])[0]

@@ -13,7 +13,6 @@ spins need no floating-point bookkeeping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +117,7 @@ def build_measurement(sys: SpinSystem, b: float,
         partition = default_partition(sys)
     partition.validate(sys)
     a_diag = _a_diag(sys, b, partition)
-    v = sys.jx_spectrum.eigenvectors
+    v = sys.eigenvectors
     weights = ((v.T * a_diag) @ v) ** 2
     return NoisyDichotomicMeasurement(float(b), partition, a_diag, weights.ravel())
 
@@ -135,20 +134,6 @@ def _a_diag(sys: SpinSystem, b: float, partition: PartitionSpec) -> np.ndarray:
             gaps[(sys.two_j - two_m) // 2] = abs(two_m - two_mu) // 2
     powers = [float(b) ** (g * g) for g in range(max(gaps) + 1)]  # 0**0 == 1 covers b=0 at m=mu
     return np.array([-powers[g] if k % 2 else powers[g] for k, g in enumerate(gaps)])
-
-
-def b_from_sigma(sigma: float) -> float:
-    """Measurability b = e^{-1/(2 sigma^2)} of a Gaussian of width sigma."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return math.exp(-1.0 / (2.0 * sigma * sigma))
-
-
-def sigma_from_b(b: float) -> float:
-    """Inverse of b_from_sigma; b must lie strictly inside (0, 1)."""
-    if not 0.0 < b < 1.0:
-        raise ValueError("no finite sigma for b outside (0, 1), got %r" % b)
-    return math.sqrt(-1.0 / (2.0 * math.log(b)))
 
 
 @dataclass(frozen=True)

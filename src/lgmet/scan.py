@@ -1,29 +1,26 @@
 """Parameter sweeps over (theta, b), table serialization, and figure datasets.
 
-A sweep produces a ScanTable: run metadata plus ordered EstimationRecords.
-Tables serialize to CSV (metadata as '#' comment lines, then a fixed 7-column
-data section) or JSON, and can be rendered as a minimal SVG line chart.
+A sweep produces a ScanTable: run metadata plus one float64 record array
+whose fields are COLUMNS, one row per (b, theta).  Tables serialize to CSV
+(metadata as '#' comment lines, then a fixed 7-column data section) or JSON,
+and can be rendered as a minimal SVG line chart.
 """
 
 from __future__ import annotations
 
 import datetime
-import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .correlations import MAX_GRID_COUNT, _klg_kernel
-from .estimation import EstimationRecord, _rows
+from .estimation import COLUMNS, _rows
 from .measurement import (PartitionSpec, _a_diag, build_measurement, default_partition,
                           format_partition)
 from .spin import make_spin_system
-
-COLUMNS = ("theta", "b", "C", "K_LG", "F", "F_Q", "F_ratio")
 
 PLOT_COLUMNS = {
     "scan-theta": ("theta", ("C", "K_LG", "F", "F_Q")),
@@ -106,11 +103,10 @@ class RunConfig:
 
 @dataclass
 class ScanTable:
-    metadata: dict
-    rows: list[EstimationRecord]
+    """Run metadata and the rows: a float64 record array with the fields COLUMNS."""
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
+    metadata: dict
+    rows: np.recarray
 
 
 def _metadata(config: RunConfig, sweep: str) -> dict:
@@ -122,25 +118,23 @@ def _metadata(config: RunConfig, sweep: str) -> dict:
     }
 
 
-def _grid_rows(config: RunConfig) -> list[EstimationRecord]:
-    """Records over the Cartesian (b, theta) grid, sorted by (b, theta)."""
+def _grid_rows(config: RunConfig) -> np.recarray:
+    """Rows over the Cartesian (b, theta) grid, sorted by (b, theta); one block per b."""
     sys = make_spin_system(config.two_j)
-    rows = []
-    for b in config.b_values:
-        rows += _rows(sys, build_measurement(sys, float(b), config.partition),
-                      config.theta_values)
-    return rows
+    return np.concatenate([_rows(sys, build_measurement(sys, float(b), config.partition),
+                                 config.theta_values)
+                           for b in config.b_values]).view(np.recarray)
 
 
 def scan_theta(config: RunConfig) -> ScanTable:
-    """One record per theta grid point at fixed b."""
+    """One row per theta grid point at fixed b."""
     if config.b_values.size != 1:
         raise ValueError("scan-theta needs a single --b value")
     return ScanTable(_metadata(config, "theta"), _grid_rows(config))
 
 
 def scan_b(config: RunConfig) -> ScanTable:
-    """One record per b grid point at fixed theta."""
+    """One row per b grid point at fixed theta."""
     if config.theta_values.size != 1:
         raise ValueError("scan-b needs a single --theta value")
     return ScanTable(_metadata(config, "b"), _grid_rows(config))
@@ -199,17 +193,13 @@ def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
     return mid
 
 
-# Row templates filled for all rows at once.  The output is byte-identical to
-# formatting each value with "%.12g" (CSV) and to json.dumps(..., indent=2) of
-# the rows as dicts (JSON), which formats numbers exactly as the compact
-# encoder does: float.__repr__, NaN, Infinity, -Infinity.
+# Row templates filled for all rows at once from the row-major float64 view of
+# the table.  The output is byte-identical to formatting each value with
+# "%.12g" (CSV) and to json.dumps(..., indent=2) of the rows as dicts (JSON),
+# which formats numbers exactly as the compact encoder does: float.__repr__,
+# NaN, Infinity, -Infinity.
 _CSV_ROW = ",".join(["%.12g"] * len(COLUMNS))
 _JSON_ROW = "    {\n" + ",\n".join("      %s: %%s" % json.dumps(c) for c in COLUMNS) + "\n    }"
-_row_values = operator.attrgetter(*COLUMNS)
-
-
-def _flat_values(rows: list[EstimationRecord]) -> tuple:
-    return tuple(itertools.chain.from_iterable(map(_row_values, rows)))
 
 
 def table_to_csv(table: ScanTable, include_metadata: bool = True) -> str:
@@ -218,24 +208,19 @@ def table_to_csv(table: ScanTable, include_metadata: bool = True) -> str:
         for key, value in table.metadata.items():
             lines.append("# %s: %s" % (key, json.dumps(value) if isinstance(value, dict) else value))
     lines.append(",".join(COLUMNS))
-    if table.rows:
-        lines.append("\n".join([_CSV_ROW] * len(table.rows)) % _flat_values(table.rows))
+    if table.rows.size:
+        lines.append("\n".join([_CSV_ROW] * table.rows.size)
+                     % tuple(table.rows.view(np.float64).tolist()))
     return "\n".join(lines) + "\n"
 
 
 def table_to_json(table: ScanTable) -> str:
     head = json.dumps({"metadata": table.metadata, "rows": []}, indent=2)
-    if not table.rows:
+    if not table.rows.size:
         return head + "\n"
-    values = json.dumps(_flat_values(table.rows))[1:-1].split(", ")
-    body = ",\n".join([_JSON_ROW] * len(table.rows)) % tuple(values)
+    values = json.dumps(table.rows.view(np.float64).tolist())[1:-1].split(", ")
+    body = ",\n".join([_JSON_ROW] * table.rows.size) % tuple(values)
     return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
-
-
-def table_from_json(text: str) -> ScanTable:
-    payload = json.loads(text)
-    rows = [EstimationRecord(**row) for row in payload["rows"]]
-    return ScanTable(payload.get("metadata", {}), rows)
 
 
 def write_table(table: ScanTable, fmt: str, path) -> None:
@@ -259,11 +244,11 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 def render_svg_lineplot(table: ScanTable, x_column: str, y_columns: list[str],
                         path, width: int = 720, height: int = 480) -> None:
     """Write a single line chart: one polyline per y column, labeled axes."""
-    if not table.rows:
+    if not table.rows.size:
         raise ValueError("cannot plot an empty table")
     margin = 60.0
-    x = table.column(x_column)
-    ys = [table.column(c) for c in y_columns]
+    x = table.rows[x_column]
+    ys = [table.rows[c] for c in y_columns]
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
     y_all = np.concatenate(ys)
     y_lo, y_hi = float(np.min(y_all)), float(np.max(y_all))

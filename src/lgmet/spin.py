@@ -8,30 +8,22 @@ m value is the exact rational (two_j - 2k)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 STRUCTURAL_TOL = 1e-10
 
 
-class SpectralDecomposition(NamedTuple):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class SpinSystem:
-    """Spin-J space: dimension, J_x ladder elements, and the J_x spectrum.
+    """Spin-J space: dimension, J_x ladder elements, and the J_x eigenvectors.
 
     two_j is 2j, so j may be half-integer.  J_x is tridiagonal in the J_z
     basis; jx_ladder holds its real off-diagonal J_x[k, k+1] (length dim - 1).
-    jx_spectrum holds the spectral decomposition of the real symmetric J_x:
-    the eigenvalues are the exact ladder -j, -j + 1, ..., j in ascending
-    order, and the eigenvectors are real; measurement weights reuse them.
-    The gap lam_k - lam_l is therefore the integer k - l: frequencies holds
+    The eigenvalues of the real symmetric J_x are the exact ladder
+    lam_k = k - j, k = 0, ..., dim - 1, in ascending order, so only the real
+    eigenvectors (columns, in that order) are stored; measurement weights
+    reuse them.  The gap lam_k - lam_l is the integer k - l: frequencies holds
     the 2 dim - 1 values -(dim - 1), ..., dim - 1 as floats, and gap_index
     the position k - l + dim - 1 of each gap in it, raveled over (k, l).
     """
@@ -39,7 +31,7 @@ class SpinSystem:
     two_j: int
     dim: int
     jx_ladder: np.ndarray
-    jx_spectrum: SpectralDecomposition
+    eigenvectors: np.ndarray
     frequencies: np.ndarray
     gap_index: np.ndarray
 
@@ -59,10 +51,8 @@ def make_spin_system(two_j: int) -> SpinSystem:
     vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     # J_x spectrum is exactly {-j, ..., j}; eigh sorts ascending, so it is the ladder
     k = np.arange(dim, dtype=np.intp)
-    ladder = k - j
-    if np.max(np.abs(vals - ladder)) > STRUCTURAL_TOL:
+    if np.max(np.abs(vals - (k - j))) > STRUCTURAL_TOL:
         raise AssertionError("J_x eigenvalues deviate from the exact ladder")
     frequencies = np.arange(1.0 - dim, dim)
     gap_index = (k[:, None] - k + (dim - 1)).ravel()
-    return SpinSystem(two_j, dim, off, SpectralDecomposition(ladder, vecs),
-                      frequencies, gap_index)
+    return SpinSystem(two_j, dim, off, vecs, frequencies, gap_index)

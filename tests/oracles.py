@@ -2,6 +2,7 @@
 
 None of this runs in the pipeline.  Each route forms the d x d operators
 itself: the dense J_x from two_j alone, the propagator e^{-i theta J_x},
+the two-time correlation Tr[A(t_i) A(t_j)] / d of Heisenberg operators,
 outcome probabilities Tr(E_pm rho(theta)) with their finite-difference
 Fisher information, and the general eigh-based QFI of any state.  The
 threshold bisection builds a full measurement at every step.  The
@@ -38,9 +39,14 @@ def dense_jx(two_j: int) -> np.ndarray:
     return ((jp + jp.T) / 2).astype(complex)
 
 
+def ladder(sys: SpinSystem) -> np.ndarray:
+    """J_x eigenvalues lam_k = k - j, in the column order of sys.eigenvectors."""
+    return np.arange(sys.dim) - sys.two_j / 2
+
+
 def gaps(sys: SpinSystem) -> np.ndarray:
-    """Eigenvalue differences lam_k - lam_l of the stored J_x spectrum, raveled over (k, l)."""
-    lam = sys.jx_spectrum.eigenvalues
+    """Eigenvalue differences lam_k - lam_l of the J_x ladder, raveled over (k, l)."""
+    lam = ladder(sys)
     return (lam[:, None] - lam[None, :]).ravel()
 
 
@@ -63,9 +69,22 @@ def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasure
 
 
 def propagator(sys: SpinSystem, theta: float) -> np.ndarray:
-    """Unitary e^{-i theta J_x}, evaluated from the stored J_x spectrum."""
-    lam, v = sys.jx_spectrum
-    return (v * np.exp(-1j * theta * lam)) @ v.conj().T
+    """Unitary e^{-i theta J_x}, evaluated from the J_x ladder and eigenvectors."""
+    v = sys.eigenvectors
+    return (v * np.exp(-1j * theta * ladder(sys))) @ v.conj().T
+
+
+def two_time_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
+                         t_i: float, t_j: float) -> float:
+    """C_ij = Tr[A(t_i) A(t_j)] / d with A(t) = U(t)^dag A U(t), from dense propagators.
+
+    The initial state is I/d, so stationarity makes this C(t_j - t_i).
+    """
+    a = np.diag(meas.a_diag)
+    u_i, u_j = propagator(sys, t_i), propagator(sys, t_j)
+    a_i = u_i.conj().T @ a @ u_i
+    a_j = u_j.conj().T @ a @ u_j
+    return float(np.real(np.trace(a_i @ a_j))) / sys.dim
 
 
 def outcome_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,

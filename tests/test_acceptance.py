@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from lgmet import (build_measurement, correlation, correlation_derivatives,
-                   correlation_two_time, fisher_from_correlation, make_spin_system,
-                   max_violation, prepare_states, qfi)
+                   fisher_from_correlation, make_spin_system, max_violation,
+                   prepare_states, qfi)
 from lgmet.scan import (RunConfig, phase_map, reproduce_figure, scan_b,
                         violation_threshold_b)
 from conftest import parity_correlation_closed_form, random_partition
-from oracles import fisher_from_probabilities
+from oracles import fisher_from_probabilities, two_time_correlation
 
 PI = math.pi
 
@@ -118,7 +118,7 @@ def test_criterion_8_structural_invariants(spin52):
         theta = rng.uniform(-PI, PI)
         t0 = rng.uniform(-2, 2)
         c = correlation(spin52, meas, theta)
-        ok &= abs(correlation_two_time(spin52, meas, t0, t0 + theta) - c) <= 1e-10
+        ok &= abs(two_time_correlation(spin52, meas, t0, t0 + theta) - c) <= 1e-10
         ok &= abs(correlation(spin52, meas, -theta) - c) <= 1e-12
         ok &= abs(correlation(spin52, meas, theta + 2 * PI) - c) <= 1e-10
         ok &= fisher_from_correlation(spin52, meas, theta) <= qfi(spin52, meas) + 1e-8
@@ -138,8 +138,8 @@ def test_criterion_9_monotonicity(spin52):
     ok = bool(np.all(np.diff(maxima) >= -1e-10))
     table = scan_b(RunConfig(b_values=np.linspace(0, 1, 101),
                              theta_values=[0.95 * PI]))
-    ok &= bool(np.all(np.diff(table.column("F")) >= -1e-9))
-    ok &= bool(np.all(np.diff(table.column("F_Q")) >= -1e-9))
+    ok &= bool(np.all(np.diff(table.rows.F) >= -1e-9))
+    ok &= bool(np.all(np.diff(table.rows.F_Q) >= -1e-9))
     _verdict(9, "violation and Fisher quantities nondecreasing in b", ok)
 
 

@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmet import (build_measurement, correlation, correlation_derivatives,
-                   correlation_two_time, fisher_from_correlation,
-                   klg_equal_interval, klg_four_time, make_spin_system, max_violation)
+                   fisher_from_correlation, klg_equal_interval, make_spin_system,
+                   max_violation)
 import lgmet.correlations
 from lgmet.correlations import MAX_GRID_COUNT, _klg_kernel
 from conftest import brute_force_correlation, parity_correlation_closed_form, random_partition
+from oracles import two_time_correlation
+
+
+def _dense_klg_four_time(sys, meas, t1, t2, t3, t4):
+    """C12 + C23 + C34 - C14 from the dense two-time route."""
+    def c(t_i, t_j):
+        return two_time_correlation(sys, meas, t_i, t_j)
+    return c(t1, t2) + c(t2, t3) + c(t3, t4) - c(t1, t4)
 
 
 class TestCorrelation:
@@ -50,17 +58,19 @@ class TestCorrelation:
 
 
 class TestStationarity:
+    """correlation(theta) against the dense two-time route C_ij at shifted times."""
+
     def test_shift_invariance(self, spin52, parity52):
         theta = 0.63
-        assert correlation_two_time(spin52, parity52, 0.3, 0.3 + theta) == pytest.approx(
+        assert two_time_correlation(spin52, parity52, 0.3, 0.3 + theta) == pytest.approx(
             correlation(spin52, parity52, theta), abs=1e-10)
 
     def test_equal_times(self, spin52, parity52):
-        assert correlation_two_time(spin52, parity52, 0.0, 0.0) == pytest.approx(
+        assert two_time_correlation(spin52, parity52, 0.0, 0.0) == pytest.approx(
             correlation(spin52, parity52, 0.0), abs=1e-12)
 
     def test_reversed_times_use_evenness(self, spin52, parity52):
-        assert correlation_two_time(spin52, parity52, 1.0, 0.2) == pytest.approx(
+        assert two_time_correlation(spin52, parity52, 1.0, 0.2) == pytest.approx(
             correlation(spin52, parity52, 0.8), abs=1e-12)
 
 
@@ -113,23 +123,19 @@ class TestLeggettGargParameter:
 
     def test_four_time_reduces_to_equal_interval(self, spin52, parity52):
         theta = 0.41
-        assert klg_four_time(spin52, parity52, 0, theta, 2 * theta, 3 * theta) == \
+        assert _dense_klg_four_time(spin52, parity52, 0, theta, 2 * theta, 3 * theta) == \
             pytest.approx(klg_equal_interval(spin52, parity52, theta), abs=1e-10)
 
     def test_four_time_degenerate(self, spin52, parity52):
-        assert klg_four_time(spin52, parity52, 0, 0, 0, 0) == pytest.approx(2.0, abs=1e-12)
+        assert _dense_klg_four_time(spin52, parity52, 0, 0, 0, 0) == pytest.approx(2.0, abs=1e-12)
 
     def test_four_time_general_gaps(self, spin52, parity52):
         expected = (correlation(spin52, parity52, 0.2)
                     + correlation(spin52, parity52, 0.3)
                     + correlation(spin52, parity52, 0.4)
                     - correlation(spin52, parity52, 0.9))
-        assert klg_four_time(spin52, parity52, 0, 0.2, 0.5, 0.9) == \
+        assert _dense_klg_four_time(spin52, parity52, 0, 0.2, 0.5, 0.9) == \
             pytest.approx(expected, abs=1e-12)
-
-    def test_four_time_warns_on_unordered_times(self, spin52, parity52):
-        with pytest.warns(UserWarning, match="not ordered"):
-            klg_four_time(spin52, parity52, 0.5, 0.1, 0.7, 0.9)
 
 
 class TestMaxViolation:
@@ -164,6 +170,11 @@ class TestMaxViolation:
             max_violation(spin52, parity52, 1.0, 0.0)
         with pytest.raises(ValueError):
             max_violation(spin52, parity52, 0.0, 1.0, grid_points=8)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "linspace", None)  # rejected before any grid is built
+            for count in (20.5, 20.0, np.float64(20)):
+                with pytest.raises(ValueError, match="grid_points"):
+                    max_violation(spin52, parity52, 0.0, 1.0, grid_points=count)
         for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
                        (math.inf, math.inf), (math.nan, math.nan)):
             with pytest.raises(ValueError, match="finite"):

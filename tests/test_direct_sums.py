@@ -67,7 +67,7 @@ def test_rows(setup, points, lo, hi, count):
     rows = _rows(sys, meas, grid)
     assert len(rows) == len(expected)
     for row, want in zip(rows, expected):
-        assert _bits(row.as_dict().values()) == _bits(want)
+        assert _bits(row.tolist()) == _bits(want)
 
 
 @settings(max_examples=40, deadline=None)

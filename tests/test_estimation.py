@@ -5,6 +5,7 @@ import pytest
 
 from lgmet import (build_measurement, correlation, estimation_report,
                    fisher_from_correlation, make_spin_system, prepare_states, qfi)
+from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher
 from lgmet.measurement import PartitionSpec
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
                      outcome_probabilities, propagator, qfi_of_state)
@@ -99,9 +100,30 @@ class TestFisherFromCorrelation:
             count += 1
 
 
+class TestFisherArrays:
+    def test_regular_and_singular_rows(self):
+        c = np.array([0.5, 1.0, -1.0, 0.0])
+        c1 = np.array([0.3, 0.0, 1e-7, -1.0])
+        c2 = np.array([2.0, -35 / 3, 4.0, 0.0])
+        f = _fisher(c, c1, c2)
+        assert f.tolist() == [0.3 * 0.3 / (1.0 - 0.5 * 0.5), 35 / 3, 4.0, 1.0]
+
+    def test_any_singular_row_with_a_slope_raises(self):
+        c = np.array([0.5, 1.0, -1.0])
+        c1 = np.array([0.3, 0.0, 1e-5])
+        with pytest.raises(InconsistentCorrelationError):
+            _fisher(c, c1, np.ones(3))
+
+
 class TestQuantumFisherInformation:
     def test_projective_closed_form(self, spin52, parity52):
         assert qfi(spin52, parity52) == pytest.approx(35 / 3, abs=1e-10)
+
+    @pytest.mark.parametrize("sign", [2, 0, -2, 0.5])
+    def test_rejects_bad_prep_sign(self, spin52, sign):
+        meas = build_measurement(spin52, 0.9)
+        with pytest.raises(ValueError, match="prep_sign"):
+            qfi(spin52, meas, sign)
 
     def test_spin_half_closed_form(self):
         sys = make_spin_system(1)
@@ -137,6 +159,13 @@ class TestQuantumFisherInformation:
 
 
 class TestEstimationReport:
+    def test_is_one_float64_record(self, spin52, parity52):
+        rec = estimation_report(spin52, parity52, 0.3)
+        assert rec.dtype.names == COLUMNS
+        assert all(rec.dtype[c] == np.float64 for c in COLUMNS)
+        assert rec.tolist() == tuple(rec[c] for c in COLUMNS)
+        assert (rec.theta, rec.b) == (0.3, 1.0)
+
     def test_projective_at_pi(self, spin52, parity52):
         rec = estimation_report(spin52, parity52, math.pi)
         assert rec.C == pytest.approx(-1.0, abs=1e-10)

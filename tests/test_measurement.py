@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgmet import (DegeneratePreparationError, b_from_sigma, build_measurement,
-                   default_partition, format_partition, make_spin_system,
-                   parse_partition, prepare_states, sigma_from_b)
+from lgmet import (DegeneratePreparationError, build_measurement, default_partition,
+                   format_partition, make_spin_system, parse_partition, prepare_states)
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diag
 from conftest import random_partition
 from oracles import dense_jx
@@ -112,24 +109,6 @@ class TestBuildMeasurement:
             assert minus.probability == pytest.approx(0.5, abs=1e-12)
 
 
-class TestMeasurabilityConversions:
-    def test_large_sigma_limit(self):
-        assert b_from_sigma(1e6) > 1 - 1e-9
-
-    def test_round_trip(self):
-        assert b_from_sigma(sigma_from_b(0.7)) == pytest.approx(0.7, abs=1e-12)
-
-    def test_unit_sigma(self):
-        assert sigma_from_b(math.exp(-0.5)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                sigma_from_b(bad)
-        with pytest.raises(ValueError):
-            b_from_sigma(0.0)
-
-
 class TestPrepareStates:
     def test_projective_preparation(self, spin52, parity52):
         plus, _ = prepare_states(spin52, parity52)
@@ -167,7 +146,7 @@ def test_diagonal_form_matches_dense_form(two_j, seed, b):
     sys = make_spin_system(two_j)
     meas = build_measurement(sys, b, random_partition(np.random.default_rng(seed), two_j))
     a = np.diag(meas.a_diag).astype(complex)
-    v = sys.jx_spectrum.eigenvectors
+    v = sys.eigenvectors
     dense_weights = np.abs(v.conj().T @ a @ v) ** 2
     assert np.array_equal(meas.weights, dense_weights.ravel())
 

@@ -7,11 +7,11 @@ import pytest
 import lgmet.scan
 from lgmet import build_measurement, make_spin_system, max_violation
 from lgmet.cli import main
-from lgmet.estimation import EstimationRecord
+from lgmet.estimation import COLUMNS, ROW_DTYPE
 from lgmet.measurement import PartitionSpec
 from lgmet.scan import (MAX_GRID_COUNT, MAX_ROW_COUNT, RunConfig, ScanTable, parse_grid, phase_map,
                         render_svg_lineplot, reproduce_figure, scan_b,
-                        scan_theta, table_from_json, table_to_csv,
+                        scan_theta, table_to_csv,
                         table_to_json, violation_threshold_b, write_table)
 import oracles
 
@@ -97,13 +97,22 @@ class TestScans:
     def test_scan_b_fisher_monotone(self):
         table = scan_b(RunConfig(b_values=np.linspace(0.0, 1.0, 101),
                                  theta_values=[0.95 * math.pi]))
-        f = table.column("F")
+        f = table.rows.F
         assert np.all(np.diff(f) >= -1e-9)
 
     def test_phase_map_single_cell(self):
         table = phase_map(RunConfig(b_values=[1.0], theta_values=[0.0]))
         assert len(table.rows) == 1
         assert table.rows[0].F_ratio == pytest.approx(1.0, abs=1e-10)
+
+    def test_rows_are_one_float64_record_array(self):
+        table = phase_map(RunConfig(b_values=[0.5, 1.0], theta_values=np.linspace(0, 1, 3)))
+        assert isinstance(table.rows, np.recarray)
+        assert table.rows.dtype.names == COLUMNS
+        assert all(table.rows.dtype[c] == np.float64 for c in COLUMNS)
+        assert table.rows.view(np.float64).shape == (6 * len(COLUMNS),)
+        assert table.rows.b.tolist() == [0.5] * 3 + [1.0] * 3
+        assert [r.F for r in table.rows] == table.rows["F"].tolist()
 
     def test_phase_map_row_order(self):
         table = phase_map(RunConfig(b_values=[0.5, 1.0],
@@ -193,11 +202,14 @@ class TestViolationThreshold:
         assert abs(b_star - coarse) <= 1e-12
 
 
+def _table(rows, metadata=None):
+    """A table of the given (theta, b, C, K_LG, F, F_Q, F_ratio) tuples."""
+    return ScanTable(metadata or {}, np.rec.fromrecords(rows, dtype=ROW_DTYPE))
+
+
 def _toy_table():
-    rows = [EstimationRecord(theta=0.1 * k, b=0.5, C=0.3 - 0.1 * k, K_LG=1.0,
-                             F=0.25 * k, F_Q=1.0, F_ratio=0.25 * k)
-            for k in range(3)]
-    return ScanTable({"tool": "lgmet test", "sweep": "toy"}, rows)
+    return _table([(0.1 * k, 0.5, 0.3 - 0.1 * k, 1.0, 0.25 * k, 1.0, 0.25 * k)
+                   for k in range(3)], {"tool": "lgmet test", "sweep": "toy"})
 
 
 class TestSerialization:
@@ -209,7 +221,7 @@ class TestSerialization:
         assert all(len(line.split(",")) == 7 for line in lines[1:])
 
     def test_empty_table_is_header_only(self):
-        text = table_to_csv(ScanTable({}, []), include_metadata=False)
+        text = table_to_csv(_table([]), include_metadata=False)
         assert text == "theta,b,C,K_LG,F,F_Q,F_ratio\n"
 
     def test_csv_metadata_commented(self):
@@ -218,20 +230,17 @@ class TestSerialization:
         assert data[0].startswith("theta,")
 
     def test_twelve_significant_digits(self):
-        rows = [EstimationRecord(theta=math.pi, b=1.0, C=-1.0, K_LG=-2.0,
-                                 F=35 / 3, F_Q=35 / 3, F_ratio=1.0)]
-        text = table_to_csv(ScanTable({}, rows), include_metadata=False)
+        table = _table([(math.pi, 1.0, -1.0, -2.0, 35 / 3, 35 / 3, 1.0)])
+        text = table_to_csv(table, include_metadata=False)
         assert "3.14159265359" in text
         assert "11.6666666667" in text
 
     def test_json_round_trip_bit_identical(self):
         table = _toy_table()
-        table.rows[1] = EstimationRecord(theta=0.1 + 1e-16, b=1 / 3, C=2 / 7,
-                                         K_LG=-0.1, F=1e-300, F_Q=35 / 3,
-                                         F_ratio=1e-300 / (35 / 3))
-        back = table_from_json(table_to_json(table))
-        for a, b in zip(table.rows, back.rows):
-            assert a == b
+        table.rows[1] = (0.1 + 1e-16, 1 / 3, 2 / 7, -0.1, 1e-300, 35 / 3, 1e-300 / (35 / 3))
+        payload = json.loads(table_to_json(table))
+        back = np.array([[row[c] for c in COLUMNS] for row in payload["rows"]])
+        assert back.tobytes() == table.rows.tobytes()
 
     def test_write_table_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
@@ -252,7 +261,7 @@ class TestSvg:
 
     def test_rejects_empty_table(self, tmp_path):
         with pytest.raises(ValueError):
-            render_svg_lineplot(ScanTable({}, []), "theta", ["C"], tmp_path / "p.svg")
+            render_svg_lineplot(_table([]), "theta", ["C"], tmp_path / "p.svg")
 
 
 class TestFigures:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from lgmet import make_spin_system
-from oracles import dense_jx, propagator
+from oracles import dense_jx, ladder, propagator
 
 
 class TestMakeSpinSystem:
@@ -22,15 +22,14 @@ class TestMakeSpinSystem:
     def test_jx_spectrum_is_exact_ladder(self):
         for two_j in (1, 2, 5, 11):
             sys = make_spin_system(two_j)
-            vals, vecs = sys.jx_spectrum
-            expected = np.arange(-two_j / 2, two_j / 2 + 1)
-            assert np.array_equal(vals, expected)
+            vals, vecs = ladder(sys), sys.eigenvectors
+            assert np.max(np.abs(np.linalg.eigvalsh(dense_jx(two_j)) - vals)) <= 1e-10
             recon = (vecs * vals) @ vecs.conj().T
             assert np.max(np.abs(recon - dense_jx(two_j))) <= 1e-10
 
     @pytest.mark.parametrize("two_j", [1, 5, 51, 201])
     def test_real_eigenvectors_match_complex_eigh_up_to_sign(self, two_j):
-        vecs = make_spin_system(two_j).jx_spectrum.eigenvectors
+        vecs = make_spin_system(two_j).eigenvectors
         assert vecs.dtype == np.float64
         ref = np.linalg.eigh(dense_jx(two_j))[1]
         assert not ref.imag.any()
@@ -41,7 +40,7 @@ class TestMakeSpinSystem:
     @pytest.mark.parametrize("two_j", [1, 4, 5, 12])
     def test_gap_table(self, two_j):
         sys = make_spin_system(two_j)
-        lam = sys.jx_spectrum.eigenvalues
+        lam = ladder(sys)
         assert np.array_equal(sys.frequencies, np.arange(-two_j, two_j + 1))
         assert sys.gap_index.dtype == np.intp
         gaps = sys.frequencies[sys.gap_index]

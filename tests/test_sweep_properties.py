@@ -67,7 +67,7 @@ def test_sweep_rows_bit_equal_to_composed_values(setup, bs, thetas):
         rows = sweep(config).rows
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
-            got = tuple(row.as_dict().values())
+            got = row.tolist()
             assert [_bits(x) for x in got] == [_bits(x) for x in want], (sweep.__name__, got, want)
 
 
