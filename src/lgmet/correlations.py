@@ -9,8 +9,11 @@ with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
 (meas.weights).  Each gap lam_k - lam_l is one of the 2d - 1 integer
 frequencies of the spin system (sys.frequencies, at sys.gap_index), so a
 point costs O(d) trig, evaluated once per frequency, plus an O(d^2) gather
-and dot product.  The sum runs over (k, l) in the same order as a direct
-d^2 evaluation, so every value equals that evaluation bit for bit.
+and dot product.  A theta grid is evaluated in blocks of at most
+BLOCK_ELEMENTS gathered values, with one stacked np.vecdot per block for
+each of C, C' and C'', and no Python loop over thetas.  Each sum runs over
+(k, l) in the same order as a direct d^2 evaluation, so every value equals
+that evaluation bit for bit.  A non-finite theta is a ValueError.
 """
 
 from __future__ import annotations
@@ -24,47 +27,56 @@ from .spin import SpinSystem
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# thetas per trig table in _trig_rows, so a table holds 256 (2d - 1) floats;
-# one table for a 10^6-point grid at two_j = 801 would take 13 GB
-THETA_BLOCK = 256
+# Largest number of gathered (theta, gap) elements per block: a block holds
+# max(1, BLOCK_ELEMENTS // d^2) thetas, so each gathered table stays within
+# 512 KiB and is one theta wide from two_j = 255 on, whatever the grid size.
+BLOCK_ELEMENTS = 2 ** 16
 
 # Largest grid count, for every "lo:hi:count" sweep grid and every
 # max_violation grid; about 2000x the largest figure grid (512).
 MAX_GRID_COUNT = 10 ** 6
 
 
-def _trig_rows(fn, sys: SpinSystem, thetas):
-    """Yield fn(n theta) over the frequencies n of sys, one row per theta in turn.
+def _fourier_sums(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas,
+                  derivatives: bool) -> np.ndarray:
+    """C, or (C, dC/dtheta, d2C/dtheta2) if derivatives, per theta: shape (T, 1) or (T, 3).
 
-    A block of THETA_BLOCK thetas is evaluated as one (theta, n) table;
-    row.take(sys.gap_index) spreads a row over the raveled (k, l) gaps.
+    Each block of thetas gets one (theta, frequency) cos/sin table, gathered
+    into a C-contiguous (theta, k l) array with gap_index.  np.vecdot of that
+    stack with a weight vector calls, once per row, the same ddot that np.dot
+    calls on two 1-D arrays, so each sum equals the direct d^2 sum bit for
+    bit; a matrix product (gemv, gemm, einsum) sums in another order.
     """
     thetas = np.asarray(thetas, float)
-    for start in range(0, thetas.size, THETA_BLOCK):
-        yield from fn(np.multiply.outer(thetas[start:start + THETA_BLOCK], sys.frequencies))
+    finite = np.isfinite(thetas)
+    if not finite.all():
+        raise ValueError("theta must be finite, got %r" % float(thetas[~finite][0]))
+    w, idx = meas.weights, sys.gap_index
+    if derivatives:
+        g = sys.frequencies.take(idx)
+        wg = w * g
+        wg2 = wg * g
+    out = np.empty((thetas.size, 3 if derivatives else 1))
+    step = max(1, BLOCK_ELEMENTS // idx.size)
+    for start in range(0, thetas.size, step):
+        phases = np.multiply.outer(thetas[start:start + step], sys.frequencies)
+        block = out[start:start + step]
+        cos_gt = np.cos(phases).take(idx, axis=1)
+        block[:, 0] = np.vecdot(cos_gt, w)
+        if derivatives:
+            block[:, 1] = -np.vecdot(np.sin(phases).take(idx, axis=1), wg)
+            block[:, 2] = -np.vecdot(cos_gt, wg2)
+    return out / sys.dim
 
 
 def _correlations(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.ndarray:
     """C(theta) for each theta, shape (T,)."""
-    thetas = np.asarray(thetas, float)
-    w, idx = meas.weights, sys.gap_index
-    dots = (np.dot(w, cos_row.take(idx)) for cos_row in _trig_rows(np.cos, sys, thetas))
-    return np.fromiter(dots, float, thetas.size) / sys.dim
+    return _fourier_sums(sys, meas, thetas, False)[:, 0]
 
 
 def _derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.ndarray:
     """(C, dC/dtheta, d2C/dtheta2) for each theta, shape (T, 3)."""
-    thetas = np.asarray(thetas, float)
-    w, idx = meas.weights, sys.gap_index
-    g = sys.frequencies.take(idx)
-    wg = w * g
-    wg2 = wg * g
-    out = np.empty((thetas.size, 3))
-    for i, (cos_row, sin_row) in enumerate(zip(_trig_rows(np.cos, sys, thetas),
-                                               _trig_rows(np.sin, sys, thetas))):
-        cos_gt = cos_row.take(idx)
-        out[i] = np.dot(w, cos_gt), -np.dot(wg, sin_row.take(idx)), -np.dot(wg2, cos_gt)
-    return out / sys.dim
+    return _fourier_sums(sys, meas, thetas, True)
 
 
 def correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:

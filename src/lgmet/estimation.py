@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correlations import _correlations, _derivatives
-from .measurement import NoisyDichotomicMeasurement, prepare_states
+from .measurement import NoisyDichotomicMeasurement, _prepared_state
 from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
@@ -53,13 +53,12 @@ def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) 
     The prepared state is diagonal in the J_z basis and J_x is tridiagonal
     there, so the spectral QFI formula reduces to the O(d) sum
     4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) J_x[k, k+1]^2 over the pairs
-    with p_k + p_{k+1} above the null-subspace cutoff.
+    with p_k + p_{k+1} above the null-subspace cutoff.  Only the requested
+    arm is prepared; DegeneratePreparationError if its probability is zero.
     """
     if prep_sign not in (+1, -1):
         raise ValueError("prep_sign must be +1 or -1, got %r" % (prep_sign,))
-    plus, minus = prepare_states(sys, meas)
-    prep = plus if prep_sign == +1 else minus
-    p = prep.populations
+    p = _prepared_state(sys, meas, prep_sign).populations
     psum = p[:-1] + p[1:]
     mask = psum > QFI_EIGENVALUE_CUTOFF
     ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]

@@ -152,13 +152,16 @@ def prepare_states(sys: SpinSystem,
     A is diagonal, so E+- = (1 +- a)/2 are diagonal and the square roots act
     entrywise: the populations are e / (d p) with p = sum(e) / d.
     """
+    return _prepared_state(sys, meas, +1), _prepared_state(sys, meas, -1)
+
+
+def _prepared_state(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
+                    sign: int) -> PreparedState:
+    """The prepared state of one outcome sign, as in prepare_states."""
     d = sys.dim
-    out = []
-    for sign in (+1, -1):
-        e = (1.0 + sign * meas.a_diag) / 2
-        p = float(np.sum(e)) / d
-        if p <= 0.0:
-            raise DegeneratePreparationError(
-                "outcome %+d has zero probability; preparation undefined" % sign)
-        out.append(PreparedState(sign, e / (d * p), p))
-    return out[0], out[1]
+    e = (1.0 + sign * meas.a_diag) / 2
+    p = float(np.sum(e)) / d
+    if p <= 0.0:
+        raise DegeneratePreparationError(
+            "outcome %+d has zero probability; preparation undefined" % sign)
+    return PreparedState(sign, e / (d * p), p)

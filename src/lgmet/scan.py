@@ -257,12 +257,10 @@ def render_svg_lineplot(table: ScanTable, x_column: str, y_columns: list[str],
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 
-    def sx(v):
-        return margin + (v - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
+    # pixel coordinates of all points at once; each element takes the float
+    # operations of the per-point formula in the same order, so the %g text is unchanged
+    sx = margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+    points_template = " ".join(["%g,%g"] * x.size)
     parts = ['<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">'
              % (width, height)]
     parts.append('<rect width="%d" height="%d" fill="white"/>' % (width, height))
@@ -278,7 +276,8 @@ def render_svg_lineplot(table: ScanTable, x_column: str, y_columns: list[str],
                     ", ".join(y_columns)))
     for k, (name, y) in enumerate(zip(y_columns, ys)):
         color = _SVG_COLORS[k % len(_SVG_COLORS)]
-        points = " ".join("%g,%g" % (sx(xv), sy(yv)) for xv, yv in zip(x, y))
+        sy = height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        points = points_template % tuple(np.column_stack((sx, sy)).ravel().tolist())
         parts.append('<polyline fill="none" stroke="%s" points="%s"/>'
                      % (color, points))
         parts.append('<text x="%g" y="%g" fill="%s">%s</text>'

@@ -171,3 +171,30 @@ def threshold_b(two_j: int, theta: float, b_lo: float = 0.0, b_hi: float = 1.0,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def svg_polyline_points(table, x_column: str, y_columns: list[str],
+                        width: int = 720, height: int = 480) -> list[str]:
+    """The points attribute of each render_svg_lineplot polyline, one "%g,%g" per point.
+
+    Each point is scaled and formatted on its own, as the plot did before it
+    formatted whole columns.
+    """
+    margin = 60.0
+    x = table.rows[x_column]
+    ys = [table.rows[c] for c in y_columns]
+    x_lo, x_hi = float(np.min(x)), float(np.max(x))
+    y_all = np.concatenate(ys)
+    y_lo, y_hi = float(np.min(y_all)), float(np.max(y_all))
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+
+    def sx(v):
+        return margin + (v - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+
+    def sy(v):
+        return height - margin - (v - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+
+    return [" ".join("%g,%g" % (sx(xv), sy(yv)) for xv, yv in zip(x, y)) for y in ys]

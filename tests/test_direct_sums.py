@@ -1,5 +1,6 @@
-"""The integer-frequency trig tables against the direct d^2 Fourier sums, bit for bit."""
+"""The block evaluator of the Fourier sums against the direct d^2 sums, bit for bit."""
 
+import contextlib
 import math
 import struct
 
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
                    correlation_derivatives, klg_equal_interval, make_spin_system,
                    max_violation, qfi)
-from lgmet.correlations import THETA_BLOCK
+import lgmet.correlations
 from lgmet.estimation import _fisher, _rows
 from conftest import random_partition
 from oracles import direct_correlation, direct_correlation_derivatives
@@ -25,6 +26,14 @@ def _measurement(setup):
     two_j, seed, b = setup
     sys = make_spin_system(two_j)
     return sys, build_measurement(sys, b, random_partition(np.random.default_rng(seed), two_j))
+
+
+@contextlib.contextmanager
+def _narrow_blocks(sys, thetas_per_block=3):
+    """Patch the element budget so that a block holds a few thetas at this spin."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lgmet.correlations, "BLOCK_ELEMENTS", thetas_per_block * sys.dim ** 2)
+        yield mp
 
 
 def _bits(values) -> list[bytes]:
@@ -47,9 +56,9 @@ def test_point_functions(setup, theta):
 
 @settings(max_examples=40, deadline=None)
 @given(setup=setups, points=st.lists(thetas, max_size=4), lo=thetas, hi=thetas,
-       count=st.integers(0, 2 * THETA_BLOCK + 3))
+       count=st.integers(0, 515))
 def test_rows(setup, points, lo, hi, count):
-    """Every row over a grid that spans several trig-table blocks."""
+    """Every row over a grid that spans many evaluator blocks."""
     sys, meas = _measurement(setup)
     grid = points + list(np.linspace(lo, hi, count))
     f_q = qfi(sys, meas)
@@ -61,10 +70,11 @@ def test_rows(setup, points, lo, hi, count):
             expected.append((theta, meas.b, c, _direct_klg(sys, meas, theta), f, f_q,
                              f / f_q if f_q > 0.0 else 0.0))
     except InconsistentCorrelationError:
-        with pytest.raises(InconsistentCorrelationError):
+        with _narrow_blocks(sys), pytest.raises(InconsistentCorrelationError):
             _rows(sys, meas, grid)
         return
-    rows = _rows(sys, meas, grid)
+    with _narrow_blocks(sys):
+        rows = _rows(sys, meas, grid)
     assert len(rows) == len(expected)
     for row, want in zip(rows, expected):
         assert _bits(row.tolist()) == _bits(want)
@@ -72,7 +82,7 @@ def test_rows(setup, points, lo, hi, count):
 
 @settings(max_examples=40, deadline=None)
 @given(setup=setups, lo=thetas, span=st.floats(0.0, 20.0, exclude_min=True),
-       grid_points=st.integers(16, THETA_BLOCK + 40))
+       grid_points=st.integers(16, 296))
 def test_max_violation_grid(setup, lo, span, grid_points):
     """The |K_LG| values max_violation takes its argmax over, and its result."""
     sys, meas = _measurement(setup)
@@ -80,7 +90,7 @@ def test_max_violation_grid(setup, lo, span, grid_points):
     assume(hi > lo)
     seen = []
     argmax = np.argmax
-    with pytest.MonkeyPatch.context() as mp:
+    with _narrow_blocks(sys) as mp:
         mp.setattr(np, "argmax", lambda a, *args, **kw: seen.append(np.array(a)) or argmax(a, *args, **kw))
         result = max_violation(sys, meas, lo, hi, grid_points)
     grid = np.linspace(lo, hi, grid_points)
@@ -88,3 +98,35 @@ def test_max_violation_grid(setup, lo, span, grid_points):
     assert len(seen) == 1
     assert _bits(seen[0]) == _bits(values)
     assert lo <= result[0] <= hi
+
+
+def test_blocks_bounded_and_contiguous_at_large_spin(monkeypatch):
+    """At two_j = 401 a block is one theta wide: each stacked operand holds d^2 values."""
+    sys = make_spin_system(401)
+    meas = build_measurement(sys, 0.99)
+    grid = np.linspace(0.0, math.pi, 300)
+    operands = []  # (C-contiguous, size) of each first operand, not the array itself
+    vecdot = np.vecdot
+    monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: (
+        operands.append((a.flags.c_contiguous, a.size)) or vecdot(a, b, **kw)))
+    rows = _rows(sys, meas, grid)
+    monkeypatch.undo()
+    limit = max(lgmet.correlations.BLOCK_ELEMENTS, sys.dim ** 2)
+    assert len(operands) == 4 * grid.size  # C, C', C'' at theta and C at 3 theta
+    assert all(contiguous and size <= limit for contiguous, size in operands)
+    for i in (0, 150, 299):
+        c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i])
+        assert (_bits([rows.C[i], rows.K_LG[i], rows.F[i]])
+                == _bits([c, _direct_klg(sys, meas, grid[i]), _fisher(c, c1, c2)]))
+
+
+def test_rows_make_no_vector_dot(monkeypatch):
+    """A 2000-point grid is summed by the stacked evaluator, not one np.dot per theta."""
+    sys = make_spin_system(5)
+    meas = build_measurement(sys, 0.9)
+    calls = []
+    dot = np.dot
+    monkeypatch.setattr(np, "dot", lambda a, b, *args: calls.append(np.ndim(a)) or dot(a, b, *args))
+    rows = _rows(sys, meas, np.linspace(-10.0, 10.0, 2000))
+    assert rows.size == 2000
+    assert 1 not in calls

@@ -1,12 +1,16 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from lgmet import (build_measurement, correlation, estimation_report,
-                   fisher_from_correlation, make_spin_system, prepare_states, qfi)
-from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher
-from lgmet.measurement import PartitionSpec
+from lgmet import (build_measurement, correlation, correlation_derivatives, estimation_report,
+                   fisher_from_correlation, klg_equal_interval, make_spin_system,
+                   prepare_states, qfi)
+from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
+from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
+                               PartitionSpec, default_partition)
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
                      outcome_probabilities, propagator, qfi_of_state)
 
@@ -125,6 +129,13 @@ class TestQuantumFisherInformation:
         with pytest.raises(ValueError, match="prep_sign"):
             qfi(spin52, meas, sign)
 
+    def test_only_the_requested_arm_must_be_defined(self, spin52):
+        broken = NoisyDichotomicMeasurement(1.0, default_partition(spin52), np.ones(6),
+                                            np.zeros(36))
+        assert qfi(spin52, broken, +1) == 0.0  # E+ = 1 prepares I/d
+        with pytest.raises(DegeneratePreparationError, match="outcome -1"):
+            qfi(spin52, broken, -1)
+
     def test_spin_half_closed_form(self):
         sys = make_spin_system(1)
         meas = build_measurement(sys, 1.0)
@@ -194,3 +205,18 @@ class TestEstimationReport:
         for b in np.linspace(0, 1, 51):
             rec = estimation_report(spin52, build_measurement(spin52, b), theta)
             assert abs(rec.K_LG) <= 2.0
+
+
+def _rows_around(sys, meas, theta):
+    return _rows(sys, meas, [0.1, theta, 0.2])
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("fn", [correlation, correlation_derivatives, klg_equal_interval,
+                                fisher_from_correlation, estimation_report, _rows_around])
+def test_non_finite_theta_rejected_without_warning(spin52, fn, theta):
+    meas = build_measurement(spin52, 0.9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="theta must be finite, got %s" % re.escape(repr(theta))):
+            fn(spin52, meas, theta)

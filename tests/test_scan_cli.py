@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,31 @@ class TestSvg:
     def test_rejects_empty_table(self, tmp_path):
         with pytest.raises(ValueError):
             render_svg_lineplot(_table([]), "theta", ["C"], tmp_path / "p.svg")
+
+    @staticmethod
+    def _assert_points_match_per_point_oracle(table, x_column, y_columns, path):
+        render_svg_lineplot(table, x_column, y_columns, path)
+        points = re.findall(r'<polyline fill="none" stroke="[^"]*" points="([^"]*)"/>',
+                            path.read_text())
+        assert points == oracles.svg_polyline_points(table, x_column, y_columns)
+
+    @pytest.mark.parametrize("which", sorted(lgmet.scan.FIGURE_SETTINGS))
+    def test_figure_points_byte_equal_to_per_point_oracle(self, tmp_path, which):
+        kind, b_values, theta_values = lgmet.scan.FIGURE_SETTINGS[which]
+        table = lgmet.scan.sweep(kind, RunConfig(b_values=b_values, theta_values=theta_values))
+        self._assert_points_match_per_point_oracle(
+            table, *lgmet.scan.PLOT_COLUMNS[kind], tmp_path / "p.svg")
+
+    @pytest.mark.parametrize("x_column, y_columns, rows", [
+        ("b", ["C", "F"], 3),       # constant x column
+        ("theta", ["F_Q"], 3),      # constant y column
+        ("theta", ["C", "F"], 1),   # one row: both constant
+    ])
+    def test_constant_columns_byte_equal_to_per_point_oracle(self, tmp_path, x_column,
+                                                             y_columns, rows):
+        table = _table(_toy_table().rows.tolist()[:rows])
+        self._assert_points_match_per_point_oracle(table, x_column, y_columns,
+                                                   tmp_path / "p.svg")
 
 
 class TestFigures:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
                    fisher_from_correlation, klg_equal_interval, make_spin_system,
                    prepare_states, qfi)
+from lgmet.estimation import QFI_EIGENVALUE_CUTOFF
 from lgmet.measurement import PartitionSpec
 from lgmet.scan import RunConfig, phase_map, scan_b, scan_theta
 from oracles import qfi_of_state
@@ -81,3 +82,19 @@ def test_qfi_matches_eigh_form(setup, b):
         rho = np.diag(state.populations)
         assert qfi(sys, meas, sign) == pytest.approx(qfi_of_state(sys, rho),
                                                      rel=1e-12, abs=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup=partitions(), b=b_values)
+def test_qfi_bit_equal_to_prepare_states_populations(setup, b):
+    """qfi prepares only its own arm, with the populations prepare_states gives."""
+    two_j, partition = setup
+    sys = make_spin_system(two_j)
+    meas = build_measurement(sys, b, partition)
+    for sign, state in zip((+1, -1), prepare_states(sys, meas)):
+        p = state.populations
+        psum = p[:-1] + p[1:]
+        mask = psum > QFI_EIGENVALUE_CUTOFF
+        ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
+        expected = float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
+        assert _bits(qfi(sys, meas, sign)) == _bits(expected)
