@@ -11,9 +11,7 @@ import math
 import sys as _sys
 
 from .measurement import parse_partition
-from .scan import (FIGURE_SETTINGS, PLOT_COLUMNS, RunConfig, parse_grid,
-                   reproduce_figure, sweep, table_to_csv, table_to_json,
-                   write_table, render_svg_lineplot)
+from .scan import FIGURE_SETTINGS, RunConfig, parse_grid, reproduce_figure, write_sweep
 
 
 VALUE_FLAGS = ("--b", "--theta", "--partition")
@@ -50,26 +48,6 @@ def _attach_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _build_config(args) -> RunConfig:
-    partition = None if args.partition == "default" else parse_partition(args.partition)
-    return RunConfig(two_j=args.two_j,
-                     b_values=parse_grid(args.b),
-                     theta_values=parse_grid(args.theta, scale=math.pi),
-                     partition=partition)
-
-
-def _emit(table, args, x_col: str, y_cols: tuple[str, ...]) -> None:
-    if args.out is None:
-        if args.plot:
-            raise ValueError("--plot requires --out")
-        text = table_to_csv(table) if args.fmt == "csv" else table_to_json(table)
-        _sys.stdout.write(text)
-        return
-    write_table(table, args.fmt, args.out)
-    if args.plot:
-        render_svg_lineplot(table, x_col, y_cols, str(args.out) + ".svg")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgmet",
@@ -103,14 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> None:
     if args.command == "figure":
-        for path in reproduce_figure(args.which, args.outdir, plot=args.plot,
-                                     fmt=args.fmt):
-            print(path)
+        print(*reproduce_figure(args.which, args.outdir, plot=args.plot, fmt=args.fmt), sep="\n")
         return
-    config = _build_config(args)
-    if args.command == "report" and config.b_values.size * config.theta_values.size != 1:
-        raise ValueError("report needs a single --b and a single --theta value")
-    _emit(sweep(args.command, config), args, *PLOT_COLUMNS[args.command])
+    if args.plot and args.out is None:
+        raise ValueError("--plot requires --out")
+    partition = None if args.partition == "default" else parse_partition(args.partition)
+    config = RunConfig(two_j=args.two_j, b_values=parse_grid(args.b),
+                       theta_values=parse_grid(args.theta, scale=math.pi), partition=partition)
+    write_sweep(args.command, config, args.fmt, args.out,
+                str(args.out) + ".svg" if args.plot else None)
 
 
 def main(argv=None) -> int:

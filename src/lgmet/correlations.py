@@ -11,9 +11,12 @@ frequencies of the spin system (sys.frequencies, at sys.gap_index), so a
 point costs O(d) trig, evaluated once per frequency, plus an O(d^2) gather
 and dot product.  A theta grid is evaluated in blocks of at most
 BLOCK_ELEMENTS gathered values, with one stacked np.vecdot per block for
-each of C, C' and C'', and no Python loop over thetas.  Each sum runs over
-(k, l) in the same order as a direct d^2 evaluation, so every value equals
-that evaluation bit for bit.  A non-finite theta is a ValueError.
+each of C(theta), C(3 theta), C' and C'', and no Python loop over thetas;
+the evaluator returns C and K_LG = 3 C(theta) - C(3 theta), and every public
+function reads its columns.  Each sum runs over (k, l) in the same order as
+a direct d^2 evaluation, so every value equals that evaluation bit for bit.
+A non-finite theta, or one whose largest phase 3 theta (d - 1) overflows,
+is a ValueError.
 """
 
 from __future__ import annotations
@@ -39,61 +42,62 @@ MAX_GRID_COUNT = 10 ** 6
 
 def _fourier_sums(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas,
                   derivatives: bool) -> np.ndarray:
-    """C, or (C, dC/dtheta, d2C/dtheta2) if derivatives, per theta: shape (T, 1) or (T, 3).
+    """(C, K_LG), or (C, K_LG, dC/dtheta, d2C/dtheta2) if derivatives, per theta.
 
-    Each block of thetas gets one (theta, frequency) cos/sin table, gathered
+    Shape (T, 2) or (T, 4), with K_LG = 3 C(theta) - C(3 theta).  Each block
+    of thetas gets one (theta, frequency) cos/sin table per angle, gathered
     into a C-contiguous (theta, k l) array with gap_index.  np.vecdot of that
     stack with a weight vector calls, once per row, the same ddot that np.dot
     calls on two 1-D arrays, so each sum equals the direct d^2 sum bit for
     bit; a matrix product (gemv, gemm, einsum) sums in another order.
     """
     thetas = np.asarray(thetas, float)
-    finite = np.isfinite(thetas)
-    if not finite.all():
-        raise ValueError("theta must be finite, got %r" % float(thetas[~finite][0]))
+    # the largest phase is 3 theta (d - 1); checked here, so no trig sees inf or nan
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(3.0 * thetas * (sys.dim - 1))
+    if bad.any():
+        theta = float(thetas[bad][0])
+        raise ValueError(("theta must be finite, got %r" % theta) if not math.isfinite(theta) else
+                         "theta=%r is too large: 3 theta times %d overflows" % (theta, sys.dim - 1))
     w, idx = meas.weights, sys.gap_index
     if derivatives:
         g = sys.frequencies.take(idx)
         wg = w * g
         wg2 = wg * g
-    out = np.empty((thetas.size, 3 if derivatives else 1))
+    out = np.empty((thetas.size, 4 if derivatives else 2))
     step = max(1, BLOCK_ELEMENTS // idx.size)
     for start in range(0, thetas.size, step):
-        phases = np.multiply.outer(thetas[start:start + step], sys.frequencies)
+        t = thetas[start:start + step]
         block = out[start:start + step]
+        phases = np.multiply.outer(3.0 * t, sys.frequencies)
+        block[:, 1] = np.vecdot(np.cos(phases).take(idx, axis=1), w)
+        phases = np.multiply.outer(t, sys.frequencies)
         cos_gt = np.cos(phases).take(idx, axis=1)
         block[:, 0] = np.vecdot(cos_gt, w)
         if derivatives:
-            block[:, 1] = -np.vecdot(np.sin(phases).take(idx, axis=1), wg)
-            block[:, 2] = -np.vecdot(cos_gt, wg2)
-    return out / sys.dim
-
-
-def _correlations(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.ndarray:
-    """C(theta) for each theta, shape (T,)."""
-    return _fourier_sums(sys, meas, thetas, False)[:, 0]
-
-
-def _derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.ndarray:
-    """(C, dC/dtheta, d2C/dtheta2) for each theta, shape (T, 3)."""
-    return _fourier_sums(sys, meas, thetas, True)
+            block[:, 2] = -np.vecdot(np.sin(phases).take(idx, axis=1), wg)
+            block[:, 3] = -np.vecdot(cos_gt, wg2)
+    out /= sys.dim
+    # after the division, as 3.0 * C(theta) - C(3.0 * theta) of two returned values
+    out[:, 1] = 3.0 * out[:, 0] - out[:, 1]
+    return out
 
 
 def correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """C(theta); real, even, 2*pi periodic, bounded by C(0) = Tr A^2 / d."""
-    return float(_correlations(sys, meas, [theta])[0])
+    return float(_fourier_sums(sys, meas, [theta], False)[0, 0])
 
 
 def correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                             theta: float) -> tuple[float, float, float]:
     """(C, dC/dtheta, d2C/dtheta2) from the analytic Fourier form."""
-    return tuple(_derivatives(sys, meas, [theta])[0].tolist())
+    return tuple(_fourier_sums(sys, meas, [theta], True)[0, [0, 2, 3]].tolist())
 
 
 def klg_equal_interval(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                        theta: float) -> float:
     """Equal-interval Leggett-Garg parameter 3 C(theta) - C(3 theta)."""
-    return 3.0 * correlation(sys, meas, theta) - correlation(sys, meas, 3.0 * theta)
+    return float(_fourier_sums(sys, meas, [theta], False)[0, 1])
 
 
 def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:
@@ -145,7 +149,7 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
         return abs(klg_equal_interval(sys, meas, theta))
 
     grid = np.linspace(theta_lo, theta_hi, grid_points)
-    values = np.abs(3.0 * _correlations(sys, meas, grid) - _correlations(sys, meas, 3.0 * grid))
+    values = np.abs(_fourier_sums(sys, meas, grid, False)[:, 1])
     i = int(np.argmax(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_points - 1)]

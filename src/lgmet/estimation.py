@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .correlations import _correlations, _derivatives
+from .correlations import _fourier_sums
 from .measurement import NoisyDichotomicMeasurement, _prepared_state
 from .spin import SpinSystem
 
@@ -44,7 +44,7 @@ def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     Where C^2 = 1 (projective common extrema) the 0/0 limit equals |C''|,
     which is returned instead.
     """
-    return float(_fisher(*_derivatives(sys, meas, [theta])[0]))
+    return float(_fisher(*_fourier_sums(sys, meas, [theta], True)[0, [0, 2, 3]]))
 
 
 def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) -> float:
@@ -74,10 +74,9 @@ def _rows(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.recar
     """
     f_q = qfi(sys, meas, +1)
     thetas = np.asarray(thetas, float)
-    c, c1, c2 = _derivatives(sys, meas, thetas).T
+    c, k_lg, c1, c2 = _fourier_sums(sys, meas, thetas, True).T
     f = _fisher(c, c1, c2)
-    columns = (thetas, meas.b, c, 3.0 * c - _correlations(sys, meas, 3.0 * thetas),
-               f, f_q, f / f_q if f_q > 0.0 else 0.0)
+    columns = (thetas, meas.b, c, k_lg, f, f_q, f / f_q if f_q > 0.0 else 0.0)
     rows = np.empty(thetas.shape, ROW_DTYPE)
     for name, values in zip(COLUMNS, columns):
         rows[name] = values

@@ -3,14 +3,16 @@
 A sweep produces a ScanTable: run metadata plus one float64 record array
 whose fields are COLUMNS, one row per (b, theta).  Tables serialize to CSV
 (metadata as '#' comment lines, then a fixed 7-column data section) or JSON,
-and can be rendered as a minimal SVG line chart.
+and can be rendered as a minimal SVG line chart.  write_sweep is the one output
+path of the CLI verbs and figures; with no timestamp, a rerun writes the same bytes.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 import math
+import pathlib
+import sys as _sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +80,10 @@ class RunConfig:
     partition: PartitionSpec | None = None
 
     def __post_init__(self):
+        # a numpy integer would reach the JSON metadata, which cannot encode it
+        if not isinstance(self.two_j, (int, np.integer)) or self.two_j < 1:
+            raise ValueError("two_j must be a positive integer, got %r" % (self.two_j,))
+        self.two_j = int(self.two_j)
         self.b_values = np.atleast_1d(np.asarray(self.b_values, float))
         self.theta_values = np.atleast_1d(np.asarray(self.theta_values, float))
         if self.b_values.size == 0 or self.theta_values.size == 0:
@@ -113,7 +119,6 @@ def _metadata(config: RunConfig, sweep: str) -> dict:
     return {
         "tool": "lgmet %s" % __version__,
         "sweep": sweep,
-        "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": config.describe(),
     }
 
@@ -147,6 +152,8 @@ def phase_map(config: RunConfig) -> ScanTable:
 
 def sweep(kind: str, config: RunConfig) -> ScanTable:
     """Run the sweep named by a PLOT_COLUMNS key; "report" is a one-point scan_theta."""
+    if kind == "report" and config.b_values.size * config.theta_values.size != 1:
+        raise ValueError("report needs a single --b and a single --theta value")
     # looked up at call time, so a rebinding of scan_theta etc. is honoured
     return {"scan-theta": scan_theta, "scan-b": scan_b, "phase-map": phase_map,
             "report": scan_theta}[kind](config)
@@ -202,11 +209,9 @@ _CSV_ROW = ",".join(["%.12g"] * len(COLUMNS))
 _JSON_ROW = "    {\n" + ",\n".join("      %s: %%s" % json.dumps(c) for c in COLUMNS) + "\n    }"
 
 
-def table_to_csv(table: ScanTable, include_metadata: bool = True) -> str:
-    lines = []
-    if include_metadata:
-        for key, value in table.metadata.items():
-            lines.append("# %s: %s" % (key, json.dumps(value) if isinstance(value, dict) else value))
+def table_to_csv(table: ScanTable) -> str:
+    lines = ["# %s: %s" % (key, json.dumps(value) if isinstance(value, dict) else value)
+             for key, value in table.metadata.items()]
     lines.append(",".join(COLUMNS))
     if table.rows.size:
         lines.append("\n".join([_CSV_ROW] * table.rows.size)
@@ -223,30 +228,30 @@ def table_to_json(table: ScanTable) -> str:
     return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
 
 
-def write_table(table: ScanTable, fmt: str, path) -> None:
-    """Serialize a table to CSV or JSON at the given path."""
-    if fmt == "csv":
-        text = table_to_csv(table)
-    elif fmt == "json":
-        text = table_to_json(table)
-    else:
+def _serializer(fmt: str):
+    """table_to_csv or table_to_json, looked up at call time; ValueError for another fmt."""
+    if fmt not in ("csv", "json"):
         raise ValueError("unknown format %r (expected csv or json)" % fmt)
+    return table_to_csv if fmt == "csv" else table_to_json
+
+
+def _write_text(path, text: str) -> None:
+    """Write text to path, the one place an output file is opened."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError("cannot write table to %s: %s" % (path, exc)) from exc
+        raise OSError("cannot write %s: %s" % (path, exc)) from exc
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
-def render_svg_lineplot(table: ScanTable, x_column: str, y_columns: list[str],
-                        path, width: int = 720, height: int = 480) -> None:
+def render_svg_lineplot(table: ScanTable, x_column: str, y_columns: list[str], path) -> None:
     """Write a single line chart: one polyline per y column, labeled axes."""
     if not table.rows.size:
         raise ValueError("cannot plot an empty table")
-    margin = 60.0
+    width, height, margin = 720, 480, 60.0
     x = table.rows[x_column]
     ys = [table.rows[c] for c in y_columns]
     x_lo, x_hi = float(np.min(x)), float(np.max(x))
@@ -283,33 +288,36 @@ def render_svg_lineplot(table: ScanTable, x_column: str, y_columns: list[str],
         parts.append('<text x="%g" y="%g" fill="%s">%s</text>'
                      % (width - margin + 5, margin + 15 * k, color, name))
     parts.append("</svg>")
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise OSError("cannot write plot to %s: %s" % (path, exc)) from exc
+    _write_text(path, "\n".join(parts) + "\n")
+
+
+def write_sweep(kind: str, config: RunConfig, fmt: str, path=None, svg_path=None) -> list:
+    """Run sweep(kind, config) and write its table as fmt to path, or to stdout if None.
+
+    With svg_path, the PLOT_COLUMNS[kind] line chart is written there too.  An
+    unknown fmt is a ValueError before the sweep runs.  Returns the paths written.
+    """
+    serialize = _serializer(fmt)
+    table = sweep(kind, config)
+    if path is None:
+        _sys.stdout.write(serialize(table))
+    else:
+        _write_text(path, serialize(table))
+    if svg_path is not None:
+        render_svg_lineplot(table, *PLOT_COLUMNS[kind], svg_path)
+    return [p for p in (path, svg_path) if p is not None]
 
 
 def reproduce_figure(which: str, outdir, plot: bool = False,
                      fmt: str = "csv") -> list:
     """Regenerate the dataset behind one figure; returns the written paths."""
-    import pathlib
-
     if which not in FIGURE_SETTINGS:
         raise ValueError("unknown figure %r (expected one of %s)"
                          % (which, ", ".join(FIGURE_SETTINGS)))
+    _serializer(fmt)  # an unknown format makes no directory
     kind, b_values, theta_values = FIGURE_SETTINGS[which]
     outdir = pathlib.Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = sweep(kind, RunConfig(b_values=b_values, theta_values=theta_values))
-
-    paths = []
-    ext = "json" if fmt == "json" else "csv"
-    data_path = outdir / ("figure_%s.%s" % (which, ext))
-    write_table(table, fmt, data_path)
-    paths.append(data_path)
-    if plot:
-        svg_path = outdir / ("figure_%s.svg" % which)
-        render_svg_lineplot(table, *PLOT_COLUMNS[kind], svg_path)
-        paths.append(svg_path)
-    return paths
+    return write_sweep(kind, RunConfig(b_values=b_values, theta_values=theta_values), fmt,
+                       outdir / ("figure_%s.%s" % (which, fmt)),
+                       outdir / ("figure_%s.svg" % which) if plot else None)

@@ -211,12 +211,17 @@ def _rows_around(sys, meas, theta):
     return _rows(sys, meas, [0.1, theta, 0.2])
 
 
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308])
 @pytest.mark.parametrize("fn", [correlation, correlation_derivatives, klg_equal_interval,
                                 fisher_from_correlation, estimation_report, _rows_around])
-def test_non_finite_theta_rejected_without_warning(spin52, fn, theta):
-    meas = build_measurement(spin52, 0.9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="theta must be finite, got %s" % re.escape(repr(theta))):
-            fn(spin52, meas, theta)
+def test_non_finite_theta_rejected_without_warning(fn, theta):
+    # a finite theta whose phase 3 theta (d - 1) overflows is named as given
+    message = ("theta must be finite, got %r" if not math.isfinite(theta)
+               else "theta=%r is too large") % theta
+    for two_j in (1, 5):
+        sys = make_spin_system(two_j)
+        meas = build_measurement(sys, 0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                fn(sys, meas, theta)

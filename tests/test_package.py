@@ -1,9 +1,11 @@
-"""The public API resolves, the runtime package does not reach into tests/,
-and the spin system and measurement hold only real arrays."""
+"""The public API resolves, the runtime package imports only the standard
+library, numpy and itself (never tests/), and the spin system and
+measurement hold only real arrays."""
 
 import ast
 import dataclasses
 import pathlib
+import sys
 
 import numpy as np
 
@@ -18,9 +20,8 @@ def test_every_export_resolves():
     assert missing == []
 
 
-def test_runtime_imports_nothing_from_tests():
-    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
-    offenders = []
+def _runtime_imports():
+    """(file name, module) for every absolute import in the runtime package."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -29,8 +30,18 @@ def test_runtime_imports_nothing_from_tests():
                 names = [node.module]
             else:
                 continue
-            offenders += ["%s: %s" % (path.name, n) for n in names
-                          if n.split(".")[0] in test_modules]
+            yield from ((path.name, name) for name in names)
+
+
+def test_runtime_imports_nothing_from_tests():
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    offenders = [imp for imp in _runtime_imports() if imp[1].split(".")[0] in test_modules]
+    assert offenders == []
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "lgmet"}
+    offenders = [imp for imp in _runtime_imports() if imp[1].split(".")[0] not in allowed]
     assert offenders == []
 
 

@@ -12,8 +12,8 @@ from lgmet.estimation import COLUMNS, ROW_DTYPE
 from lgmet.measurement import PartitionSpec
 from lgmet.scan import (MAX_GRID_COUNT, MAX_ROW_COUNT, RunConfig, ScanTable, parse_grid, phase_map,
                         render_svg_lineplot, reproduce_figure, scan_b,
-                        scan_theta, table_to_csv,
-                        table_to_json, violation_threshold_b, write_table)
+                        scan_theta, sweep, table_to_csv,
+                        table_to_json, violation_threshold_b, write_sweep)
 import oracles
 
 
@@ -71,6 +71,17 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="rows, above the limit of %d" % MAX_ROW_COUNT):
             RunConfig(b_values=np.zeros(MAX_ROW_COUNT // side + 1), theta_values=np.zeros(side))
 
+    def test_numpy_two_j_is_written(self):
+        table = scan_theta(RunConfig(two_j=np.int64(5), theta_values=[0.5]))
+        assert type(table.metadata["config"]["two_j"]) is int
+        assert table_to_csv(table) == table_to_csv(scan_theta(RunConfig(theta_values=[0.5])))
+        assert json.loads(table_to_json(table))["metadata"]["config"]["two_j"] == 5
+
+    @pytest.mark.parametrize("two_j", [5.0, 0, -1])
+    def test_rejects_bad_two_j(self, two_j):
+        with pytest.raises(ValueError, match="two_j"):
+            RunConfig(two_j=two_j)
+
 
 class TestScans:
     def test_scan_theta_single_point(self):
@@ -82,6 +93,10 @@ class TestScans:
     def test_scan_theta_needs_single_b(self):
         with pytest.raises(ValueError):
             scan_theta(RunConfig(b_values=[0.5, 1.0], theta_values=[0.0, 1.0]))
+
+    def test_report_needs_single_point(self):
+        with pytest.raises(ValueError, match="report needs a single --b and a single --theta"):
+            sweep("report", RunConfig(theta_values=[0.0, 1.0]))
 
     def test_scan_theta_fisher_collapse(self):
         grid = np.linspace(0, math.pi, 129)
@@ -213,16 +228,20 @@ def _toy_table():
                    for k in range(3)], {"tool": "lgmet test", "sweep": "toy"})
 
 
+def _data_section(text):
+    return "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+
+
 class TestSerialization:
     def test_csv_header_and_shape(self):
-        text = table_to_csv(_toy_table(), include_metadata=False)
+        text = _data_section(table_to_csv(_toy_table()))
         lines = text.strip().split("\n")
         assert lines[0] == "theta,b,C,K_LG,F,F_Q,F_ratio"
         assert len(lines) == 4
         assert all(len(line.split(",")) == 7 for line in lines[1:])
 
     def test_empty_table_is_header_only(self):
-        text = table_to_csv(_table([]), include_metadata=False)
+        text = table_to_csv(_table([]))
         assert text == "theta,b,C,K_LG,F,F_Q,F_ratio\n"
 
     def test_csv_metadata_commented(self):
@@ -232,7 +251,7 @@ class TestSerialization:
 
     def test_twelve_significant_digits(self):
         table = _table([(math.pi, 1.0, -1.0, -2.0, 35 / 3, 35 / 3, 1.0)])
-        text = table_to_csv(table, include_metadata=False)
+        text = _data_section(table_to_csv(table))
         assert "3.14159265359" in text
         assert "11.6666666667" in text
 
@@ -243,13 +262,19 @@ class TestSerialization:
         back = np.array([[row[c] for c in COLUMNS] for row in payload["rows"]])
         assert back.tobytes() == table.rows.tobytes()
 
-    def test_write_table_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_table(_toy_table(), "xml", tmp_path / "t.xml")
+    def test_write_table_rejects_unknown_format(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lgmet.scan, "sweep", None)  # the format is checked first
+        for path in (tmp_path / "t.xml", None):
+            with pytest.raises(ValueError, match="unknown format 'xml'"):
+                write_sweep("report", RunConfig(), "xml", path)
+        assert list(tmp_path.iterdir()) == [] and capsys.readouterr().out == ""
 
     def test_write_table_reports_path_on_failure(self, tmp_path):
-        with pytest.raises(OSError, match="no/such"):
-            write_table(_toy_table(), "csv", tmp_path / "no" / "such" / "t.csv")
+        missing = tmp_path / "no" / "such"
+        with pytest.raises(OSError, match="no/such/t.csv"):
+            write_sweep("report", RunConfig(), "csv", missing / "t.csv")
+        with pytest.raises(OSError, match="no/such/t.svg"):
+            write_sweep("report", RunConfig(), "csv", tmp_path / "t.csv", missing / "t.svg")
 
 
 class TestSvg:
@@ -322,6 +347,11 @@ class TestFigures:
         with pytest.raises(ValueError):
             reproduce_figure("4c", tmp_path)
 
+    def test_unknown_format_makes_no_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            reproduce_figure("1a", tmp_path / "out", fmt="xml")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCli:
     def test_report_json(self, capsys):
@@ -355,6 +385,22 @@ class TestCli:
         assert code == 0
         row = json.loads(capsys.readouterr().out)["rows"][0]
         assert row["F_Q"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_reruns_are_byte_identical(self, tmp_path, capsys):
+        runs = [tmp_path / "run1", tmp_path / "run2"]
+        for outdir in runs:
+            for which in sorted(lgmet.scan.FIGURE_SETTINGS):
+                assert main(["figure", which, "--plot", "--outdir", str(outdir / "csv")]) == 0
+                assert main(["figure", which, "--format", "json",
+                             "--outdir", str(outdir / "json")]) == 0
+            assert main(["phase-map", "--b", "0:1:3", "--theta", "0:0.5:4", "--format", "json",
+                         "--plot", "--out", str(outdir / "pm.json")]) == 0
+            assert main(["report", "--b", "0.9", "--theta", "0.95",
+                         "--out", str(outdir / "report.csv")]) == 0
+        files = [sorted(p.relative_to(run) for p in run.rglob("*") if p.is_file()) for run in runs]
+        assert files[0] == files[1] and len(files[0]) == 18
+        for name in files[0]:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
     def test_figure_subcommand(self, tmp_path, capsys):
         code = main(["figure", "2a", "--outdir", str(tmp_path)])
