@@ -10,11 +10,12 @@ with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
 frequencies of the spin system (sys.frequencies, at sys.gap_index), so a
 point costs O(d) trig, evaluated once per frequency, plus an O(d^2) gather
 and dot product.  A theta grid is evaluated in blocks of at most
-BLOCK_ELEMENTS gathered values, with one stacked np.vecdot per block for
-each of C(theta), C(3 theta), C' and C'', and no Python loop over thetas;
-the evaluator returns C and K_LG = 3 C(theta) - C(3 theta), and every public
-function reads its columns.  Each sum runs over (k, l) in the same order as
-a direct d^2 evaluation, so every value equals that evaluation bit for bit.
+BLOCK_ELEMENTS gathered values, for a whole stack of weights (one per b) at
+once, with one np.vecdot per block for each of C(theta), C(3 theta), C' and
+C'', and no Python loop over thetas or b values; the evaluator returns C and
+K_LG = 3 C(theta) - C(3 theta), and every public function reads its columns.
+Each sum runs over (k, l) in the same order as a direct d^2 evaluation, so
+every value equals that evaluation bit for bit.
 A non-finite theta, or one whose largest phase 3 theta (d - 1) overflows,
 is a ValueError.
 """
@@ -40,64 +41,76 @@ BLOCK_ELEMENTS = 2 ** 16
 MAX_GRID_COUNT = 10 ** 6
 
 
-def _fourier_sums(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas,
-                  derivatives: bool) -> np.ndarray:
-    """(C, K_LG), or (C, K_LG, dC/dtheta, d2C/dtheta2) if derivatives, per theta.
+def _block_size(sys: SpinSystem) -> int:
+    """Rows of d^2 values per block: thetas per gathered table, or b values per weight stack."""
+    return max(1, BLOCK_ELEMENTS // sys.dim ** 2)
 
-    Shape (T, 2) or (T, 4), with K_LG = 3 C(theta) - C(3 theta).  Each block
-    of thetas gets one (theta, frequency) cos/sin table per angle, gathered
-    into a C-contiguous (theta, k l) array with gap_index.  np.vecdot of that
-    stack with a weight vector calls, once per row, the same ddot that np.dot
-    calls on two 1-D arrays, so each sum equals the direct d^2 sum bit for
-    bit; a matrix product (gemv, gemm, einsum) sums in another order.
-    """
+
+def _check_phases(sys: SpinSystem, thetas) -> None:
+    """ValueError for a non-finite theta, or one whose largest phase 3 theta (d - 1) overflows."""
     thetas = np.asarray(thetas, float)
-    # the largest phase is 3 theta (d - 1); checked here, so no trig sees inf or nan
     with np.errstate(over="ignore"):
         bad = ~np.isfinite(3.0 * thetas * (sys.dim - 1))
     if bad.any():
         theta = float(thetas[bad][0])
         raise ValueError(("theta must be finite, got %r" % theta) if not math.isfinite(theta) else
                          "theta=%r is too large: 3 theta times %d overflows" % (theta, sys.dim - 1))
-    w, idx = meas.weights, sys.gap_index
+
+
+def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
+                  derivatives: bool) -> np.ndarray:
+    """(C, K_LG), or (C, K_LG, dC/dtheta, d2C/dtheta2) if derivatives, per (b, theta).
+
+    Shape (B, T, 2) or (B, T, 4) for a (B, d^2) stack of weights, with
+    K_LG = 3 C(theta) - C(3 theta).  Each block of thetas gets one (theta,
+    frequency) cos/sin table per angle, gathered into a C-contiguous (theta,
+    k l) array with gap_index and shared by all B weight rows.  np.vecdot of
+    it with the broadcast weights calls, once per (b, theta), the same ddot
+    that np.dot calls on two 1-D arrays, so each sum equals the direct d^2
+    sum bit for bit; a matrix product (gemv, gemm, einsum) sums in another order.
+    """
+    thetas = np.asarray(thetas, float)
+    # checked here, so no trig sees inf or nan
+    _check_phases(sys, thetas)
+    w, idx = weights[:, None], sys.gap_index
     if derivatives:
         g = sys.frequencies.take(idx)
         wg = w * g
         wg2 = wg * g
-    out = np.empty((thetas.size, 4 if derivatives else 2))
-    step = max(1, BLOCK_ELEMENTS // idx.size)
+    out = np.empty((len(weights), thetas.size, 4 if derivatives else 2))
+    step = _block_size(sys)
     for start in range(0, thetas.size, step):
         t = thetas[start:start + step]
-        block = out[start:start + step]
+        block = out[:, start:start + step]
         phases = np.multiply.outer(3.0 * t, sys.frequencies)
-        block[:, 1] = np.vecdot(np.cos(phases).take(idx, axis=1), w)
+        block[..., 1] = np.vecdot(np.cos(phases).take(idx, axis=1), w)
         phases = np.multiply.outer(t, sys.frequencies)
         cos_gt = np.cos(phases).take(idx, axis=1)
-        block[:, 0] = np.vecdot(cos_gt, w)
+        block[..., 0] = np.vecdot(cos_gt, w)
         if derivatives:
-            block[:, 2] = -np.vecdot(np.sin(phases).take(idx, axis=1), wg)
-            block[:, 3] = -np.vecdot(cos_gt, wg2)
+            block[..., 2] = -np.vecdot(np.sin(phases).take(idx, axis=1), wg)
+            block[..., 3] = -np.vecdot(cos_gt, wg2)
     out /= sys.dim
     # after the division, as 3.0 * C(theta) - C(3.0 * theta) of two returned values
-    out[:, 1] = 3.0 * out[:, 0] - out[:, 1]
+    out[..., 1] = 3.0 * out[..., 0] - out[..., 1]
     return out
 
 
 def correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """C(theta); real, even, 2*pi periodic, bounded by C(0) = Tr A^2 / d."""
-    return float(_fourier_sums(sys, meas, [theta], False)[0, 0])
+    return float(_fourier_sums(sys, meas.weights[None], [theta], False)[0, 0, 0])
 
 
 def correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                             theta: float) -> tuple[float, float, float]:
     """(C, dC/dtheta, d2C/dtheta2) from the analytic Fourier form."""
-    return tuple(_fourier_sums(sys, meas, [theta], True)[0, [0, 2, 3]].tolist())
+    return tuple(_fourier_sums(sys, meas.weights[None], [theta], True)[0, 0, [0, 2, 3]].tolist())
 
 
 def klg_equal_interval(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                        theta: float) -> float:
     """Equal-interval Leggett-Garg parameter 3 C(theta) - C(3 theta)."""
-    return float(_fourier_sums(sys, meas, [theta], False)[0, 1])
+    return float(_fourier_sums(sys, meas.weights[None], [theta], False)[0, 0, 1])
 
 
 def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:
@@ -136,6 +149,11 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                          % (theta_lo, theta_hi))
     if theta_lo > theta_hi:
         raise ValueError("theta_lo must not exceed theta_hi")
+    # every grid and golden-section phase lies between the bound phases 3 theta (d - 1);
+    # with d >= 2, finite bound phases also keep the width theta_hi - theta_lo finite
+    if not all(math.isfinite(3.0 * float(t) * (sys.dim - 1)) for t in (theta_lo, theta_hi)):
+        raise ValueError("theta range [%r, %r] is too large: 3 theta times %d overflows"
+                         % (theta_lo, theta_hi, sys.dim - 1))
     if not isinstance(grid_points, (int, np.integer)):
         raise ValueError("grid_points must be an integer, got %r" % (grid_points,))
     if grid_points < 16:
@@ -149,7 +167,7 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
         return abs(klg_equal_interval(sys, meas, theta))
 
     grid = np.linspace(theta_lo, theta_hi, grid_points)
-    values = np.abs(_fourier_sums(sys, meas, grid, False)[:, 1])
+    values = np.abs(_fourier_sums(sys, meas.weights[None], grid, False)[0, :, 1])
     i = int(np.argmax(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid_points - 1)]

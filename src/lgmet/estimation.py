@@ -44,7 +44,7 @@ def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     Where C^2 = 1 (projective common extrema) the 0/0 limit equals |C''|,
     which is returned instead.
     """
-    return float(_fisher(*_fourier_sums(sys, meas, [theta], True)[0, [0, 2, 3]]))
+    return float(_fisher(*_fourier_sums(sys, meas.weights[None], [theta], True)[0, 0, [0, 2, 3]]))
 
 
 def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) -> float:
@@ -58,32 +58,39 @@ def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) 
     """
     if prep_sign not in (+1, -1):
         raise ValueError("prep_sign must be +1 or -1, got %r" % (prep_sign,))
-    p = _prepared_state(sys, meas, prep_sign).populations
+    return _qfi(sys, meas.a_diag, prep_sign)
+
+
+def _qfi(sys: SpinSystem, a_diag: np.ndarray, prep_sign: int) -> float:
+    """The qfi sum for the observable diagonal a_diag."""
+    p = _prepared_state(sys, a_diag, prep_sign).populations
     psum = p[:-1] + p[1:]
     mask = psum > QFI_EIGENVALUE_CUTOFF
     ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
     return float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
 
 
-def _rows(sys: SpinSystem, meas: NoisyDichotomicMeasurement, thetas) -> np.recarray:
-    """Table rows for one measurement, one per theta, filled column by column.
+def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
+          thetas) -> np.recarray:
+    """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
 
-    F_Q is computed once.  Each value is bit-identical to the one composed
-    from correlation, klg_equal_interval, fisher_from_correlation and qfi at
-    that theta.
+    One _fourier_sums call evaluates the block and F_Q is computed once per b.
+    Each value is bit-identical to the one composed from correlation,
+    klg_equal_interval, fisher_from_correlation and qfi at that point.
     """
-    f_q = qfi(sys, meas, +1)
+    f_q = np.array([_qfi(sys, a, +1) for a in a_diags])[:, None]
     thetas = np.asarray(thetas, float)
-    c, k_lg, c1, c2 = _fourier_sums(sys, meas, thetas, True).T
+    c, k_lg, c1, c2 = np.moveaxis(_fourier_sums(sys, weights, thetas, True), -1, 0)
     f = _fisher(c, c1, c2)
-    columns = (thetas, meas.b, c, k_lg, f, f_q, f / f_q if f_q > 0.0 else 0.0)
-    rows = np.empty(thetas.shape, ROW_DTYPE)
+    ratio = np.divide(f, f_q, out=np.zeros(f.shape), where=f_q > 0.0)
+    columns = (thetas, np.asarray(b_values, float)[:, None], c, k_lg, f, f_q, ratio)
+    rows = np.empty(c.shape, ROW_DTYPE)
     for name, values in zip(COLUMNS, columns):
         rows[name] = values
-    return rows.view(np.recarray)
+    return rows.ravel().view(np.recarray)
 
 
 def estimation_report(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                       theta: float) -> np.record:
     """Assemble C, K_LG, F (correlation route), F_Q and F/F_Q at one point."""
-    return _rows(sys, meas, [theta])[0]
+    return _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], [theta])[0]

@@ -117,9 +117,16 @@ def build_measurement(sys: SpinSystem, b: float,
         partition = default_partition(sys)
     partition.validate(sys)
     a_diag = _a_diag(sys, b, partition)
+    return NoisyDichotomicMeasurement(float(b), partition, a_diag, _weights(sys, a_diag[None])[0])
+
+
+def _weights(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
+    """(B, d^2) Fourier weights (V^T A V)_kl^2 of a (B, d) stack of diagonals, raveled over (k, l).
+
+    Each slice of the stacked matmul is the gemm of its diagonal alone, bit for bit.
+    """
     v = sys.eigenvectors
-    weights = ((v.T * a_diag) @ v) ** 2
-    return NoisyDichotomicMeasurement(float(b), partition, a_diag, weights.ravel())
+    return (((v.T * a_diags[:, None, :]) @ v) ** 2).reshape(len(a_diags), -1)
 
 
 def _a_diag(sys: SpinSystem, b: float, partition: PartitionSpec) -> np.ndarray:
@@ -152,14 +159,13 @@ def prepare_states(sys: SpinSystem,
     A is diagonal, so E+- = (1 +- a)/2 are diagonal and the square roots act
     entrywise: the populations are e / (d p) with p = sum(e) / d.
     """
-    return _prepared_state(sys, meas, +1), _prepared_state(sys, meas, -1)
+    return _prepared_state(sys, meas.a_diag, +1), _prepared_state(sys, meas.a_diag, -1)
 
 
-def _prepared_state(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                    sign: int) -> PreparedState:
-    """The prepared state of one outcome sign, as in prepare_states."""
+def _prepared_state(sys: SpinSystem, a_diag: np.ndarray, sign: int) -> PreparedState:
+    """The prepared state of one outcome sign for the observable diagonal a_diag."""
     d = sys.dim
-    e = (1.0 + sign * meas.a_diag) / 2
+    e = (1.0 + sign * a_diag) / 2
     p = float(np.sum(e)) / d
     if p <= 0.0:
         raise DegeneratePreparationError(

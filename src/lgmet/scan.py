@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .correlations import MAX_GRID_COUNT, _klg_kernel
+from .correlations import MAX_GRID_COUNT, _block_size, _check_phases, _klg_kernel
 from .estimation import COLUMNS, _rows
-from .measurement import (PartitionSpec, _a_diag, build_measurement, default_partition,
-                          format_partition)
+from .measurement import PartitionSpec, _a_diag, _weights, default_partition, format_partition
 from .spin import make_spin_system
 
 PLOT_COLUMNS = {
@@ -124,11 +123,17 @@ def _metadata(config: RunConfig, sweep: str) -> dict:
 
 
 def _grid_rows(config: RunConfig) -> np.recarray:
-    """Rows over the Cartesian (b, theta) grid, sorted by (b, theta); one block per b."""
+    """Rows over the Cartesian (b, theta) grid, sorted by (b, theta); one _rows call per b block."""
     sys = make_spin_system(config.two_j)
-    return np.concatenate([_rows(sys, build_measurement(sys, float(b), config.partition),
-                                 config.theta_values)
-                           for b in config.b_values]).view(np.recarray)
+    partition = config.partition if config.partition is not None else default_partition(sys)
+    partition.validate(sys)
+    bs, step = config.b_values, _block_size(sys)
+    blocks = []
+    for start in range(0, bs.size, step):
+        block = bs[start:start + step]
+        a_diags = np.array([_a_diag(sys, b, partition) for b in block.tolist()])
+        blocks.append(_rows(sys, block, a_diags, _weights(sys, a_diags), config.theta_values))
+    return np.concatenate(blocks).view(np.recarray)
 
 
 def scan_theta(config: RunConfig) -> ScanTable:
@@ -178,6 +183,7 @@ def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
     if partition is None:
         partition = default_partition(sys)
     partition.validate(sys)
+    _check_phases(sys, theta)
     kernel = _klg_kernel(sys, theta)
 
     def violates(b: float) -> bool:
@@ -223,7 +229,10 @@ def table_to_json(table: ScanTable) -> str:
     head = json.dumps({"metadata": table.metadata, "rows": []}, indent=2)
     if not table.rows.size:
         return head + "\n"
-    values = json.dumps(table.rows.view(np.float64).tolist())[1:-1].split(", ")
+    # one repr per distinct value, keyed by its bits so that -0.0 and 0.0 stay apart
+    distinct, inverse = np.unique(table.rows.view(np.float64).view(np.int64), return_inverse=True)
+    reprs = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    values = np.array(reprs, dtype=object)[inverse].tolist()
     body = ",\n".join([_JSON_ROW] * table.rows.size) % tuple(values)
     return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
 

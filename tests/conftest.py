@@ -1,9 +1,12 @@
+import contextlib
 import math
+import sys as _sys
 
 import numpy as np
 import pytest
 
 from lgmet import build_measurement, make_spin_system
+import lgmet.correlations
 from lgmet.measurement import PartitionSpec
 
 import oracles
@@ -18,6 +21,30 @@ def spin52():
 def parity52(spin52):
     """Projective parity measurement (b=1) on spin 5/2."""
     return build_measurement(spin52, 1.0)
+
+
+@contextlib.contextmanager
+def narrow_blocks(sys, rows_per_block=3):
+    """Patch the element budget so that a block holds a few thetas, or b values, at this spin."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lgmet.correlations, "BLOCK_ELEMENTS", rows_per_block * sys.dim ** 2)
+        yield mp
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Patch every binding of fn in the lgmet modules to record its calls' arguments."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(_sys.modules.items()):
+        if name.split(".")[0] == "lgmet":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def parity_correlation_closed_form(d, theta):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -178,6 +180,19 @@ class TestMaxViolation:
         for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
                        (math.inf, math.inf), (math.nan, math.nan)):
             with pytest.raises(ValueError, match="finite"):
+                max_violation(spin52, parity52, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (0.0, 1e308), (-1e308, 0.0),
+                                        (1e308, 1e308), (-7e307, -7e307), (6e307, 7e307)])
+    def test_rejects_overflowing_range_without_warning(self, spin52, parity52, monkeypatch,
+                                                        lo, hi):
+        # a width hi - lo or a bound phase 3 theta (d - 1) beyond the float range is named
+        # with the bounds given, before any grid is built
+        monkeypatch.setattr(np, "linspace", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("theta range [%r, %r] is too large"
+                                                           % (lo, hi))):
                 max_violation(spin52, parity52, lo, hi)
 
     @pytest.mark.parametrize("lo", [1e9, -1e12, 2.0 ** 60])

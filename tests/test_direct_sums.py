@@ -1,6 +1,5 @@
 """The block evaluator of the Fourier sums against the direct d^2 sums, bit for bit."""
 
-import contextlib
 import math
 import struct
 
@@ -13,7 +12,7 @@ from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
                    max_violation, qfi)
 import lgmet.correlations
 from lgmet.estimation import _fisher, _rows
-from conftest import random_partition
+from conftest import narrow_blocks, random_partition
 from oracles import direct_correlation, direct_correlation_derivatives
 
 SPECIAL = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e3, -1e3]
@@ -26,14 +25,6 @@ def _measurement(setup):
     two_j, seed, b = setup
     sys = make_spin_system(two_j)
     return sys, build_measurement(sys, b, random_partition(np.random.default_rng(seed), two_j))
-
-
-@contextlib.contextmanager
-def _narrow_blocks(sys, thetas_per_block=3):
-    """Patch the element budget so that a block holds a few thetas at this spin."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lgmet.correlations, "BLOCK_ELEMENTS", thetas_per_block * sys.dim ** 2)
-        yield mp
 
 
 def _bits(values) -> list[bytes]:
@@ -70,11 +61,11 @@ def test_rows(setup, points, lo, hi, count):
             expected.append((theta, meas.b, c, _direct_klg(sys, meas, theta), f, f_q,
                              f / f_q if f_q > 0.0 else 0.0))
     except InconsistentCorrelationError:
-        with _narrow_blocks(sys), pytest.raises(InconsistentCorrelationError):
-            _rows(sys, meas, grid)
+        with narrow_blocks(sys), pytest.raises(InconsistentCorrelationError):
+            _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
         return
-    with _narrow_blocks(sys):
-        rows = _rows(sys, meas, grid)
+    with narrow_blocks(sys):
+        rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
     assert len(rows) == len(expected)
     for row, want in zip(rows, expected):
         assert _bits(row.tolist()) == _bits(want)
@@ -90,7 +81,7 @@ def test_max_violation_grid(setup, lo, span, grid_points):
     assume(hi > lo)
     seen = []
     argmax = np.argmax
-    with _narrow_blocks(sys) as mp:
+    with narrow_blocks(sys) as mp:
         mp.setattr(np, "argmax", lambda a, *args, **kw: seen.append(np.array(a)) or argmax(a, *args, **kw))
         result = max_violation(sys, meas, lo, hi, grid_points)
     grid = np.linspace(lo, hi, grid_points)
@@ -109,7 +100,7 @@ def test_blocks_bounded_and_contiguous_at_large_spin(monkeypatch):
     vecdot = np.vecdot
     monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: (
         operands.append((a.flags.c_contiguous, a.size)) or vecdot(a, b, **kw)))
-    rows = _rows(sys, meas, grid)
+    rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
     monkeypatch.undo()
     limit = max(lgmet.correlations.BLOCK_ELEMENTS, sys.dim ** 2)
     assert len(operands) == 4 * grid.size  # C, C', C'' at theta and C at 3 theta
@@ -127,6 +118,7 @@ def test_rows_make_no_vector_dot(monkeypatch):
     calls = []
     dot = np.dot
     monkeypatch.setattr(np, "dot", lambda a, b, *args: calls.append(np.ndim(a)) or dot(a, b, *args))
-    rows = _rows(sys, meas, np.linspace(-10.0, 10.0, 2000))
+    grid = np.linspace(-10.0, 10.0, 2000)
+    rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
     assert rows.size == 2000
     assert 1 not in calls

@@ -208,7 +208,7 @@ class TestEstimationReport:
 
 
 def _rows_around(sys, meas, theta):
-    return _rows(sys, meas, [0.1, theta, 0.2])
+    return _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], [0.1, theta, 0.2])
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308])

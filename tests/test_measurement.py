@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from lgmet import (DegeneratePreparationError, build_measurement, default_partition,
                    format_partition, make_spin_system, parse_partition, prepare_states)
-from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diag
+from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diag, _weights
 from conftest import random_partition
 from oracles import dense_jx
 
@@ -193,3 +193,18 @@ def test_weights_match_complex_dense_route(two_j):
         meas = build_measurement(sys, b)
         dense = np.abs(v.conj().T @ np.diag(meas.a_diag).astype(complex) @ v) ** 2
         np.testing.assert_allclose(meas.weights, dense.ravel(), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("two_j, count", [(1, 7), (2, 5), (5, 11), (12, 3), (51, 5), (201, 3),
+                                          (401, 2)])
+def test_stacked_weights_bit_equal_to_one_matmul_per_b(two_j, count):
+    """Each row of a (B, d^2) weight stack is the 2-D matmul of its own diagonal, bit for bit."""
+    sys = make_spin_system(two_j)
+    partition = random_partition(np.random.default_rng(two_j), two_j)
+    bs = [0.0, 1.0, *np.random.default_rng(count).uniform(0.0, 1.0, count - 2)]
+    a_diags = np.array([_a_diag(sys, b, partition) for b in bs])
+    v = sys.eigenvectors
+    stacked = _weights(sys, a_diags)
+    assert stacked.shape == (count, sys.dim ** 2)
+    for a, row in zip(a_diags, stacked):
+        assert row.tobytes() == (((v.T * a) @ v) ** 2).ravel().tobytes()

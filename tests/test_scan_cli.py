@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lgmet.scan import (MAX_GRID_COUNT, MAX_ROW_COUNT, RunConfig, ScanTable, par
                         render_svg_lineplot, reproduce_figure, scan_b,
                         scan_theta, sweep, table_to_csv,
                         table_to_json, violation_threshold_b, write_sweep)
+from conftest import count_calls
 import oracles
 
 
@@ -167,10 +169,8 @@ class TestViolationThreshold:
 
     def test_no_measurement_per_step(self, monkeypatch):
         """The bisection steps read a fixed-theta kernel, not a new measurement."""
-        builds, steps = [], []
-        build, a_diag = lgmet.scan.build_measurement, lgmet.scan._a_diag
-        monkeypatch.setattr(lgmet.scan, "build_measurement",
-                            lambda *args, **kw: builds.append(1) or build(*args, **kw))
+        builds, steps = count_calls(monkeypatch, lgmet.measurement.build_measurement), []
+        a_diag = lgmet.scan._a_diag
         monkeypatch.setattr(lgmet.scan, "_a_diag",
                             lambda *args, **kw: steps.append(1) or a_diag(*args, **kw))
         counts = {}
@@ -199,6 +199,18 @@ class TestViolationThreshold:
         args = {"two_j": 5, "theta": 0.95 * math.pi, **kwargs}
         with pytest.raises(ValueError, match=match):
             violation_threshold_b(**args)
+
+    @pytest.mark.parametrize("theta", [1e308, -1e308, 7e307])
+    def test_rejects_overflowing_phase_before_kernel(self, monkeypatch, theta):
+        # a finite theta whose phase 3 theta (d - 1) overflows would build a nan kernel
+        def no_kernel(*args):
+            raise AssertionError("kernel built before the phase was checked")
+
+        monkeypatch.setattr(lgmet.scan, "_klg_kernel", no_kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape("theta=%r is too large" % theta)):
+                violation_threshold_b(5, theta)
 
     def test_tol_below_float_spacing_terminates(self, monkeypatch):
         # the bracket stops shrinking at adjacent floats; count steps so that a

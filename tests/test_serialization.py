@@ -47,6 +47,9 @@ def _tables():
     ints = [[0.0, 1.0, -1.0, 2.0, 0.0, 35.0, 1.0], [3.0, 0.0, 1.0, -2.0, 7.0, 7.0, 1.0]]
     numpy_floats = [rng.normal(size=len(COLUMNS)) * 10.0 ** k for k in range(-5, 6)]
     mixed = [[0.5, 1.0, -0.0, math.nan, math.inf, 2 / 3, 1.0]]
+    # few distinct values, each repeated in many places; NaN with either sign bit
+    pool = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1 / 3, -1 / 3, 1.0, 5e-324]
+    repeated = rng.choice(np.array(pool), size=(300, len(COLUMNS)))
     return {
         "empty": _table(METADATA, []),
         "empty-no-metadata": _table({}, []),
@@ -54,6 +57,7 @@ def _tables():
         "int-valued": _table(METADATA, ints),
         "np.float64": _table(METADATA, numpy_floats),
         "mixed": _table({}, mixed),
+        "repeated": _table(METADATA, repeated),
     }
 
 

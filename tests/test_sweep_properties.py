@@ -13,6 +13,9 @@ from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
 from lgmet.estimation import QFI_EIGENVALUE_CUTOFF
 from lgmet.measurement import PartitionSpec
 from lgmet.scan import RunConfig, phase_map, scan_b, scan_theta
+import lgmet.correlations
+import lgmet.measurement
+from conftest import count_calls, narrow_blocks
 from oracles import qfi_of_state
 
 
@@ -47,9 +50,11 @@ def _composed(sys, meas, theta):
 
 @settings(max_examples=60, deadline=None)
 @given(setup=partitions(),
-       bs=st.lists(b_values, min_size=1, max_size=3),
-       thetas=st.lists(theta_values, min_size=1, max_size=3))
-def test_sweep_rows_bit_equal_to_composed_values(setup, bs, thetas):
+       bs=st.lists(b_values, min_size=1, max_size=40),
+       thetas=st.lists(theta_values, min_size=1, max_size=5),
+       per_block=st.integers(1, 4))
+def test_sweep_rows_bit_equal_to_composed_values(setup, bs, thetas, per_block):
+    """Every row, with a block of per_block b values or thetas, so that blocks split the grid."""
     two_j, partition = setup
     sys = make_spin_system(two_j)
     measurements = {b: build_measurement(sys, b, partition) for b in bs}
@@ -62,14 +67,42 @@ def test_sweep_rows_bit_equal_to_composed_values(setup, bs, thetas):
         try:
             expected = [_composed(sys, measurements[b], t) for b, t in grid]
         except InconsistentCorrelationError:
-            with pytest.raises(InconsistentCorrelationError):
+            with narrow_blocks(sys, per_block), pytest.raises(InconsistentCorrelationError):
                 sweep(config)
             continue
-        rows = sweep(config).rows
+        with narrow_blocks(sys, per_block):
+            rows = sweep(config).rows
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
             got = row.tolist()
             assert [_bits(x) for x in got] == [_bits(x) for x in want], (sweep.__name__, got, want)
+
+
+def test_scan_b_evaluates_all_b_in_one_block(monkeypatch):
+    """201 b values at two_j = 5 are one block: no measurement, one partition check, one sum."""
+    builds = count_calls(monkeypatch, lgmet.measurement.build_measurement)
+    sums = count_calls(monkeypatch, lgmet.correlations._fourier_sums)
+    validations, validate = [], PartitionSpec.validate
+    monkeypatch.setattr(PartitionSpec, "validate", lambda *args: validations.append(args)
+                        or validate(*args))
+    rows = scan_b(RunConfig(5, np.linspace(0.0, 1.0, 201), [0.95 * math.pi])).rows
+    assert rows.size == 201
+    assert (len(builds), len(validations), len(sums)) == (0, 1, 1)
+
+
+def test_phase_map_weight_stacks_stay_within_budget(monkeypatch):
+    """300 b values at two_j = 51 span several b blocks; no vecdot operand exceeds the budget."""
+    sizes = []
+    vecdot = np.vecdot
+    monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: (
+        sizes.append((a.size, b.size)) or vecdot(a, b, **kw)))
+    rows = phase_map(RunConfig(51, np.linspace(0.0, 1.0, 300), np.linspace(-3.0, 3.0, 7))).rows
+    monkeypatch.undo()
+    d2 = 52 ** 2
+    limit = max(lgmet.correlations.BLOCK_ELEMENTS, d2)
+    assert rows.size == 300 * 7
+    assert max(max(pair) for pair in sizes) <= limit
+    assert max(b for _, b in sizes) > d2  # several b values share each gathered table
 
 
 @settings(max_examples=80, deadline=None)
