@@ -6,18 +6,16 @@ through its Fourier form over the J_x spectrum:
     C(theta) = (1/d) sum_{k,l} |A~_{kl}|^2 cos((lam_k - lam_l) theta),
 
 with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
-(meas.weights).  Each gap lam_k - lam_l is one of the 2d - 1 integer
-frequencies of the spin system (sys.frequencies, at sys.gap_index), so a
-point costs O(d) trig, evaluated once per frequency, plus an O(d^2) gather
-and dot product.  A theta grid is evaluated in blocks of at most
-BLOCK_ELEMENTS gathered values, for a whole stack of weights (one per b) at
-once, with one np.vecdot per block for each of C(theta), C(3 theta), C' and
-C'', and no Python loop over thetas or b values; the evaluator returns C and
+(meas.weights).  Each gap lam_k - lam_l is the integer k - l, one of the
+2d - 1 frequencies of the spin system (sys.frequencies), so a point costs
+O(d) trig plus an O(d^2) Toeplitz copy and dot product.  A theta grid is
+evaluated in blocks of at most BLOCK_ELEMENTS table values, for a whole
+stack of weights (one per b) at once, with one np.vecdot per block for each
+of C(theta), C(3 theta), C' and C''; the evaluator returns C and
 K_LG = 3 C(theta) - C(3 theta), and every public function reads its columns.
-Each sum runs over (k, l) in the same order as a direct d^2 evaluation, so
-every value equals that evaluation bit for bit.
-A non-finite theta, or one whose largest phase 3 theta (d - 1) overflows,
-is a ValueError.
+Each sum runs over (k, l) in the order of a direct d^2 evaluation and equals
+it bit for bit.  A non-finite theta, or one whose largest phase
+3 theta (d - 1) overflows, is a ValueError.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from .spin import SpinSystem
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Largest number of gathered (theta, gap) elements per block: a block holds
-# max(1, BLOCK_ELEMENTS // d^2) thetas, so each gathered table stays within
+# Largest number of (theta, gap) table elements per block: a block holds
+# max(1, BLOCK_ELEMENTS // d^2) thetas, so each Toeplitz table stays within
 # 512 KiB and is one theta wide from two_j = 255 on, whatever the grid size.
 BLOCK_ELEMENTS = 2 ** 16
 
@@ -42,7 +40,7 @@ MAX_GRID_COUNT = 10 ** 6
 
 
 def _block_size(sys: SpinSystem) -> int:
-    """Rows of d^2 values per block: thetas per gathered table, or b values per weight stack."""
+    """Rows of d^2 values per block: thetas per Toeplitz table, or b values per weight stack."""
     return max(1, BLOCK_ELEMENTS // sys.dim ** 2)
 
 
@@ -57,24 +55,34 @@ def _check_phases(sys: SpinSystem, thetas) -> None:
                          "theta=%r is too large: 3 theta times %d overflows" % (theta, sys.dim - 1))
 
 
+def _toeplitz(table: np.ndarray) -> np.ndarray:
+    """C-contiguous (T, d^2) copy of a (T, 2d - 1) table, [t, k d + l] = table[t, k - l + d - 1].
+
+    One reshape copies the reversed rows r as [t, k, l] = r[t, d - 1 - k + l], offsets checked.
+    """
+    t, d, step = len(table), (table.shape[1] + 1) // 2, table.itemsize
+    r = table[:, ::-1].copy()
+    view = np.ndarray((t, d, d), r.dtype, r, (d - 1) * step, (r.strides[0], -step, step))
+    return view.reshape(t, d * d)
+
+
 def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
                   derivatives: bool) -> np.ndarray:
     """(C, K_LG), or (C, K_LG, dC/dtheta, d2C/dtheta2) if derivatives, per (b, theta).
 
     Shape (B, T, 2) or (B, T, 4) for a (B, d^2) stack of weights, with
-    K_LG = 3 C(theta) - C(3 theta).  Each block of thetas gets one (theta,
-    frequency) cos/sin table per angle, gathered into a C-contiguous (theta,
-    k l) array with gap_index and shared by all B weight rows.  np.vecdot of
-    it with the broadcast weights calls, once per (b, theta), the same ddot
-    that np.dot calls on two 1-D arrays, so each sum equals the direct d^2
+    K_LG = 3 C(theta) - C(3 theta).  Each block of thetas gets one (theta, frequency)
+    cos/sin table per angle, copied by _toeplitz into a (theta, k l) array shared by all
+    B weight rows.  np.vecdot of it with the broadcast weights calls, once per (b, theta),
+    the same ddot that np.dot calls on two 1-D arrays, so each sum equals the direct d^2
     sum bit for bit; a matrix product (gemv, gemm, einsum) sums in another order.
     """
     thetas = np.asarray(thetas, float)
     # checked here, so no trig sees inf or nan
     _check_phases(sys, thetas)
-    w, idx = weights[:, None], sys.gap_index
+    w = weights[:, None]
     if derivatives:
-        g = sys.frequencies.take(idx)
+        g = _toeplitz(sys.frequencies[None])[0]
         wg = w * g
         wg2 = wg * g
     out = np.empty((len(weights), thetas.size, 4 if derivatives else 2))
@@ -83,12 +91,12 @@ def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
         t = thetas[start:start + step]
         block = out[:, start:start + step]
         phases = np.multiply.outer(3.0 * t, sys.frequencies)
-        block[..., 1] = np.vecdot(np.cos(phases).take(idx, axis=1), w)
+        block[..., 1] = np.vecdot(_toeplitz(np.cos(phases)), w)
         phases = np.multiply.outer(t, sys.frequencies)
-        cos_gt = np.cos(phases).take(idx, axis=1)
+        cos_gt = _toeplitz(np.cos(phases))
         block[..., 0] = np.vecdot(cos_gt, w)
         if derivatives:
-            block[..., 2] = -np.vecdot(np.sin(phases).take(idx, axis=1), wg)
+            block[..., 2] = -np.vecdot(_toeplitz(np.sin(phases)), wg)
             block[..., 3] = -np.vecdot(cos_gt, wg2)
     out /= sys.dim
     # after the division, as 3.0 * C(theta) - C(3.0 * theta) of two returned values

@@ -95,8 +95,8 @@ def format_partition(partition: PartitionSpec) -> str:
 @dataclass(frozen=True, eq=False)
 class NoisyDichotomicMeasurement:
     """Observable A = diag(a_diag), measurability b, and the Fourier weights
-    (V^T A V)_kl^2 over the real J_x eigenvectors V, raveled like
-    SpinSystem.gap_index.
+    (V^T A V)_kl^2 over the real J_x eigenvectors V, raveled over (k, l)
+    like the Toeplitz tables of correlations._fourier_sums.
     """
 
     b: float

@@ -97,13 +97,9 @@ class RunConfig:
                              % (self.b_values.size, self.theta_values.size, rows, MAX_ROW_COUNT))
 
     def describe(self) -> dict:
-        return {
-            "two_j": self.two_j,
-            "b": [float(x) for x in self.b_values],
-            "theta": [float(x) for x in self.theta_values],
-            "partition": (format_partition(self.partition)
-                          if self.partition is not None else "default"),
-        }
+        partition = "default" if self.partition is None else format_partition(self.partition)
+        return {"two_j": self.two_j, "b": self.b_values.tolist(),
+                "theta": self.theta_values.tolist(), "partition": partition}
 
 
 @dataclass
@@ -115,11 +111,7 @@ class ScanTable:
 
 
 def _metadata(config: RunConfig, sweep: str) -> dict:
-    return {
-        "tool": "lgmet %s" % __version__,
-        "sweep": sweep,
-        "config": config.describe(),
-    }
+    return {"tool": "lgmet %s" % __version__, "sweep": sweep, "config": config.describe()}
 
 
 def _grid_rows(config: RunConfig) -> np.recarray:
@@ -230,8 +222,12 @@ def table_to_json(table: ScanTable) -> str:
     if not table.rows.size:
         return head + "\n"
     # one repr per distinct value, keyed by its bits so that -0.0 and 0.0 stay apart
-    distinct, inverse = np.unique(table.rows.view(np.float64).view(np.int64), return_inverse=True)
-    reprs = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    bits, inverse = np.unique(table.rows.view(np.float64).view(np.int64), return_inverse=True)
+    distinct, reprs = bits.view(np.float64), []
+    for start in range(0, distinct.size, 4096):  # a float list as long as the table raises peak RSS
+        reprs += map(float.__repr__, distinct[start:start + 4096].tolist())
+    for i in np.flatnonzero(~np.isfinite(distinct)):  # NaN, Infinity, -Infinity as JSON spells them
+        reprs[i] = json.dumps(float(reprs[i]))
     values = np.array(reprs, dtype=object)[inverse].tolist()
     body = ",\n".join([_JSON_ROW] * table.rows.size) % tuple(values)
     return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"

@@ -24,8 +24,8 @@ class SpinSystem:
     lam_k = k - j, k = 0, ..., dim - 1, in ascending order, so only the real
     eigenvectors (columns, in that order) are stored; measurement weights
     reuse them.  The gap lam_k - lam_l is the integer k - l: frequencies holds
-    the 2 dim - 1 values -(dim - 1), ..., dim - 1 as floats, and gap_index
-    the position k - l + dim - 1 of each gap in it, raveled over (k, l).
+    the 2 dim - 1 values -(dim - 1), ..., dim - 1 as floats, so the d^2 gaps
+    over (k, l) are the Toeplitz array frequencies[k - l + dim - 1].
     """
 
     two_j: int
@@ -33,7 +33,6 @@ class SpinSystem:
     jx_ladder: np.ndarray
     eigenvectors: np.ndarray
     frequencies: np.ndarray
-    gap_index: np.ndarray
 
 
 def make_spin_system(two_j: int) -> SpinSystem:
@@ -50,9 +49,6 @@ def make_spin_system(two_j: int) -> SpinSystem:
     # J_x is real symmetric, so eigh gives real eigenvectors
     vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     # J_x spectrum is exactly {-j, ..., j}; eigh sorts ascending, so it is the ladder
-    k = np.arange(dim, dtype=np.intp)
-    if np.max(np.abs(vals - (k - j))) > STRUCTURAL_TOL:
+    if np.max(np.abs(vals - (np.arange(dim) - j))) > STRUCTURAL_TOL:
         raise AssertionError("J_x eigenvalues deviate from the exact ladder")
-    frequencies = np.arange(1.0 - dim, dim)
-    gap_index = (k[:, None] - k + (dim - 1)).ravel()
-    return SpinSystem(two_j, dim, off, vecs, frequencies, gap_index)
+    return SpinSystem(two_j, dim, off, vecs, np.arange(1.0 - dim, dim))

@@ -373,6 +373,18 @@ class TestCli:
         assert row["F"] == pytest.approx(35 / 3, abs=1e-9)
         assert row["F_ratio"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.xfail(strict=True, reason="known defect: 1 - C^2 below SINGULAR_DENOMINATOR "
+                       "with |C'| = 1.2e-5 raises InconsistentCorrelationError near theta = 0")
+    def test_report_near_zero_theta(self, capsys):
+        # theta = 1e-6 rad, b = 1 - 5e-12: the theta -> 0 twin of the near-pi defects
+        assert main(["report", "--b", "0.9999999999949978", "--theta", "3.183098861837907e-07",
+                     "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        assert row["theta"] == 1e-6
+        # C'^2 / ((1 - C)(1 + C)) in mpmath at 60 and 120 digits (they agree), from the
+        # float b and theta, the J_x eigh of mpmath.eigsy and the default partition
+        assert row["F"] == pytest.approx(3.0236965126206137, rel=1e-14)
+
     def test_scan_theta_to_file(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         code = main(["scan-theta", "--b", "0.9", "--theta", "0:1:9",

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from lgmet import make_spin_system
-from oracles import dense_jx, ladder, propagator
+from lgmet.correlations import _toeplitz
+from oracles import dense_jx, gaps, ladder, propagator
 
 
 class TestMakeSpinSystem:
@@ -37,14 +38,20 @@ class TestMakeSpinSystem:
         signs = np.sign(vecs[pivot] * ref.real[pivot])
         assert np.array_equal(vecs * signs, ref.real)
 
-    @pytest.mark.parametrize("two_j", [1, 4, 5, 12])
-    def test_gap_table(self, two_j):
+    @pytest.mark.parametrize("two_j", [1, 2, 4, 5, 12])
+    def test_toeplitz_table(self, two_j):
+        # the strided copy puts frequency k - l at (k, l); sin is odd, so a transpose shows
         sys = make_spin_system(two_j)
-        lam = ladder(sys)
         assert np.array_equal(sys.frequencies, np.arange(-two_j, two_j + 1))
-        assert sys.gap_index.dtype == np.intp
-        gaps = sys.frequencies[sys.gap_index]
-        assert np.array_equal(gaps, (lam[:, None] - lam[None, :]).ravel())
+        thetas = np.array([0.3, -1.7, 2.9, 1e-3, 11.0, 0.0])
+        table = np.sin(np.multiply.outer(thetas, sys.frequencies))
+        expected = np.sin(np.multiply.outer(thetas, gaps(sys)))
+        for rows in (slice(0, 1), slice(0, 3), slice(None, None, 2)):
+            assert table[rows].flags.c_contiguous == (rows.step is None)
+            out = _toeplitz(table[rows])
+            assert out.flags.c_contiguous
+            assert np.array_equal(out, expected[rows])
+        assert np.array_equal(_toeplitz(sys.frequencies[None])[0], gaps(sys))
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_rejects_bad_two_j(self, bad):
