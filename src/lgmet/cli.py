@@ -1,7 +1,8 @@
 """Command-line front end for (theta, b) sweeps and figure-dataset regeneration.
 
-theta flags are given in units of pi (0.95 means 0.95*pi), matching the
-paper-style axes; grid flags accept either a single real or "lo:hi:count".
+Each sweep verb is a scan.SWEEPS kind; "figure" writes a FIGURE_SETTINGS
+dataset.  theta flags are given in units of pi (0.95 means 0.95*pi), matching
+the paper-style axes; grid flags accept either a single real or "lo:hi:count".
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 import sys as _sys
 
 from .measurement import parse_partition
-from .scan import FIGURE_SETTINGS, RunConfig, parse_grid, reproduce_figure, write_sweep
+from .scan import FIGURE_SETTINGS, SWEEPS, RunConfig, parse_grid, reproduce_figure, write_sweep
 
 
 VALUE_FLAGS = ("--b", "--theta", "--partition")
@@ -55,20 +56,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "for noisy spin-J parity measurements")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # verb: (help, --b help, --theta help); each verb is a sweep in scan.PLOT_COLUMNS
-    for verb, (text, b_help, theta_help) in {
-            "scan-theta": ("sweep theta at fixed b", "measurability b (single value)",
-                           "theta grid in pi units, lo:hi:count or single value"),
-            "scan-b": ("sweep b at fixed theta", "b grid, lo:hi:count or single value",
-                       "theta in pi units (single value)"),
-            "phase-map": ("full Cartesian (b, theta) sweep", "b grid, lo:hi:count",
-                          "theta grid in pi units, lo:hi:count"),
-            "report": ("single-point estimation record", "measurability b (single value)",
-                       "theta in pi units (single value)")}.items():
+    for verb, (_, single, _, _, text) in SWEEPS.items():
         p = sub.add_parser(verb, help=text)
         _add_common(p)
-        p.add_argument("--b", required=True, help=b_help)
-        p.add_argument("--theta", required=True, help=theta_help)
+        for flag, what in (("b", "measurability b"), ("theta", "theta in pi units")):
+            p.add_argument("--" + flag, required=True, help=what + (
+                " (single value)" if flag in single else ", lo:hi:count grid or single value"))
 
     # no abbreviations, so that --out is not taken as --outdir
     p = sub.add_parser("figure", help="regenerate a figure dataset", allow_abbrev=False)

@@ -3,9 +3,10 @@
 The classical Fisher information comes from the correlation function,
 F = (dC/dtheta)^2 / (1 - C^2).  The quantum Fisher information of the
 unitary family U(theta) rho U(-theta) with generator J_x is
-theta-independent; qfi evaluates the spectral formula for the prepared
-states as an O(d) tridiagonal sum.  A sweep row holds the COLUMNS values of
-one (theta, b) point; rows are float64 record arrays of ROW_DTYPE.
+theta-independent; qfi evaluates the spectral formula for the state that
+the + outcome prepares as an O(d) tridiagonal sum.  A sweep row holds the
+COLUMNS values of one (theta, b) point; rows are float64 record arrays of
+ROW_DTYPE.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correlations import _fourier_sums
-from .measurement import NoisyDichotomicMeasurement, _prepared_state
+from .measurement import DegeneratePreparationError, NoisyDichotomicMeasurement
 from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
@@ -47,23 +48,25 @@ def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     return float(_fisher(*_fourier_sums(sys, meas.weights[None], [theta], True)[0, 0, [0, 2, 3]]))
 
 
-def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement, prep_sign: int = +1) -> float:
-    """QFI for the prepared state of the given sign; theta-independent.
+def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement) -> float:
+    """QFI of the state E+^{1/2} (I/d) E+^{1/2} / p that outcome + prepares; theta-independent.
 
-    The prepared state is diagonal in the J_z basis and J_x is tridiagonal
-    there, so the spectral QFI formula reduces to the O(d) sum
+    Its J_z populations are e / (d p), e = (1 + a)/2, p = sum(e) / d, and J_x is
+    tridiagonal there, so the spectral QFI formula reduces to the O(d) sum
     4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) J_x[k, k+1]^2 over the pairs
-    with p_k + p_{k+1} above the null-subspace cutoff.  Only the requested
-    arm is prepared; DegeneratePreparationError if its probability is zero.
+    with p_k + p_{k+1} above the null-subspace cutoff.  DegeneratePreparationError
+    if p is zero.  (The default partition's - arm is the mirror image: same QFI.)
     """
-    if prep_sign not in (+1, -1):
-        raise ValueError("prep_sign must be +1 or -1, got %r" % (prep_sign,))
-    return _qfi(sys, meas.a_diag, prep_sign)
+    return _qfi(sys, meas.a_diag)
 
 
-def _qfi(sys: SpinSystem, a_diag: np.ndarray, prep_sign: int) -> float:
+def _qfi(sys: SpinSystem, a_diag: np.ndarray) -> float:
     """The qfi sum for the observable diagonal a_diag."""
-    p = _prepared_state(sys, a_diag, prep_sign).populations
+    e = (1.0 + a_diag) / 2
+    prob = float(np.sum(e)) / sys.dim
+    if prob <= 0.0:
+        raise DegeneratePreparationError("outcome +1 has zero probability; preparation undefined")
+    p = e / (sys.dim * prob)
     psum = p[:-1] + p[1:]
     mask = psum > QFI_EIGENVALUE_CUTOFF
     ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
@@ -78,7 +81,7 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
     Each value is bit-identical to the one composed from correlation,
     klg_equal_interval, fisher_from_correlation and qfi at that point.
     """
-    f_q = np.array([_qfi(sys, a, +1) for a in a_diags])[:, None]
+    f_q = np.array([_qfi(sys, a) for a in a_diags])[:, None]
     thetas = np.asarray(thetas, float)
     c, k_lg, c1, c2 = np.moveaxis(_fourier_sums(sys, weights, thetas, True), -1, 0)
     f = _fisher(c, c1, c2)

@@ -1,11 +1,11 @@
-"""Noisy dichotomic parity measurement: observable A, POVM E+-, preparations.
+"""Noisy dichotomic parity measurement: the observable A and its POVM E+-.
 
 The observable is diagonal in the J_z basis with entries
 (-1)^(j-m) * b^((m-mu)^2), where mu is the Gaussian center of the block
 containing m and b in [0, 1] is the measurability (b = e^{-1/(2 sigma^2)}).
 b = 1 is the projective parity operator; b = 0 keeps only the block centers
-(0^0 = 1 convention).  Only that diagonal is stored: E+- = (1 +- a)/2 and
-the prepared states act entrywise on it.
+(0^0 = 1 convention).  Only that diagonal is stored: E+- = (1 +- a)/2 act
+entrywise on it.
 
 All m and mu values are carried as the integers 2m / 2mu so half-integer
 spins need no floating-point bookkeeping.
@@ -68,6 +68,14 @@ def default_partition(sys: SpinSystem) -> PartitionSpec:
     return PartitionSpec(((sys.two_j, plus), (-sys.two_j, minus)))
 
 
+def resolve_partition(sys: SpinSystem, partition: PartitionSpec | None) -> PartitionSpec:
+    """partition, or default_partition(sys) if None, validated against sys."""
+    if partition is None:
+        partition = default_partition(sys)
+    partition.validate(sys)
+    return partition
+
+
 def parse_partition(text: str) -> PartitionSpec:
     """Parse "mu:m1,m2,...;mu:m1,..." with all numbers given as 2m integers."""
     blocks = []
@@ -113,9 +121,7 @@ def build_measurement(sys: SpinSystem, b: float,
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("measurability b must lie in [0, 1], got %r" % b)
-    if partition is None:
-        partition = default_partition(sys)
-    partition.validate(sys)
+    partition = resolve_partition(sys, partition)
     a_diag = _a_diag(sys, b, partition)
     return NoisyDichotomicMeasurement(float(b), partition, a_diag, _weights(sys, a_diag[None])[0])
 
@@ -141,33 +147,3 @@ def _a_diag(sys: SpinSystem, b: float, partition: PartitionSpec) -> np.ndarray:
             gaps[(sys.two_j - two_m) // 2] = abs(two_m - two_mu) // 2
     powers = [float(b) ** (g * g) for g in range(max(gaps) + 1)]  # 0**0 == 1 covers b=0 at m=mu
     return np.array([-powers[g] if k % 2 else powers[g] for k, g in enumerate(gaps)])
-
-
-@dataclass(frozen=True)
-class PreparedState:
-    """One arm of the first measurement on I/d; populations is its J_z diagonal."""
-
-    sign: int
-    populations: np.ndarray
-    probability: float
-
-
-def prepare_states(sys: SpinSystem,
-                   meas: NoisyDichotomicMeasurement) -> tuple[PreparedState, PreparedState]:
-    """Post-measurement states E^{1/2} (I/d) E^{1/2} / p for both outcomes.
-
-    A is diagonal, so E+- = (1 +- a)/2 are diagonal and the square roots act
-    entrywise: the populations are e / (d p) with p = sum(e) / d.
-    """
-    return _prepared_state(sys, meas.a_diag, +1), _prepared_state(sys, meas.a_diag, -1)
-
-
-def _prepared_state(sys: SpinSystem, a_diag: np.ndarray, sign: int) -> PreparedState:
-    """The prepared state of one outcome sign for the observable diagonal a_diag."""
-    d = sys.dim
-    e = (1.0 + sign * a_diag) / 2
-    p = float(np.sum(e)) / d
-    if p <= 0.0:
-        raise DegeneratePreparationError(
-            "outcome %+d has zero probability; preparation undefined" % sign)
-    return PreparedState(sign, e / (d * p), p)

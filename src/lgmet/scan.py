@@ -20,14 +20,16 @@ import numpy as np
 from . import __version__
 from .correlations import MAX_GRID_COUNT, _block_size, _check_phases, _klg_kernel
 from .estimation import COLUMNS, _rows
-from .measurement import PartitionSpec, _a_diag, _weights, default_partition, format_partition
+from .measurement import PartitionSpec, _a_diag, _weights, format_partition, resolve_partition
 from .spin import make_spin_system
 
-PLOT_COLUMNS = {
-    "scan-theta": ("theta", ("C", "K_LG", "F", "F_Q")),
-    "scan-b": ("b", ("K_LG", "F", "F_Q")),
-    "phase-map": ("K_LG", ("F_ratio",)),
-    "report": ("theta", ("F", "F_Q")),
+# sweep kind -> (metadata "sweep" name, grids given as a single value, plot x column,
+# plot y columns, CLI help)
+SWEEPS = {
+    "scan-theta": ("theta", ("b",), "theta", ("C", "K_LG", "F", "F_Q"), "sweep theta at fixed b"),
+    "scan-b": ("b", ("theta",), "b", ("K_LG", "F", "F_Q"), "sweep b at fixed theta"),
+    "phase-map": ("phase-map", (), "K_LG", ("F_ratio",), "full Cartesian (b, theta) sweep"),
+    "report": ("theta", ("b", "theta"), "theta", ("F", "F_Q"), "single-point estimation record"),
 }
 
 # figure -> (sweep, b grid, theta grid)
@@ -50,20 +52,18 @@ def parse_grid(text: str, scale: float = 1.0) -> np.ndarray:
     scale multiplies the parsed values (pi for theta given in pi units).
     Non-finite values (nan, inf) and counts above MAX_GRID_COUNT are rejected.
     """
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError("grid spec must be lo:hi:count, got %r" % text)
-        lo, hi = float(parts[0]) * scale, float(parts[1]) * scale
-        count = int(parts[2])
-        if count < 2:
-            raise ValueError("grid count must be at least 2, got %d" % count)
-        if count > MAX_GRID_COUNT:
-            raise ValueError("grid count %d exceeds the limit of %d"
-                             % (count, MAX_GRID_COUNT))
-    else:
-        lo = hi = float(text) * scale
-        count = 1
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ValueError("grid spec must be lo:hi:count, got %r" % text)
+    lo_text, hi_text, count_text = parts if len(parts) == 3 else (text, text, "1")
+    try:
+        lo, hi, count = float(lo_text) * scale, float(hi_text) * scale, int(count_text)
+    except ValueError as exc:
+        raise ValueError("bad grid spec %r: %s" % (text, exc)) from None
+    if len(parts) == 3 and count < 2:
+        raise ValueError("grid count must be at least 2, got %d" % count)
+    if count > MAX_GRID_COUNT:
+        raise ValueError("grid count %d exceeds the limit of %d" % (count, MAX_GRID_COUNT))
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("grid values must be finite, got %r" % text)
     return np.linspace(lo, hi, count) if count > 1 else np.array([lo])
@@ -85,8 +85,10 @@ class RunConfig:
         self.two_j = int(self.two_j)
         self.b_values = np.atleast_1d(np.asarray(self.b_values, float))
         self.theta_values = np.atleast_1d(np.asarray(self.theta_values, float))
-        if self.b_values.size == 0 or self.theta_values.size == 0:
-            raise ValueError("empty parameter grid")
+        for name, grid in (("b", self.b_values), ("theta", self.theta_values)):
+            if grid.ndim != 1 or grid.size == 0:
+                raise ValueError("the %s grid must be a non-empty 1-D array, got shape %s"
+                                 % (name, grid.shape))
         if not (np.all(np.isfinite(self.b_values)) and np.all(np.isfinite(self.theta_values))):
             raise ValueError("every b and theta grid point must be finite")
         if np.any(self.b_values < 0.0) or np.any(self.b_values > 1.0):
@@ -110,58 +112,41 @@ class ScanTable:
     rows: np.recarray
 
 
-def _metadata(config: RunConfig, sweep: str) -> dict:
-    return {"tool": "lgmet %s" % __version__, "sweep": sweep, "config": config.describe()}
+def _sweep_kind(kind: str) -> tuple:
+    if kind not in SWEEPS:
+        raise ValueError("unknown sweep %r (expected one of %s)" % (kind, ", ".join(SWEEPS)))
+    return SWEEPS[kind]
 
 
-def _grid_rows(config: RunConfig) -> np.recarray:
-    """Rows over the Cartesian (b, theta) grid, sorted by (b, theta); one _rows call per b block."""
+def sweep(kind: str, config: RunConfig) -> ScanTable:
+    """The SWEEPS kind's table: rows over the (b, theta) grid, sorted by (b, theta)."""
+    name, single, *_ = _sweep_kind(kind)
+    sizes = {"b": config.b_values.size, "theta": config.theta_values.size}
+    if any(sizes[flag] != 1 for flag in single):
+        raise ValueError("%s needs %s value"
+                         % (kind, " and ".join("a single --" + flag for flag in single)))
     sys = make_spin_system(config.two_j)
-    partition = config.partition if config.partition is not None else default_partition(sys)
-    partition.validate(sys)
+    partition = resolve_partition(sys, config.partition)
     bs, step = config.b_values, _block_size(sys)
     blocks = []
     for start in range(0, bs.size, step):
         block = bs[start:start + step]
         a_diags = np.array([_a_diag(sys, b, partition) for b in block.tolist()])
         blocks.append(_rows(sys, block, a_diags, _weights(sys, a_diags), config.theta_values))
-    return np.concatenate(blocks).view(np.recarray)
+    metadata = {"tool": "lgmet %s" % __version__, "sweep": name, "config": config.describe()}
+    return ScanTable(metadata, np.concatenate(blocks).view(np.recarray))
 
 
 def scan_theta(config: RunConfig) -> ScanTable:
-    """One row per theta grid point at fixed b."""
-    if config.b_values.size != 1:
-        raise ValueError("scan-theta needs a single --b value")
-    return ScanTable(_metadata(config, "theta"), _grid_rows(config))
+    """sweep("scan-theta"); bench/workloads.py calls it and counts large_j_theta sweeps on it."""
+    return sweep("scan-theta", config)
 
 
-def scan_b(config: RunConfig) -> ScanTable:
-    """One row per b grid point at fixed theta."""
-    if config.theta_values.size != 1:
-        raise ValueError("scan-b needs a single --theta value")
-    return ScanTable(_metadata(config, "b"), _grid_rows(config))
-
-
-def phase_map(config: RunConfig) -> ScanTable:
-    """Full Cartesian (b, theta) grid, rows sorted by (b, theta)."""
-    return ScanTable(_metadata(config, "phase-map"), _grid_rows(config))
-
-
-def sweep(kind: str, config: RunConfig) -> ScanTable:
-    """Run the sweep named by a PLOT_COLUMNS key; "report" is a one-point scan_theta."""
-    if kind == "report" and config.b_values.size * config.theta_values.size != 1:
-        raise ValueError("report needs a single --b and a single --theta value")
-    # looked up at call time, so a rebinding of scan_theta etc. is honoured
-    return {"scan-theta": scan_theta, "scan-b": scan_b, "phase-map": phase_map,
-            "report": scan_theta}[kind](config)
-
-
-def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
-                          b_hi: float = 1.0, tol: float = 1e-4,
+def violation_threshold_b(two_j: int, theta: float, tol: float = 1e-4,
                           partition: PartitionSpec | None = None) -> float:
-    """Smallest b in (b_lo, b_hi] with |K_LG(theta)| > 2, by bisection.
+    """Smallest b in (0, 1] with |K_LG(theta)| > 2, by bisection.
 
-    Requires no violation at b_lo and violation at b_hi.  K_LG at the fixed
+    Requires no violation at b = 0 and violation at b = 1.  K_LG at the fixed
     theta is the quadratic form a^T Q a in the observable diagonal a, so Q is
     built once (O(d^3)) and each step costs O(d^2).
     """
@@ -169,12 +154,8 @@ def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
         raise ValueError("tol must be finite and positive, got %r" % tol)
     if not math.isfinite(theta):
         raise ValueError("theta must be finite, got %r" % theta)
-    if not 0.0 <= b_lo < b_hi <= 1.0:
-        raise ValueError("need 0 <= b_lo < b_hi <= 1, got b_lo=%r, b_hi=%r" % (b_lo, b_hi))
     sys = make_spin_system(two_j)
-    if partition is None:
-        partition = default_partition(sys)
-    partition.validate(sys)
+    partition = resolve_partition(sys, partition)
     _check_phases(sys, theta)
     kernel = _klg_kernel(sys, theta)
 
@@ -182,11 +163,11 @@ def violation_threshold_b(two_j: int, theta: float, b_lo: float = 0.0,
         a = _a_diag(sys, b, partition)
         return abs(float(a @ kernel @ a)) > 2.0
 
-    if violates(b_lo):
-        raise ValueError("already violated at b_lo=%g" % b_lo)
-    if not violates(b_hi):
-        raise ValueError("no violation at b_hi=%g" % b_hi)
-    lo, hi = b_lo, b_hi
+    lo, hi = 0.0, 1.0
+    if violates(lo):
+        raise ValueError("already violated at b=0")
+    if not violates(hi):
+        raise ValueError("no violation at b=1")
     mid = 0.5 * (lo + hi)
     # a tol below the float spacing at b* ends when lo and hi are adjacent floats
     while hi - lo > tol and lo < mid < hi:
@@ -299,9 +280,11 @@ def render_svg_lineplot(table: ScanTable, x_column: str, y_columns: list[str], p
 def write_sweep(kind: str, config: RunConfig, fmt: str, path=None, svg_path=None) -> list:
     """Run sweep(kind, config) and write its table as fmt to path, or to stdout if None.
 
-    With svg_path, the PLOT_COLUMNS[kind] line chart is written there too.  An
-    unknown fmt is a ValueError before the sweep runs.  Returns the paths written.
+    With svg_path, the line chart of the kind's SWEEPS plot columns is written there
+    too.  An unknown kind or fmt is a ValueError before the sweep runs.  Returns
+    the paths written.
     """
+    x_column, y_columns = _sweep_kind(kind)[2:4]
     serialize = _serializer(fmt)
     table = sweep(kind, config)
     if path is None:
@@ -309,7 +292,7 @@ def write_sweep(kind: str, config: RunConfig, fmt: str, path=None, svg_path=None
     else:
         _write_text(path, serialize(table))
     if svg_path is not None:
-        render_svg_lineplot(table, *PLOT_COLUMNS[kind], svg_path)
+        render_svg_lineplot(table, x_column, y_columns, svg_path)
     return [p for p in (path, svg_path) if p is not None]
 
 

@@ -3,6 +3,7 @@
 None of this runs in the pipeline.  Each route forms the d x d operators
 itself: the dense J_x from two_j alone, the propagator e^{-i theta J_x},
 the two-time correlation Tr[A(t_i) A(t_j)] / d of Heisenberg operators,
+the states E^{1/2} (I/d) E^{1/2} / p that each outcome prepares,
 outcome probabilities Tr(E_pm rho(theta)) with their finite-difference
 Fisher information, and the general eigh-based QFI of any state.  The
 threshold bisection builds a full measurement at every step.  The
@@ -16,8 +17,8 @@ import numpy as np
 
 from lgmet.correlations import correlation, klg_equal_interval
 from lgmet.estimation import QFI_EIGENVALUE_CUTOFF, InconsistentCorrelationError
-from lgmet.measurement import (NoisyDichotomicMeasurement, PartitionSpec, build_measurement,
-                               prepare_states)
+from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
+                               PartitionSpec, build_measurement)
 from lgmet.spin import SpinSystem, make_spin_system
 
 DEFAULT_FD_STEP = 1e-5
@@ -87,20 +88,35 @@ def two_time_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     return float(np.real(np.trace(a_i @ a_j))) / sys.dim
 
 
+def prepared_state(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
+                   sign: int) -> tuple[np.ndarray, float]:
+    """(rho, p): the state E^{1/2} (I/d) E^{1/2} / p that outcome sign prepares, and p.
+
+    E = (I + sign A)/2 is formed as a dense matrix and p = Tr(E)/d; E is
+    diagonal, so its square root is taken entrywise.
+    """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    eye = np.eye(sys.dim)
+    e = (eye + sign * np.diag(meas.a_diag)) / 2
+    p = float(np.trace(e)) / sys.dim
+    if p <= 0.0:
+        raise DegeneratePreparationError("outcome %+d has zero probability" % sign)
+    root = np.sqrt(e)
+    return root @ (eye / sys.dim) @ root / p, p
+
+
 def outcome_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                           prep_sign: int, theta: float) -> tuple[float, float]:
     """(P_plus, P_minus) for the second measurement after preparation prep_sign.
 
     Evaluated directly as Tr(E_pm rho_sign(theta)) with dense matrices formed
-    here, independent of the Fourier weights, and cross-checked against the
-    closed form 1/2 pm sign*C(theta)/2.
+    here (prepared_state), independent of the Fourier weights, and
+    cross-checked against the closed form 1/2 pm sign*C(theta)/2.
     """
-    if prep_sign not in (+1, -1):
-        raise ValueError("prep_sign must be +1 or -1")
-    plus, minus = prepare_states(sys, meas)
-    prep = plus if prep_sign == +1 else minus
+    rho, _ = prepared_state(sys, meas, prep_sign)
     u = propagator(sys, theta)
-    rho_t = u @ np.diag(prep.populations) @ u.conj().T
+    rho_t = u @ rho @ u.conj().T
     p_plus = float(np.real(np.trace(np.diag((1.0 + meas.a_diag) / 2) @ rho_t)))
     p_minus = float(np.real(np.trace(np.diag((1.0 - meas.a_diag) / 2) @ rho_t)))
 

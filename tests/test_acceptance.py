@@ -9,12 +9,10 @@ import numpy as np
 import pytest
 
 from lgmet import (build_measurement, correlation, correlation_derivatives,
-                   fisher_from_correlation, make_spin_system, max_violation,
-                   prepare_states, qfi)
-from lgmet.scan import (RunConfig, phase_map, reproduce_figure, scan_b,
-                        violation_threshold_b)
+                   fisher_from_correlation, make_spin_system, max_violation, qfi)
+from lgmet.scan import RunConfig, reproduce_figure, sweep, violation_threshold_b
 from conftest import parity_correlation_closed_form, random_partition
-from oracles import fisher_from_probabilities, two_time_correlation
+from oracles import fisher_from_probabilities, prepared_state, two_time_correlation
 
 PI = math.pi
 
@@ -28,7 +26,7 @@ def _verdict(num, label, ok):
 def phase_map_table():
     grid = RunConfig(b_values=[0.5, 0.7, 0.9, 0.99, 1.0],
                      theta_values=np.linspace(0, PI / 2, 256))
-    return phase_map(grid)
+    return sweep("phase-map", grid)
 
 
 def test_criterion_1_projective_optimum(spin52, parity52):
@@ -52,7 +50,7 @@ def test_criterion_2_noise_collapse(spin52):
 
 
 def test_criterion_3_violation_threshold():
-    b_star = violation_threshold_b(5, 0.95 * PI, b_lo=0.0, b_hi=1.0, tol=1e-4)
+    b_star = violation_threshold_b(5, 0.95 * PI, tol=1e-4)
     _verdict(3, "violation threshold b* in [0.93, 0.95] at theta=0.95pi",
              0.93 <= b_star <= 0.95)
 
@@ -112,8 +110,7 @@ def test_criterion_8_structural_invariants(spin52):
         ok &= np.min(eplus) >= -1e-12
         ok &= np.min(eminus) >= -1e-12
         if symmetric:
-            plus, minus = prepare_states(spin52, meas)
-            ok &= abs(plus.probability - 0.5) <= 1e-12
+            ok &= abs(prepared_state(spin52, meas, +1)[1] - 0.5) <= 1e-12
 
         theta = rng.uniform(-PI, PI)
         t0 = rng.uniform(-2, 2)
@@ -136,8 +133,8 @@ def test_criterion_9_monotonicity(spin52):
     maxima = [max_violation(spin52, build_measurement(spin52, b), 0.0, PI)[1]
               for b in (0.5, 0.7, 0.9, 0.99, 1.0)]
     ok = bool(np.all(np.diff(maxima) >= -1e-10))
-    table = scan_b(RunConfig(b_values=np.linspace(0, 1, 101),
-                             theta_values=[0.95 * PI]))
+    table = sweep("scan-b", RunConfig(b_values=np.linspace(0, 1, 101),
+                                      theta_values=[0.95 * PI]))
     ok &= bool(np.all(np.diff(table.rows.F) >= -1e-9))
     ok &= bool(np.all(np.diff(table.rows.F_Q) >= -1e-9))
     _verdict(9, "violation and Fisher quantities nondecreasing in b", ok)

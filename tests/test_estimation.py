@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from lgmet import (build_measurement, correlation, correlation_derivatives, estimation_report,
-                   fisher_from_correlation, klg_equal_interval, make_spin_system,
-                   prepare_states, qfi)
+                   fisher_from_correlation, klg_equal_interval, make_spin_system, qfi)
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
                                PartitionSpec, default_partition)
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
-                     outcome_probabilities, propagator, qfi_of_state)
+                     outcome_probabilities, prepared_state, propagator, qfi_of_state)
 
 
 def _null_measurement():
@@ -123,18 +122,12 @@ class TestQuantumFisherInformation:
     def test_projective_closed_form(self, spin52, parity52):
         assert qfi(spin52, parity52) == pytest.approx(35 / 3, abs=1e-10)
 
-    @pytest.mark.parametrize("sign", [2, 0, -2, 0.5])
-    def test_rejects_bad_prep_sign(self, spin52, sign):
-        meas = build_measurement(spin52, 0.9)
-        with pytest.raises(ValueError, match="prep_sign"):
-            qfi(spin52, meas, sign)
-
     def test_only_the_requested_arm_must_be_defined(self, spin52):
         broken = NoisyDichotomicMeasurement(1.0, default_partition(spin52), np.ones(6),
                                             np.zeros(36))
-        assert qfi(spin52, broken, +1) == 0.0  # E+ = 1 prepares I/d
+        assert qfi(spin52, broken) == 0.0  # E+ = 1 prepares I/d; the - arm is never prepared
         with pytest.raises(DegeneratePreparationError, match="outcome -1"):
-            qfi(spin52, broken, -1)
+            prepared_state(spin52, broken, -1)
 
     def test_spin_half_closed_form(self):
         sys = make_spin_system(1)
@@ -147,8 +140,7 @@ class TestQuantumFisherInformation:
 
     def test_theta_independent(self, spin52):
         meas = build_measurement(spin52, 0.8)
-        plus, _ = prepare_states(spin52, meas)
-        rho = np.diag(plus.populations)
+        rho, _ = prepared_state(spin52, meas, +1)
         base = qfi_of_state(spin52, rho)
         for theta in (0.1, 1.0, 2.5):
             u = propagator(spin52, theta)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmet import (DegeneratePreparationError, build_measurement, default_partition,
-                   format_partition, make_spin_system, parse_partition, prepare_states)
+                   format_partition, make_spin_system, parse_partition, qfi)
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diag, _weights
 from conftest import random_partition
-from oracles import dense_jx
+from oracles import dense_jx, prepared_state, qfi_of_state
 
 
 class TestPartition:
@@ -104,45 +104,51 @@ class TestBuildMeasurement:
             part = random_partition(rng, 5, symmetric=True)
             meas = build_measurement(spin52, rng.uniform(0, 1), part)
             assert abs(np.sum(meas.a_diag)) <= 1e-12
-            plus, minus = prepare_states(spin52, meas)
-            assert plus.probability == pytest.approx(0.5, abs=1e-12)
-            assert minus.probability == pytest.approx(0.5, abs=1e-12)
+            for sign in (+1, -1):
+                assert prepared_state(spin52, meas, sign)[1] == pytest.approx(0.5, abs=1e-12)
 
 
 class TestPrepareStates:
+    """The state that outcome + prepares from I/d, read through qfi and the dense oracle."""
+
+    @staticmethod
+    def _assert_qfi_of_populations(sys, meas, populations):
+        rho, p = prepared_state(sys, meas, +1)
+        np.testing.assert_allclose(np.diag(rho), populations, atol=1e-12)
+        assert p == pytest.approx(0.5, abs=1e-12)
+        assert qfi(sys, meas) == pytest.approx(qfi_of_state(sys, np.diag(populations)),
+                                               rel=1e-12, abs=1e-13)
+
     def test_projective_preparation(self, spin52, parity52):
-        plus, _ = prepare_states(spin52, parity52)
-        np.testing.assert_allclose(plus.populations,
-                                   [1 / 3, 0, 1 / 3, 0, 1 / 3, 0], atol=1e-12)
-        assert plus.probability == pytest.approx(0.5, abs=1e-12)
+        self._assert_qfi_of_populations(spin52, parity52, [1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
 
     def test_zero_measurability_preparation(self, spin52):
-        meas = build_measurement(spin52, 0.0)
-        plus, _ = prepare_states(spin52, meas)
-        np.testing.assert_allclose(plus.populations,
-                                   [1 / 3, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 0], atol=1e-12)
-        assert plus.probability == pytest.approx(0.5, abs=1e-12)
+        self._assert_qfi_of_populations(spin52, build_measurement(spin52, 0.0),
+                                        [1 / 3, 1 / 6, 1 / 6, 1 / 6, 1 / 6, 0])
 
     def test_probabilities_sum_to_one(self, spin52):
         rng = np.random.default_rng(2)
         for _ in range(20):
             meas = build_measurement(spin52, rng.uniform(0, 1),
                                      random_partition(rng, 5))
-            plus, minus = prepare_states(spin52, meas)
-            assert plus.probability + minus.probability == pytest.approx(1.0, abs=1e-12)
+            p_plus, p_minus = (prepared_state(spin52, meas, sign)[1] for sign in (+1, -1))
+            assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
+            assert p_plus == pytest.approx((1.0 + np.mean(meas.a_diag)) / 2, abs=1e-12)
 
     def test_degenerate_arm_rejected(self, spin52):
         part = default_partition(spin52)
-        broken = NoisyDichotomicMeasurement(1.0, part, np.ones(6), np.zeros(36))
+        broken = NoisyDichotomicMeasurement(1.0, part, -np.ones(6), np.zeros(36))
+        with pytest.raises(DegeneratePreparationError, match="outcome \\+1"):
+            qfi(spin52, broken)
         with pytest.raises(DegeneratePreparationError):
-            prepare_states(spin52, broken)
+            prepared_state(spin52, broken, +1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(two_j=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
        b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 def test_diagonal_form_matches_dense_form(two_j, seed, b):
-    """Weights and populations against the dense matrices they replace."""
+    """Weights, and the QFI of the + arm, against the dense matrices they replace."""
     sys = make_spin_system(two_j)
     meas = build_measurement(sys, b, random_partition(np.random.default_rng(seed), two_j))
     a = np.diag(meas.a_diag).astype(complex)
@@ -151,13 +157,11 @@ def test_diagonal_form_matches_dense_form(two_j, seed, b):
     assert np.array_equal(meas.weights, dense_weights.ravel())
 
     eye = np.eye(sys.dim)
-    for sign, state in zip((+1, -1), prepare_states(sys, meas)):
-        e = np.real(eye + sign * a) / 2
-        p = np.trace(e) / sys.dim
-        root = np.sqrt(e)  # E is diagonal, so its square root is entrywise
-        rho = root @ (eye / sys.dim) @ root / p
-        assert state.probability == pytest.approx(p, rel=1e-14, abs=1e-16)
-        np.testing.assert_allclose(state.populations, np.diag(rho), rtol=1e-13, atol=1e-16)
+    e = np.real(eye + a) / 2
+    p = np.trace(e) / sys.dim
+    root = np.sqrt(e)  # E is diagonal, so its square root is entrywise
+    rho = root @ (eye / sys.dim) @ root / p
+    assert qfi(sys, meas) == pytest.approx(qfi_of_state(sys, rho), rel=1e-12, abs=1e-13)
 
 
 def _a_diag_loop(sys, b, partition):

@@ -1,9 +1,10 @@
-"""The public API resolves, the runtime package imports only the standard
-library, numpy and itself (never tests/), and the spin system and
-measurement hold only real arrays."""
+"""The public API and the benchmark's entry points resolve, the runtime
+package imports only the standard library, numpy and itself (never tests/),
+and the spin system and measurement hold only real arrays."""
 
 import ast
 import dataclasses
+import importlib
 import pathlib
 import sys
 
@@ -17,6 +18,19 @@ TESTS = pathlib.Path(__file__).resolve().parent
 
 def test_every_export_resolves():
     missing = [name for name in lgmet.__all__ if not hasattr(lgmet, name)]
+    assert missing == []
+
+
+def test_benchmark_names_resolve():
+    """Every lgmet module attribute that bench/workloads.py uses exists."""
+    modules = {"cli", "scan", "correlations", "measurement", "spin"}
+    tree = ast.parse((TESTS.parent / "bench" / "workloads.py").read_text())
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert {module for module, _ in used} == modules
+    missing = [module + "." + attr for module, attr in sorted(used)
+               if not hasattr(importlib.import_module("lgmet." + module), attr)]
     assert missing == []
 
 

@@ -8,15 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
-                   fisher_from_correlation, klg_equal_interval, make_spin_system,
-                   prepare_states, qfi)
+                   fisher_from_correlation, klg_equal_interval, make_spin_system, qfi)
 from lgmet.estimation import QFI_EIGENVALUE_CUTOFF
-from lgmet.measurement import PartitionSpec
-from lgmet.scan import RunConfig, phase_map, scan_b, scan_theta
+from lgmet.measurement import PartitionSpec, default_partition
+from lgmet.scan import RunConfig, sweep
 import lgmet.correlations
 import lgmet.measurement
 from conftest import count_calls, narrow_blocks
-from oracles import qfi_of_state
+from oracles import prepared_state, qfi_of_state
 
 
 @st.composite
@@ -59,23 +58,25 @@ def test_sweep_rows_bit_equal_to_composed_values(setup, bs, thetas, per_block):
     sys = make_spin_system(two_j)
     measurements = {b: build_measurement(sys, b, partition) for b in bs}
     sweeps = [
-        (scan_theta, RunConfig(two_j, [bs[0]], thetas, partition), [(bs[0], t) for t in thetas]),
-        (scan_b, RunConfig(two_j, bs, [thetas[0]], partition), [(b, thetas[0]) for b in bs]),
-        (phase_map, RunConfig(two_j, bs, thetas, partition), [(b, t) for b in bs for t in thetas]),
+        ("scan-theta", RunConfig(two_j, [bs[0]], thetas, partition),
+         [(bs[0], t) for t in thetas]),
+        ("scan-b", RunConfig(two_j, bs, [thetas[0]], partition), [(b, thetas[0]) for b in bs]),
+        ("phase-map", RunConfig(two_j, bs, thetas, partition),
+         [(b, t) for b in bs for t in thetas]),
     ]
-    for sweep, config, grid in sweeps:
+    for kind, config, grid in sweeps:
         try:
             expected = [_composed(sys, measurements[b], t) for b, t in grid]
         except InconsistentCorrelationError:
             with narrow_blocks(sys, per_block), pytest.raises(InconsistentCorrelationError):
-                sweep(config)
+                sweep(kind, config)
             continue
         with narrow_blocks(sys, per_block):
-            rows = sweep(config).rows
+            rows = sweep(kind, config).rows
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
             got = row.tolist()
-            assert [_bits(x) for x in got] == [_bits(x) for x in want], (sweep.__name__, got, want)
+            assert [_bits(x) for x in got] == [_bits(x) for x in want], (kind, got, want)
 
 
 def test_scan_b_evaluates_all_b_in_one_block(monkeypatch):
@@ -85,7 +86,7 @@ def test_scan_b_evaluates_all_b_in_one_block(monkeypatch):
     validations, validate = [], PartitionSpec.validate
     monkeypatch.setattr(PartitionSpec, "validate", lambda *args: validations.append(args)
                         or validate(*args))
-    rows = scan_b(RunConfig(5, np.linspace(0.0, 1.0, 201), [0.95 * math.pi])).rows
+    rows = sweep("scan-b", RunConfig(5, np.linspace(0.0, 1.0, 201), [0.95 * math.pi])).rows
     assert rows.size == 201
     assert (len(builds), len(validations), len(sums)) == (0, 1, 1)
 
@@ -96,7 +97,8 @@ def test_phase_map_weight_stacks_stay_within_budget(monkeypatch):
     vecdot = np.vecdot
     monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: (
         sizes.append((a.size, b.size)) or vecdot(a, b, **kw)))
-    rows = phase_map(RunConfig(51, np.linspace(0.0, 1.0, 300), np.linspace(-3.0, 3.0, 7))).rows
+    rows = sweep("phase-map",
+                 RunConfig(51, np.linspace(0.0, 1.0, 300), np.linspace(-3.0, 3.0, 7))).rows
     monkeypatch.undo()
     d2 = 52 ** 2
     limit = max(lgmet.correlations.BLOCK_ELEMENTS, d2)
@@ -108,26 +110,35 @@ def test_phase_map_weight_stacks_stay_within_budget(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(setup=partitions(), b=b_values)
 def test_qfi_matches_eigh_form(setup, b):
+    """qfi against the eigh QFI of the dense state that outcome + prepares."""
     two_j, partition = setup
     sys = make_spin_system(two_j)
     meas = build_measurement(sys, b, partition)
-    for sign, state in zip((+1, -1), prepare_states(sys, meas)):
-        rho = np.diag(state.populations)
-        assert qfi(sys, meas, sign) == pytest.approx(qfi_of_state(sys, rho),
-                                                     rel=1e-12, abs=1e-13)
+    rho, _ = prepared_state(sys, meas, +1)
+    assert qfi(sys, meas) == pytest.approx(qfi_of_state(sys, rho), rel=1e-12, abs=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_j=st.integers(0, 25).map(lambda n: 2 * n + 1), b=b_values)
+def test_qfi_of_the_minus_arm_is_the_mirror_image(two_j, b):
+    """Under the default partition the - arm mirrors the + arm, so qfi needs only the +."""
+    sys = make_spin_system(two_j)
+    meas = build_measurement(sys, b, default_partition(sys))
+    rho, _ = prepared_state(sys, meas, -1)
+    assert qfi(sys, meas) == pytest.approx(qfi_of_state(sys, rho), rel=1e-12, abs=1e-13)
 
 
 @settings(max_examples=80, deadline=None)
 @given(setup=partitions(), b=b_values)
 def test_qfi_bit_equal_to_prepare_states_populations(setup, b):
-    """qfi prepares only its own arm, with the populations prepare_states gives."""
+    """qfi sums over the + arm populations e / (d p), e = (1 + a)/2, p = sum(e) / d, bit for bit."""
     two_j, partition = setup
     sys = make_spin_system(two_j)
     meas = build_measurement(sys, b, partition)
-    for sign, state in zip((+1, -1), prepare_states(sys, meas)):
-        p = state.populations
-        psum = p[:-1] + p[1:]
-        mask = psum > QFI_EIGENVALUE_CUTOFF
-        ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
-        expected = float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
-        assert _bits(qfi(sys, meas, sign)) == _bits(expected)
+    e = (1.0 + meas.a_diag) / 2
+    p = e / (sys.dim * (float(np.sum(e)) / sys.dim))
+    psum = p[:-1] + p[1:]
+    mask = psum > QFI_EIGENVALUE_CUTOFF
+    ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
+    expected = float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
+    assert _bits(qfi(sys, meas)) == _bits(expected)
