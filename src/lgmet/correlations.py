@@ -27,7 +27,8 @@ import numpy as np
 from .measurement import NoisyDichotomicMeasurement
 from .spin import SpinSystem
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Brent's golden-section step: this fraction of the larger part of the bracket.
+GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 # Largest number of (theta, gap) table elements per block: a block holds
 # max(1, BLOCK_ELEMENTS // d^2) thetas, so each Toeplitz table stays within
@@ -77,6 +78,10 @@ def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
     the same ddot that np.dot calls on two 1-D arrays, so each sum equals the direct d^2
     sum bit for bit; a matrix product (gemv, gemm, einsum) sums in another order.
     """
+    if weights.shape[-1] != sys.dim ** 2:
+        raise ValueError("measurement weights have %d columns, but a spin of dimension %d needs "
+                         "%d: the measurement was built on another spin"
+                         % (weights.shape[-1], sys.dim, sys.dim ** 2))
     thetas = np.asarray(thetas, float)
     # checked here, so no trig sees inf or nan
     _check_phases(sys, thetas)
@@ -148,16 +153,18 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                   grid_points: int = 512) -> tuple[float, float]:
     """Locate the maximum of |K_LG| on [theta_lo, theta_hi].
 
-    Dense-grid argmax followed by golden-section refinement of the bracketing
-    interval down to a theta error of 1e-8 (a few float spacings for |theta|
-    beyond about 3e7).  Returns (theta_star, k_max).
+    Dense-grid argmax, then Brent's method (golden-section and safeguarded
+    parabolic steps; Brent 1973, ch. 5) on the bracketing grid interval,
+    started at the grid argmax, down to a theta error of 1e-8 (a few float
+    spacings for |theta| beyond about 3e7).  Returns (theta_star, k_max), the
+    best point evaluated, so k_max is never below the grid maximum.
     """
     if not (math.isfinite(theta_lo) and math.isfinite(theta_hi)):
         raise ValueError("theta_lo and theta_hi must be finite, got %r and %r"
                          % (theta_lo, theta_hi))
     if theta_lo > theta_hi:
         raise ValueError("theta_lo must not exceed theta_hi")
-    # every grid and golden-section phase lies between the bound phases 3 theta (d - 1);
+    # every grid and refinement phase lies between the bound phases 3 theta (d - 1);
     # with d >= 2, finite bound phases also keep the width theta_hi - theta_lo finite
     if not all(math.isfinite(3.0 * float(t) * (sys.dim - 1)) for t in (theta_lo, theta_hi)):
         raise ValueError("theta range [%r, %r] is too large: 3 theta times %d overflows"
@@ -169,32 +176,56 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     if grid_points > MAX_GRID_COUNT:
         raise ValueError("grid_points %d exceeds the limit of %d" % (grid_points, MAX_GRID_COUNT))
     if theta_lo == theta_hi:
-        return theta_lo, abs(klg_equal_interval(sys, meas, theta_lo))
+        return float(theta_lo), abs(klg_equal_interval(sys, meas, theta_lo))
 
     def f(theta: float) -> float:
-        return abs(klg_equal_interval(sys, meas, theta))
+        return -abs(klg_equal_interval(sys, meas, theta))
 
     grid = np.linspace(theta_lo, theta_hi, grid_points)
     values = np.abs(_fourier_sums(sys, meas.weights[None], grid, False)[0, :, 1])
     i = int(np.argmax(values))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
+    a = float(grid[max(i - 1, 0)])
+    b = float(grid[min(i + 1, grid_points - 1)])
 
-    # golden-section maximization on [lo, hi], down to 1e-8 or, for |theta|
-    # beyond about 3e7, to 4 float spacings of theta: a bracket of about 3
-    # spacings can stop shrinking
-    tol = max(1e-8, 4.0 * math.ulp(max(abs(lo), abs(hi))))
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = f(x2)
+    # Brent's minimization of f = -|K_LG| on [a, b] from x = grid[i], whose value the
+    # grid holds.  x is the best point so far, w the second best, v the previous w.
+    # tol is 1e-8 or, for |theta| beyond about 3e7, 4 float spacings.  Steps are at
+    # least tol1 = tol / 4 long, and the loop ends once x is within 2 tol1 of both ends.
+    tol1 = 0.25 * max(1e-8, 4.0 * math.ulp(max(abs(a), abs(b))))
+    x = w = v = float(grid[i])
+    fx = fw = fv = -float(values[i])
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x, -fx
+        p = q = r = 0.0
+        if abs(e) > tol1:
+            # the parabola through (v, fv), (w, fw), (x, fx) has its vertex at x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            # the vertex lies inside (a, b) and the step is under half the one before last
+            d = p / q
+            if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                d = tol1 if x < m else -tol1
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = f(x1)
-    theta_star = 0.5 * (lo + hi)
-    return float(theta_star), f(theta_star)
+            e = (a if x >= m else b) - x
+            d = GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu

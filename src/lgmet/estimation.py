@@ -62,6 +62,9 @@ def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement) -> float:
 
 def _qfi(sys: SpinSystem, a_diag: np.ndarray) -> float:
     """The qfi sum for the observable diagonal a_diag."""
+    if len(a_diag) != sys.dim:
+        raise ValueError("observable diagonal has length %d, but the spin has dimension %d: "
+                         "the measurement was built on another spin" % (len(a_diag), sys.dim))
     e = (1.0 + a_diag) / 2
     prob = float(np.sum(e)) / sys.dim
     if prob <= 0.0:

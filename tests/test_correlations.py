@@ -12,8 +12,9 @@ from lgmet import (build_measurement, correlation, correlation_derivatives,
                    max_violation)
 import lgmet.correlations
 from lgmet.correlations import MAX_GRID_COUNT, _klg_kernel
-from conftest import brute_force_correlation, parity_correlation_closed_form, random_partition
-from oracles import two_time_correlation
+from conftest import (brute_force_correlation, count_calls, parity_correlation_closed_form,
+                      random_partition)
+from oracles import direct_correlation, two_time_correlation
 
 
 def _dense_klg_four_time(sys, meas, t1, t2, t3, t4):
@@ -154,6 +155,10 @@ class TestMaxViolation:
         theta_star, k_max = max_violation(spin52, parity52, math.pi, math.pi)
         assert theta_star == math.pi
         assert k_max == pytest.approx(2.0, abs=1e-10)
+        for bound in (1, np.float32(1.0), np.float64(1.0)):
+            theta_star, k_max = max_violation(spin52, parity52, bound, bound)
+            assert type(theta_star) is float and type(k_max) is float
+            assert theta_star == 1.0
 
     def test_refinement_is_local_maximum(self, spin52, parity52):
         theta_star, k_max = max_violation(spin52, parity52, 0.0, math.pi)
@@ -213,6 +218,35 @@ class TestMaxViolation:
         theta_star, k_max = max_violation(spin52, parity52, lo, hi)
         assert lo <= theta_star <= hi
         assert k_max == abs(klg(spin52, parity52, theta_star))
+
+    @pytest.mark.parametrize("two_j", [5, 51, 201, 401])
+    def test_refinement_evaluations(self, monkeypatch, two_j):
+        # the violation-search window [0, 3 pi / d] on a 32-point grid
+        sys = make_spin_system(two_j)
+        calls = count_calls(monkeypatch, lgmet.correlations.klg_equal_interval)
+        for b in (1.0, 0.95):
+            before = len(calls)
+            max_violation(sys, build_measurement(sys, b), 0.0, 3 * math.pi / sys.dim, 32)
+            assert 1 <= len(calls) - before <= 12
+
+    @pytest.mark.parametrize("two_j", [5, 51, 201])
+    @pytest.mark.parametrize("b", [1.0, 0.95])
+    def test_refinement_reaches_oracle_maximum(self, two_j, b):
+        """theta* stays in the bracketing grid interval, and k_max is at least the dense
+        oracle maximum of |K_LG| over that interval."""
+        sys = make_spin_system(two_j)
+        meas = build_measurement(sys, b)
+        grid = np.linspace(0.0, 3 * math.pi / sys.dim, 32)
+
+        def oracle_klg(theta):
+            return abs(3.0 * direct_correlation(sys, meas, theta)
+                       - direct_correlation(sys, meas, 3.0 * theta))
+
+        i = int(np.argmax([oracle_klg(theta) for theta in grid]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+        theta_star, k_max = max_violation(sys, meas, grid[0], grid[-1], grid.size)
+        assert lo <= theta_star <= hi
+        assert k_max >= max(oracle_klg(theta) for theta in np.linspace(lo, hi, 401)) - 1e-12
 
     def test_rejects_grid_above_limit(self, spin52, parity52, monkeypatch):
         # linspace must never see the count: a grid this large cannot be allocated

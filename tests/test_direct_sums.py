@@ -89,6 +89,7 @@ def test_max_violation_grid(setup, lo, span, grid_points):
     assert len(seen) == 1
     assert _bits(seen[0]) == _bits(values)
     assert lo <= result[0] <= hi
+    assert result[1] >= max(values)
 
 
 def test_blocks_bounded_and_contiguous_at_large_spin(monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lgmet import (build_measurement, correlation, correlation_derivatives, estimation_report,
-                   fisher_from_correlation, klg_equal_interval, make_spin_system, qfi)
+                   fisher_from_correlation, klg_equal_interval, make_spin_system,
+                   max_violation, qfi)
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
                                PartitionSpec, default_partition)
@@ -217,3 +218,24 @@ def test_non_finite_theta_rejected_without_warning(fn, theta):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(message)):
                 fn(sys, meas, theta)
+
+
+WEIGHTS_OF_ANOTHER_SPIN = "weights have 36 columns, but a spin of dimension 8 needs 64"
+DIAGONAL_OF_ANOTHER_SPIN = "diagonal has length 6, but the spin has dimension 8"
+
+
+@pytest.mark.parametrize("fn, message", [
+    (lambda s, m: correlation(s, m, 0.3), WEIGHTS_OF_ANOTHER_SPIN),
+    (lambda s, m: correlation_derivatives(s, m, 0.3), WEIGHTS_OF_ANOTHER_SPIN),
+    (lambda s, m: klg_equal_interval(s, m, 0.3), WEIGHTS_OF_ANOTHER_SPIN),
+    (lambda s, m: fisher_from_correlation(s, m, 0.3), WEIGHTS_OF_ANOTHER_SPIN),
+    (lambda s, m: max_violation(s, m, 0.0, 1.0), WEIGHTS_OF_ANOTHER_SPIN),
+    (qfi, DIAGONAL_OF_ANOTHER_SPIN),
+    (lambda s, m: estimation_report(s, m, 0.3), DIAGONAL_OF_ANOTHER_SPIN),
+], ids=["correlation", "correlation_derivatives", "klg_equal_interval",
+        "fisher_from_correlation", "max_violation", "qfi", "estimation_report"])
+def test_measurement_of_another_spin_rejected(fn, message):
+    """A two_j = 5 measurement given with a two_j = 7 spin is a ValueError naming both sizes."""
+    meas = build_measurement(make_spin_system(5), 0.9)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(make_spin_system(7), meas)
