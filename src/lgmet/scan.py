@@ -1,10 +1,10 @@
 """Parameter sweeps over (theta, b), table serialization, and figure datasets.
 
-A sweep produces a ScanTable: run metadata plus one float64 record array
-whose fields are COLUMNS, one row per (b, theta).  Tables serialize to CSV
-(metadata as '#' comment lines, then a fixed 7-column data section) or JSON,
-and can be rendered as a minimal SVG line chart.  write_sweep is the one output
-path of the CLI verbs and figures; with no timestamp, a rerun writes the same bytes.
+A sweep produces a ScanTable: run metadata plus one float64 record array whose
+fields are COLUMNS, one row per (b, theta).  Tables serialize to CSV (metadata as
+'#' comment lines, then a 7-column data section) or to JSON built column by column,
+and render as a minimal SVG line chart.  write_sweep is the one output path of the
+CLI verbs and figures; with no timestamp, a rerun writes the same bytes.
 """
 
 from __future__ import annotations
@@ -179,13 +179,13 @@ def violation_threshold_b(two_j: int, theta: float, tol: float = 1e-4,
     return mid
 
 
-# Row templates filled for all rows at once from the row-major float64 view of
-# the table.  The output is byte-identical to formatting each value with
-# "%.12g" (CSV) and to json.dumps(..., indent=2) of the rows as dicts (JSON),
-# which formats numbers exactly as the compact encoder does: float.__repr__,
-# NaN, Infinity, -Infinity.
+# CSV fills one "%.12g" row template for all rows at once.  JSON interleaves key prefixes
+# (the "}," closing a row folded into the next row's first) with value texts, byte-identical
+# to json.dumps(..., indent=2) of the rows as dicts: float.__repr__, NaN, Infinity, -Infinity.
 _CSV_ROW = ",".join(["%.12g"] * len(COLUMNS))
-_JSON_ROW = "    {\n" + ",\n".join("      %s: %%s" % json.dumps(c) for c in COLUMNS) + "\n    }"
+_JSON_FIRST = "    {\n      %s: " % json.dumps(COLUMNS[0])
+_JSON_PREFIXES = np.array(["\n    },\n" + _JSON_FIRST]
+                          + [",\n      %s: " % json.dumps(c) for c in COLUMNS[1:]], dtype=object)
 
 
 def table_to_csv(table: ScanTable) -> str:
@@ -202,16 +202,18 @@ def table_to_json(table: ScanTable) -> str:
     head = json.dumps({"metadata": table.metadata, "rows": []}, indent=2)
     if not table.rows.size:
         return head + "\n"
-    # one repr per distinct value, keyed by its bits so that -0.0 and 0.0 stay apart
-    bits, inverse = np.unique(table.rows.view(np.float64).view(np.int64), return_inverse=True)
-    distinct, reprs = bits.view(np.float64), []
-    for start in range(0, distinct.size, 4096):  # a float list as long as the table raises peak RSS
-        reprs += map(float.__repr__, distinct[start:start + 4096].tolist())
-    for i in np.flatnonzero(~np.isfinite(distinct)):  # NaN, Infinity, -Infinity as JSON spells them
-        reprs[i] = json.dumps(float(reprs[i]))
-    values = np.array(reprs, dtype=object)[inverse].tolist()
-    body = ",\n".join([_JSON_ROW] * table.rows.size) % tuple(values)
-    return head[:-len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+    parts = np.empty((table.rows.size, 2 * len(COLUMNS)), dtype=object)
+    parts[:, 0::2], parts[0, 0] = _JSON_PREFIXES, _JSON_FIRST
+    for j, column in enumerate(table.rows.view(np.float64).reshape(-1, len(COLUMNS)).T):
+        # one text per distinct value, keyed by its bits so that -0.0 and 0.0 stay apart
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if 2 * bits.size > column.size:  # texts gathered out of row order slow the final join
+            bits, inverse = column.view(np.int64), slice(None)
+        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+        for i in np.flatnonzero(~np.isfinite(bits.view(np.float64))).tolist():
+            texts[i] = json.dumps(float(texts[i]))  # NaN, Infinity, -Infinity as JSON spells them
+        parts[:, 2 * j + 1] = texts[inverse]
+    return head[:-len("[]\n}")] + "[\n" + "".join(parts.ravel().tolist()) + "\n    }\n  ]\n}\n"
 
 
 def _serializer(fmt: str):

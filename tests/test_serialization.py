@@ -2,12 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgmet.estimation import ROW_DTYPE
-from lgmet.scan import COLUMNS, ScanTable, reproduce_figure, table_to_csv, table_to_json
+from lgmet.scan import (COLUMNS, RunConfig, ScanTable, reproduce_figure, sweep, table_to_csv,
+                        table_to_json)
 
 
 def reference_json(table: ScanTable) -> str:
@@ -87,3 +90,56 @@ def test_figure_3_table_matches_reference(tmp_path):
     assert table_to_json(table) == text
     assert table_to_csv(table) == reference_csv(table)
 
+
+EDGES = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5)
+FLOATS = st.sampled_from(EDGES) | st.floats()
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+@st.composite
+def mixed_tables(draw) -> ScanTable:
+    """Tables with one column of at most half its length distinct and one fully distinct.
+
+    The other columns are random bit patterns (any double, NaN payloads included)
+    with a third of them replaced by EDGES.
+    """
+    n = draw(st.sampled_from([0, 1, 2]) | st.integers(45, 55))
+    pool = draw(st.lists(FLOATS, min_size=1, max_size=max(1, n // 2)))
+    columns = [draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+               draw(st.lists(FLOATS, min_size=n, max_size=n, unique_by=_bits))]
+    if n >= 2:
+        assert 2 * len({_bits(x) for x in columns[0]}) <= n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    for _ in COLUMNS[2:]:
+        column = rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64).view(np.float64)
+        edge = rng.random(n) < 1 / 3
+        column[edge] = rng.choice(EDGES, edge.sum())
+        columns.append(column.tolist())
+    order = draw(st.permutations(range(len(COLUMNS))))
+    return _table(METADATA, list(zip(*(columns[k] for k in order))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=mixed_tables())
+def test_json_bytes_match_reference_on_random_tables(table):
+    assert table_to_json(table) == reference_json(table)
+
+
+def test_json_peak_memory_is_bounded():
+    """table_to_json's traced peak on a 101 x 256 phase map stays within 4x its output.
+
+    A large map's JSON must not hold many copies of its text at once (peak RSS).
+    """
+    table = sweep("phase-map", RunConfig(b_values=np.linspace(0.0, 1.0, 101),
+                                         theta_values=np.linspace(0.0, 0.95 * math.pi, 256)))
+    tracemalloc.start()
+    try:
+        text = table_to_json(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.rows) == 25856
+    assert peak <= 4 * len(text), (peak, len(text))
