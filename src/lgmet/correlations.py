@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .measurement import NoisyDichotomicMeasurement
+from .measurement import NoisyDichotomicMeasurement, _squared_transform
 from .spin import SpinSystem
 
 # Brent's golden-section step: this fraction of the larger part of the bracket.
@@ -130,22 +130,17 @@ def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:
     """Matrix Q with K_LG(theta) = a^T Q a for every observable diagonal a.
 
     C(t) = (1/d) sum_kl a_k a_l |U_kl(t)|^2 with U(t) = V diag(e^{-i lam t}) V^T,
-    so Q = (3 |U(theta)|^2 - |U(3 theta)|^2) / d.  The real and imaginary
-    parts of U are real matmuls into one buffer, squared and summed in place,
-    so three d x d arrays are live at a time.
+    so Q = (3 |U(theta)|^2 - |U(3 theta)|^2) / d, each |U|^2 the sum of the squared
+    real and imaginary parts of U.  Each square is added as it is built, so the four
+    d x d squares are never live at once.
     """
-    v = sys.eigenvectors
     lam = np.arange(sys.dim) - sys.two_j / 2
-    kernel, square, scaled = np.zeros_like(v), np.empty_like(v), np.empty_like(v)
-    for weight, t in ((3.0, theta), (-1.0, 3.0 * theta)):
-        for trig in (np.cos, np.sin):
-            np.multiply(v, trig(lam * t), out=scaled)
-            np.matmul(scaled, v.T, out=square)  # real or imaginary part of U(t)
-            square *= square
-            square *= weight
-            kernel += square
-    kernel /= sys.dim
-    return kernel
+
+    def square(trig, t):  # the squared real (cos) or imaginary (sin) part of U(t)
+        return _squared_transform(sys.eigenvectors, trig(lam * t)[None])[0]
+
+    return (3.0 * square(np.cos, theta) + 3.0 * square(np.sin, theta)
+            - square(np.cos, 3.0 * theta) - square(np.sin, 3.0 * theta)) / sys.dim
 
 
 def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -159,16 +154,11 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     spacings for |theta| beyond about 3e7).  Returns (theta_star, k_max), the
     best point evaluated, so k_max is never below the grid maximum.
     """
-    if not (math.isfinite(theta_lo) and math.isfinite(theta_hi)):
-        raise ValueError("theta_lo and theta_hi must be finite, got %r and %r"
-                         % (theta_lo, theta_hi))
-    if theta_lo > theta_hi:
-        raise ValueError("theta_lo must not exceed theta_hi")
     # every grid and refinement phase lies between the bound phases 3 theta (d - 1);
     # with d >= 2, finite bound phases also keep the width theta_hi - theta_lo finite
-    if not all(math.isfinite(3.0 * float(t) * (sys.dim - 1)) for t in (theta_lo, theta_hi)):
-        raise ValueError("theta range [%r, %r] is too large: 3 theta times %d overflows"
-                         % (theta_lo, theta_hi, sys.dim - 1))
+    _check_phases(sys, (theta_lo, theta_hi))
+    if theta_lo > theta_hi:
+        raise ValueError("theta_lo must not exceed theta_hi")
     if not isinstance(grid_points, (int, np.integer)):
         raise ValueError("grid_points must be an integer, got %r" % (grid_points,))
     if grid_points < 16:

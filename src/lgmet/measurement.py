@@ -127,12 +127,16 @@ def build_measurement(sys: SpinSystem, b: float,
 
 
 def _weights(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
-    """(B, d^2) Fourier weights (V^T A V)_kl^2 of a (B, d) stack of diagonals, raveled over (k, l).
+    """(B, d^2) Fourier weights (V^T A V)_kl^2 of a (B, d) stack of diagonals, raveled over (k, l)."""
+    return _squared_transform(sys.eigenvectors.T, a_diags).reshape(len(a_diags), -1)
+
+
+def _squared_transform(m: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """(B, d, d) entrywise squares of m diag(x) m^T for each row x of a (B, d) stack of diagonals.
 
     Each slice of the stacked matmul is the gemm of its diagonal alone, bit for bit.
     """
-    v = sys.eigenvectors
-    return (((v.T * a_diags[:, None, :]) @ v) ** 2).reshape(len(a_diags), -1)
+    return ((m * diags[:, None, :]) @ m.T) ** 2
 
 
 def _a_diag(sys: SpinSystem, b: float, partition: PartitionSpec) -> np.ndarray:

@@ -16,12 +16,16 @@ from __future__ import annotations
 import numpy as np
 
 from lgmet.correlations import correlation, klg_equal_interval
-from lgmet.estimation import QFI_EIGENVALUE_CUTOFF, InconsistentCorrelationError
+from lgmet.estimation import InconsistentCorrelationError
 from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
                                PartitionSpec, build_measurement)
 from lgmet.spin import SpinSystem, make_spin_system
 
 DEFAULT_FD_STEP = 1e-5
+
+# Eigenvalue pairs of a state summing to at most this are its null subspace, where
+# eigh leaves rounding noise; chosen here, not shared with the runtime's QFI.
+NULL_EIGENVALUE_CUTOFF = 1e-12
 
 
 class NearSingularProbabilityError(ArithmeticError):
@@ -159,7 +163,7 @@ def qfi_of_state(sys: SpinSystem, rho: np.ndarray) -> float:
     jx_t = v.conj().T @ dense_jx(sys.two_j) @ v
     psum = p[:, None] + p[None, :]
     pdiff = p[:, None] - p[None, :]
-    mask = psum > QFI_EIGENVALUE_CUTOFF
+    mask = psum > NULL_EIGENVALUE_CUTOFF
     ratio = np.zeros_like(psum)
     ratio[mask] = pdiff[mask] ** 2 / psum[mask]
     return float(2.0 * np.sum(ratio * np.abs(jx_t) ** 2))

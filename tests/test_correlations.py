@@ -191,13 +191,14 @@ class TestMaxViolation:
                                         (1e308, 1e308), (-7e307, -7e307), (6e307, 7e307)])
     def test_rejects_overflowing_range_without_warning(self, spin52, parity52, monkeypatch,
                                                         lo, hi):
-        # a width hi - lo or a bound phase 3 theta (d - 1) beyond the float range is named
-        # with the bounds given, before any grid is built
+        # a width hi - lo or a bound phase 3 theta (d - 1) beyond the float range names
+        # the first such bound as given, before any grid is built
         monkeypatch.setattr(np, "linspace", None)
+        bad = next(t for t in (lo, hi) if not math.isfinite(3.0 * t * (spin52.dim - 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape("theta range [%r, %r] is too large"
-                                                           % (lo, hi))):
+            with pytest.raises(ValueError, match=re.escape("theta=%r is too large: 3 theta "
+                                                           "times 5 overflows" % bad)):
                 max_violation(spin52, parity52, lo, hi)
 
     @pytest.mark.parametrize("lo", [1e9, -1e12, 2.0 ** 60])
@@ -247,6 +248,21 @@ class TestMaxViolation:
         theta_star, k_max = max_violation(sys, meas, grid[0], grid[-1], grid.size)
         assert lo <= theta_star <= hi
         assert k_max >= max(oracle_klg(theta) for theta in np.linspace(lo, hi, 401)) - 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="phases beyond about 1e16 are rounding noise; "
+                       "exact phase reduction (ROADMAP item 3) removes this marker")
+    def test_huge_range_cannot_exceed_true_maximum(self):
+        # K_LG is 2 pi periodic, so no range holds a larger |K_LG| than [0, 2 pi] does
+        sys = make_spin_system(1)
+        meas = build_measurement(sys, 0.97)
+        grid = np.linspace(0.0, 2 * math.pi, 2 ** 18 + 1)
+        true_max = float(np.max(np.abs(lgmet.correlations._fourier_sums(
+            sys, meas.weights[None], grid, False)[0, :, 1])))
+        try:
+            k_max = max_violation(sys, meas, -1e307, 1e307, 16)[1]
+        except ValueError:
+            return
+        assert k_max <= true_max + 1e-9
 
     def test_rejects_grid_above_limit(self, spin52, parity52, monkeypatch):
         # linspace must never see the count: a grid this large cannot be allocated

@@ -11,6 +11,7 @@ from lgmet import (build_measurement, correlation, correlation_derivatives, esti
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
                                PartitionSpec, default_partition)
+from lgmet.scan import violation_threshold_b
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
                      outcome_probabilities, prepared_state, propagator, qfi_of_state)
 
@@ -204,13 +205,29 @@ def _rows_around(sys, meas, theta):
     return _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], [0.1, theta, 0.2])
 
 
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308])
+def _max_violation_lo(sys, meas, theta):
+    return max_violation(sys, meas, theta, 1.0)
+
+
+def _max_violation_hi(sys, meas, theta):
+    return max_violation(sys, meas, -1.0, theta)
+
+
+def _violation_threshold_b(sys, meas, theta):
+    return violation_threshold_b(sys.two_j, theta)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307])
 @pytest.mark.parametrize("fn", [correlation, correlation_derivatives, klg_equal_interval,
-                                fisher_from_correlation, estimation_report, _rows_around])
-def test_non_finite_theta_rejected_without_warning(fn, theta):
-    # a finite theta whose phase 3 theta (d - 1) overflows is named as given
+                                fisher_from_correlation, estimation_report, _rows_around,
+                                _max_violation_lo, _max_violation_hi, _violation_threshold_b])
+def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
+    # every entry point applies the one theta-domain rule, before any grid or kernel
+    # is built; a finite theta whose phase 3 theta (d - 1) overflows is named as given
     message = ("theta must be finite, got %r" if not math.isfinite(theta)
                else "theta=%r is too large") % theta
+    monkeypatch.setattr(np, "linspace", None)
+    monkeypatch.setattr("lgmet.scan._klg_kernel", None)
     for two_j in (1, 5):
         sys = make_spin_system(two_j)
         meas = build_measurement(sys, 0.9)
