@@ -8,6 +8,7 @@ the paper-style axes; grid flags accept either a single real or "lo:hi:count".
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys as _sys
 
@@ -72,6 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_process_parser = functools.cache(build_parser)  # built by the first main call, then reused
+
+
 def run(args) -> None:
     if args.command == "figure":
         print(*reproduce_figure(args.which, args.outdir, plot=args.plot, fmt=args.fmt), sep="\n")
@@ -86,8 +90,7 @@ def run(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_values(_sys.argv[1:] if argv is None else argv))
+    args = _process_parser().parse_args(_attach_values(_sys.argv[1:] if argv is None else argv))
     try:
         run(args)
     except (ValueError, OSError, ArithmeticError) as exc:

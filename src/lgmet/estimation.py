@@ -54,37 +54,37 @@ def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement) -> float:
     Its J_z populations are e / (d p), e = (1 + a)/2, p = sum(e) / d, and J_x is
     tridiagonal there, so the spectral QFI formula reduces to the O(d) sum
     4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) J_x[k, k+1]^2 over the pairs
-    with p_k + p_{k+1} above the null-subspace cutoff.  DegeneratePreparationError
-    if p is zero.  (The default partition's - arm is the mirror image: same QFI.)
+    with p_k + p_{k+1} above the null-subspace cutoff; DegeneratePreparationError if
+    p is zero.  Only hand-built diagonals reach either: _a_diag's have p_k >= 1/(2d)
+    at even k.  (The default partition's - arm is the mirror image: same QFI.)
     """
-    return _qfi(sys, meas.a_diag)
+    return float(_qfi(sys, meas.a_diag[None])[0])
 
 
-def _qfi(sys: SpinSystem, a_diag: np.ndarray) -> float:
-    """The qfi sum for the observable diagonal a_diag."""
-    if len(a_diag) != sys.dim:
+def _qfi(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
+    """qfi for each row of a (B, d) stack of diagonals, bit-equal to the sum over that row alone."""
+    if a_diags.shape[1] != sys.dim:
         raise ValueError("observable diagonal has length %d, but the spin has dimension %d: "
-                         "the measurement was built on another spin" % (len(a_diag), sys.dim))
-    e = (1.0 + a_diag) / 2
-    prob = float(np.sum(e)) / sys.dim
-    if prob <= 0.0:
+                         "the measurement was built on another spin" % (a_diags.shape[1], sys.dim))
+    e = (1.0 + a_diags) / 2
+    prob = np.sum(e, axis=1, keepdims=True) / sys.dim
+    if np.any(prob <= 0.0):
         raise DegeneratePreparationError("outcome +1 has zero probability; preparation undefined")
     p = e / (sys.dim * prob)
-    psum = p[:-1] + p[1:]
-    mask = psum > QFI_EIGENVALUE_CUTOFF
-    ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
-    return float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
+    psum = p[:, :-1] + p[:, 1:]
+    ratio = (p[:, :-1] - p[:, 1:]) ** 2 / np.where(psum > QFI_EIGENVALUE_CUTOFF, psum, np.inf)
+    return 4.0 * np.sum(ratio * sys.jx_ladder ** 2, axis=1)
 
 
 def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
           thetas) -> np.recarray:
     """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
 
-    One _fourier_sums call evaluates the block and F_Q is computed once per b.
+    One _fourier_sums call evaluates the block and one _qfi call gives its F_Q column.
     Each value is bit-identical to the one composed from correlation,
     klg_equal_interval, fisher_from_correlation and qfi at that point.
     """
-    f_q = np.array([_qfi(sys, a) for a in a_diags])[:, None]
+    f_q = _qfi(sys, a_diags)[:, None]
     thetas = np.asarray(thetas, float)
     c, k_lg, c1, c2 = np.moveaxis(_fourier_sums(sys, weights, thetas, True), -1, 0)
     f = _fisher(c, c1, c2)

@@ -21,7 +21,7 @@ from . import __version__
 from .correlations import MAX_GRID_COUNT, _block_size, _check_phases, _klg_kernel
 from .estimation import COLUMNS, _rows
 from .measurement import PartitionSpec, _a_diag, _weights, format_partition, resolve_partition
-from .spin import make_spin_system
+from .spin import _check_two_j, make_spin_system
 
 # sweep kind -> (metadata "sweep" name, grids given as a single value, plot x column,
 # plot y columns, CLI help)
@@ -79,10 +79,7 @@ class RunConfig:
     partition: PartitionSpec | None = None
 
     def __post_init__(self):
-        # a numpy integer would reach the JSON metadata, which cannot encode it
-        if not isinstance(self.two_j, (int, np.integer)) or self.two_j < 1:
-            raise ValueError("two_j must be a positive integer, got %r" % (self.two_j,))
-        self.two_j = int(self.two_j)
+        self.two_j = _check_two_j(self.two_j)  # the JSON metadata cannot encode a numpy integer
         self.b_values = np.atleast_1d(np.asarray(self.b_values, float))
         self.theta_values = np.atleast_1d(np.asarray(self.theta_values, float))
         for name, grid in (("b", self.b_values), ("theta", self.theta_values)):

@@ -35,11 +35,16 @@ class SpinSystem:
     frequencies: np.ndarray
 
 
+def _check_two_j(two_j) -> int:
+    """two_j as an int; ValueError unless it is a Python or numpy integer >= 1 (a bool is not)."""
+    if isinstance(two_j, bool) or not isinstance(two_j, (int, np.integer)) or two_j < 1:
+        raise ValueError("two_j must be a positive integer (d >= 2), got %r" % (two_j,))
+    return int(two_j)
+
+
 def make_spin_system(two_j: int) -> SpinSystem:
     """Construct the spin system for a given two_j >= 1."""
-    if not isinstance(two_j, (int, np.integer)) or two_j < 1:
-        raise ValueError("two_j must be a positive integer (dichotomic parity needs d >= 2)")
-    two_j = int(two_j)
+    two_j = _check_two_j(two_j)
     dim = two_j + 1
     j = two_j / 2
     m = (two_j - 2 * np.arange(dim)) / 2

@@ -8,10 +8,13 @@ import pytest
 from lgmet import (build_measurement, correlation, correlation_derivatives, estimation_report,
                    fisher_from_correlation, klg_equal_interval, make_spin_system,
                    max_violation, qfi)
+import lgmet.estimation
+from lgmet.correlations import _block_size
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
-                               PartitionSpec, default_partition)
-from lgmet.scan import violation_threshold_b
+                               PartitionSpec, _a_diag, _weights, default_partition)
+from lgmet.scan import RunConfig, sweep, violation_threshold_b
+from conftest import count_calls, random_partition
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
                      outcome_probabilities, prepared_state, propagator, qfi_of_state)
 
@@ -161,6 +164,39 @@ class TestQuantumFisherInformation:
             meas = build_measurement(spin52, b)
             for n in (1, 2):
                 assert fisher_from_correlation(spin52, meas, n * math.pi) <= 1e-4
+
+
+def _one_row_qfi(sys, a_diag):
+    """The qfi sum over one 1-D diagonal, every reduction on that row alone."""
+    e = (1.0 + a_diag) / 2
+    p = e / (sys.dim * (float(np.sum(e)) / sys.dim))
+    psum = p[:-1] + p[1:]
+    return float(4.0 * np.sum((p[:-1] - p[1:]) ** 2 / psum * sys.jx_ladder ** 2))
+
+
+class TestQfiPerBlock:
+    """_rows computes the F_Q column of a whole b block in one _qfi call."""
+
+    @pytest.mark.parametrize("two_j", [1, 2, 5, 12, 51, 201, 401])
+    def test_block_column_bit_equal_to_per_row_qfi(self, two_j):
+        rng = np.random.default_rng(two_j)
+        sys = make_spin_system(two_j)
+        partition = random_partition(rng, two_j)
+        step = _block_size(sys)
+        for size in sorted({1, min(2, step), min(7, step), step}):
+            bs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(0, size - 2))])[:size]
+            a_diags = np.array([_a_diag(sys, b, partition) for b in bs.tolist()])
+            f_q = _rows(sys, bs, a_diags, _weights(sys, a_diags), [0.3]).F_Q
+            expected = [qfi(sys, build_measurement(sys, b, partition)) for b in bs.tolist()]
+            assert f_q.tobytes() == np.array(expected).tobytes(), (two_j, size)
+            assert f_q.tobytes() == np.array([_one_row_qfi(sys, a) for a in a_diags]).tobytes()
+
+    @pytest.mark.parametrize("two_j", [5, 51])
+    def test_one_qfi_evaluation_per_b_block(self, two_j, monkeypatch):
+        calls = count_calls(monkeypatch, lgmet.estimation._qfi)
+        sweep("scan-b", RunConfig(two_j, np.linspace(0.0, 1.0, 201), [0.95 * math.pi]))
+        # _block_size is 1820 b values at two_j = 5 and 24 at two_j = 51
+        assert [a_diags.shape[0] for _, a_diags in calls] == {5: [201], 51: [24] * 8 + [9]}[two_j]
 
 
 class TestEstimationReport:

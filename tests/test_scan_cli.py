@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys as _sys
 import warnings
 
 import numpy as np
 import pytest
 
+import lgmet.cli
 import lgmet.scan
 from lgmet import build_measurement, make_spin_system, max_violation
 from lgmet.cli import main
@@ -16,6 +21,8 @@ from lgmet.scan import (MAX_GRID_COUNT, MAX_ROW_COUNT, SWEEPS, RunConfig, ScanTa
                         table_to_json, violation_threshold_b, write_sweep)
 from conftest import count_calls
 import oracles
+
+SRC = pathlib.Path(lgmet.cli.__file__).resolve().parents[1]
 
 
 class TestParseGrid:
@@ -93,6 +100,15 @@ class TestRunConfig:
     def test_rejects_bad_two_j(self, two_j):
         with pytest.raises(ValueError, match="two_j"):
             RunConfig(two_j=two_j)
+
+    @pytest.mark.parametrize("build", [make_spin_system, lambda two_j: RunConfig(two_j=two_j)],
+                             ids=["make_spin_system", "RunConfig"])
+    def test_two_j_check_rejects_bools_and_keeps_integers(self, build):
+        for flag in (True, False, np.True_):
+            with pytest.raises(ValueError, match="two_j must be a positive integer"):
+                build(flag)
+        for two_j in (1, 3, np.int64(3), np.int32(2), np.uint8(1)):
+            assert type(build(two_j).two_j) is int and build(two_j).two_j == two_j
 
 
 class TestScans:
@@ -446,6 +462,47 @@ class TestCli:
         assert files[0] == files[1] and len(files[0]) == 18
         for name in files[0]:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
+    def test_reused_parser_writes_the_same_bytes_after_failed_calls(self, tmp_path, capsys):
+        """One parser serves every main call; a call that exits 2 leaves no trace in the next."""
+        def outputs(name):
+            outdir = tmp_path / name
+            assert main(["figure", "2a", "--plot", "--outdir", str(outdir)]) == 0
+            assert main(["phase-map", "--b", "0:1:3", "--theta", "0:0.5:4", "--format", "json",
+                         "--plot", "--out", str(outdir / "pm.json")]) == 0
+            assert main(["report", "--two-j", "7", "--b", "0.9", "--theta", "-1e-3",
+                         "--out", str(outdir / "report.csv")]) == 0
+            return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+        first = outputs("first")
+        assert main(["scan-theta", "--two-j", "3", "--b", "2", "--theta", "0:1:3",
+                     "--format", "json", "--out", str(tmp_path / "x.json")]) == 2  # ValueError
+        for argv in (["report", "--two-j", "9", "--b", "1"],  # argparse: --theta missing
+                     ["figure", "1a", "--out", "x.csv"], ["scan-b", "--format", "xml"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert outputs("second") == first and len(first) == 5
+        assert lgmet.cli._process_parser() is lgmet.cli._process_parser()
+
+    @pytest.mark.parametrize("verb", [None, *SWEEPS, "figure"])
+    def test_help_matches_a_fresh_parser(self, verb, capsys):
+        argv = ["--help"] if verb is None else [verb, "--help"]
+        main(["report", "--b", "1", "--theta", "0.5"])  # the process parser has been used
+        texts = []
+        for parse in (main, lgmet.cli.build_parser().parse_args):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].startswith("usage: lgmet")
+
+    def test_import_builds_no_parser(self):
+        code = "import lgmet.cli as c; print(c._process_parser.cache_info().currsize)"
+        out = subprocess.run([_sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+        assert out == "0\n"
 
     def test_figure_subcommand(self, tmp_path, capsys):
         code = main(["figure", "2a", "--outdir", str(tmp_path)])

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
                    fisher_from_correlation, klg_equal_interval, make_spin_system, qfi)
 from lgmet.estimation import QFI_EIGENVALUE_CUTOFF
-from lgmet.measurement import PartitionSpec, default_partition
+from lgmet.measurement import PartitionSpec, _a_diag, default_partition
 from lgmet.scan import RunConfig, sweep
 import lgmet.correlations
 import lgmet.measurement
-from conftest import count_calls, narrow_blocks
+from conftest import count_calls, narrow_blocks, random_partition
 from oracles import prepared_state, qfi_of_state
 
 
@@ -142,3 +142,19 @@ def test_qfi_bit_equal_to_prepare_states_populations(setup, b):
     ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
     expected = float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
     assert _bits(qfi(sys, meas)) == _bits(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(two_j=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1), b=b_values)
+def test_qfi_cutoff_and_degenerate_branches_unreachable(two_j, seed, b):
+    """No _a_diag diagonal reaches _qfi's eigenvalue cutoff or its DegeneratePreparationError.
+
+    Every even k has a = +b^(g^2) >= 0, so e_k >= 1/2 and every adjacent pair holds one.
+    """
+    sys = make_spin_system(two_j)
+    e = (1.0 + _a_diag(sys, b, random_partition(np.random.default_rng(seed), two_j))) / 2
+    prob = float(np.sum(e)) / sys.dim
+    p = e / (sys.dim * prob)
+    assert prob >= 1.0 / (2 * sys.dim)
+    assert np.all(p[:-1] + p[1:] > QFI_EIGENVALUE_CUTOFF)
+    assert np.all(p[0::2] >= 1.0 / (2 * sys.dim))
