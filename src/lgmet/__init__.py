@@ -3,19 +3,15 @@
 __version__ = "0.1.0"
 
 from .spin import SpinSystem, make_spin_system
-from .measurement import (PartitionSpec, NoisyDichotomicMeasurement,
-                          DegeneratePreparationError, default_partition,
+from .measurement import (PartitionSpec, NoisyDichotomicMeasurement, default_partition,
                           build_measurement, parse_partition, format_partition)
-from .correlations import (correlation, correlation_derivatives, klg_equal_interval,
-                           max_violation)
-from .estimation import (InconsistentCorrelationError, fisher_from_correlation, qfi,
-                         estimation_report)
+from .correlations import klg_equal_interval, max_violation
+from .estimation import InconsistentCorrelationError
 
 __all__ = [
     "SpinSystem", "make_spin_system",
-    "PartitionSpec", "NoisyDichotomicMeasurement",
-    "DegeneratePreparationError", "default_partition", "build_measurement",
+    "PartitionSpec", "NoisyDichotomicMeasurement", "default_partition", "build_measurement",
     "parse_partition", "format_partition",
-    "correlation", "correlation_derivatives", "klg_equal_interval", "max_violation",
-    "InconsistentCorrelationError", "fisher_from_correlation", "qfi", "estimation_report",
+    "klg_equal_interval", "max_violation",
+    "InconsistentCorrelationError",
 ]

@@ -12,7 +12,8 @@ O(d) trig plus an O(d^2) Toeplitz copy and dot product.  A theta grid is
 evaluated in blocks of at most BLOCK_ELEMENTS table values, for a whole
 stack of weights (one per b) at once, with one np.vecdot per block for each
 of C(theta), C(3 theta), C' and C''; the evaluator returns C and
-K_LG = 3 C(theta) - C(3 theta), and every public function reads its columns.
+K_LG = 3 C(theta) - C(3 theta), and the sweep rows, klg_equal_interval and
+max_violation read its columns.
 Each sum runs over (k, l) in the order of a direct d^2 evaluation and equals
 it bit for bit.  A non-finite theta, or one whose largest phase
 3 theta (d - 1) overflows, is a ValueError.
@@ -45,15 +46,15 @@ def _block_size(sys: SpinSystem) -> int:
     return max(1, BLOCK_ELEMENTS // sys.dim ** 2)
 
 
-def _check_phases(sys: SpinSystem, thetas) -> None:
-    """ValueError for a non-finite theta, or one whose largest phase 3 theta (d - 1) overflows."""
+def _check_phases(dim: int, thetas) -> None:
+    """ValueError for a non-finite theta, or one whose largest phase 3 theta (dim - 1) overflows."""
     thetas = np.asarray(thetas, float)
     with np.errstate(over="ignore"):
-        bad = ~np.isfinite(3.0 * thetas * (sys.dim - 1))
+        bad = ~np.isfinite(3.0 * thetas * (dim - 1))
     if bad.any():
         theta = float(thetas[bad][0])
         raise ValueError(("theta must be finite, got %r" % theta) if not math.isfinite(theta) else
-                         "theta=%r is too large: 3 theta times %d overflows" % (theta, sys.dim - 1))
+                         "theta=%r is too large: 3 theta times %d overflows" % (theta, dim - 1))
 
 
 def _toeplitz(table: np.ndarray) -> np.ndarray:
@@ -84,7 +85,7 @@ def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
                          % (weights.shape[-1], sys.dim, sys.dim ** 2))
     thetas = np.asarray(thetas, float)
     # checked here, so no trig sees inf or nan
-    _check_phases(sys, thetas)
+    _check_phases(sys.dim, thetas)
     w = weights[:, None]
     if derivatives:
         g = _toeplitz(sys.frequencies[None])[0]
@@ -107,17 +108,6 @@ def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
     # after the division, as 3.0 * C(theta) - C(3.0 * theta) of two returned values
     out[..., 1] = 3.0 * out[..., 0] - out[..., 1]
     return out
-
-
-def correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
-    """C(theta); real, even, 2*pi periodic, bounded by C(0) = Tr A^2 / d."""
-    return float(_fourier_sums(sys, meas.weights[None], [theta], False)[0, 0, 0])
-
-
-def correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                            theta: float) -> tuple[float, float, float]:
-    """(C, dC/dtheta, d2C/dtheta2) from the analytic Fourier form."""
-    return tuple(_fourier_sums(sys, meas.weights[None], [theta], True)[0, 0, [0, 2, 3]].tolist())
 
 
 def klg_equal_interval(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -156,7 +146,7 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     """
     # every grid and refinement phase lies between the bound phases 3 theta (d - 1);
     # with d >= 2, finite bound phases also keep the width theta_hi - theta_lo finite
-    _check_phases(sys, (theta_lo, theta_hi))
+    _check_phases(sys.dim, (theta_lo, theta_hi))
     if theta_lo > theta_hi:
         raise ValueError("theta_lo must not exceed theta_hi")
     if not isinstance(grid_points, (int, np.integer)):
@@ -165,8 +155,6 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
         raise ValueError("grid_points must be at least 16")
     if grid_points > MAX_GRID_COUNT:
         raise ValueError("grid_points %d exceeds the limit of %d" % (grid_points, MAX_GRID_COUNT))
-    if theta_lo == theta_hi:
-        return float(theta_lo), abs(klg_equal_interval(sys, meas, theta_lo))
 
     def f(theta: float) -> float:
         return -abs(klg_equal_interval(sys, meas, theta))

@@ -3,7 +3,7 @@
 The classical Fisher information comes from the correlation function,
 F = (dC/dtheta)^2 / (1 - C^2).  The quantum Fisher information of the
 unitary family U(theta) rho U(-theta) with generator J_x is
-theta-independent; qfi evaluates the spectral formula for the state that
+theta-independent; _qfi evaluates the spectral formula for the state that
 the + outcome prepares as an O(d) tridiagonal sum.  A sweep row holds the
 COLUMNS values of one (theta, b) point; rows are float64 record arrays of
 ROW_DTYPE.
@@ -14,11 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .correlations import _fourier_sums
-from .measurement import DegeneratePreparationError, NoisyDichotomicMeasurement
 from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
-QFI_EIGENVALUE_CUTOFF = 1e-12
 
 COLUMNS = ("theta", "b", "C", "K_LG", "F", "F_Q", "F_ratio")
 # np.record, so that a row read from any array of this dtype has .F etc.
@@ -38,41 +36,20 @@ def _fisher(c, c1, c2):
     return np.where(singular, np.abs(c2), c1 * c1 / np.where(singular, 1.0, den))
 
 
-def fisher_from_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                            theta: float) -> float:
-    """Fisher information (dC/dtheta)^2 / (1 - C^2) with the singular limit.
-
-    Where C^2 = 1 (projective common extrema) the 0/0 limit equals |C''|,
-    which is returned instead.
-    """
-    return float(_fisher(*_fourier_sums(sys, meas.weights[None], [theta], True)[0, 0, [0, 2, 3]]))
-
-
-def qfi(sys: SpinSystem, meas: NoisyDichotomicMeasurement) -> float:
-    """QFI of the state E+^{1/2} (I/d) E+^{1/2} / p that outcome + prepares; theta-independent.
+def _qfi(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
+    """QFI of the state E+^{1/2} (I/d) E+^{1/2} / p that outcome + prepares, per diagonal.
 
     Its J_z populations are e / (d p), e = (1 + a)/2, p = sum(e) / d, and J_x is
     tridiagonal there, so the spectral QFI formula reduces to the O(d) sum
-    4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) J_x[k, k+1]^2 over the pairs
-    with p_k + p_{k+1} above the null-subspace cutoff; DegeneratePreparationError if
-    p is zero.  Only hand-built diagonals reach either: _a_diag's have p_k >= 1/(2d)
-    at even k.  (The default partition's - arm is the mirror image: same QFI.)
+    4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) J_x[k, k+1]^2, theta-independent.
+    Each row of the (B, d) stack is bit-equal to the sum over that row alone.  The
+    diagonals come from _a_diag, with a = +b^(g^2) >= 0 at even k, so p_k >= 1/(2d)
+    there and no pair sum is zero.  (The default partition's - arm is the mirror
+    image: same QFI.)
     """
-    return float(_qfi(sys, meas.a_diag[None])[0])
-
-
-def _qfi(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
-    """qfi for each row of a (B, d) stack of diagonals, bit-equal to the sum over that row alone."""
-    if a_diags.shape[1] != sys.dim:
-        raise ValueError("observable diagonal has length %d, but the spin has dimension %d: "
-                         "the measurement was built on another spin" % (a_diags.shape[1], sys.dim))
     e = (1.0 + a_diags) / 2
-    prob = np.sum(e, axis=1, keepdims=True) / sys.dim
-    if np.any(prob <= 0.0):
-        raise DegeneratePreparationError("outcome +1 has zero probability; preparation undefined")
-    p = e / (sys.dim * prob)
-    psum = p[:, :-1] + p[:, 1:]
-    ratio = (p[:, :-1] - p[:, 1:]) ** 2 / np.where(psum > QFI_EIGENVALUE_CUTOFF, psum, np.inf)
+    p = e / (sys.dim * (np.sum(e, axis=1, keepdims=True) / sys.dim))
+    ratio = (p[:, :-1] - p[:, 1:]) ** 2 / (p[:, :-1] + p[:, 1:])
     return 4.0 * np.sum(ratio * sys.jx_ladder ** 2, axis=1)
 
 
@@ -80,13 +57,12 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
           thetas) -> np.recarray:
     """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
 
-    One _fourier_sums call evaluates the block and one _qfi call gives its F_Q column.
-    Each value is bit-identical to the one composed from correlation,
-    klg_equal_interval, fisher_from_correlation and qfi at that point.
+    One _fourier_sums call evaluates the block and one _qfi call gives its F_Q column;
+    every value is bit-identical to a call for its (b, theta) point alone.
     """
-    f_q = _qfi(sys, a_diags)[:, None]
     thetas = np.asarray(thetas, float)
     c, k_lg, c1, c2 = np.moveaxis(_fourier_sums(sys, weights, thetas, True), -1, 0)
+    f_q = _qfi(sys, a_diags)[:, None]
     f = _fisher(c, c1, c2)
     ratio = np.divide(f, f_q, out=np.zeros(f.shape), where=f_q > 0.0)
     columns = (thetas, np.asarray(b_values, float)[:, None], c, k_lg, f, f_q, ratio)
@@ -94,9 +70,3 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
     for name, values in zip(COLUMNS, columns):
         rows[name] = values
     return rows.ravel().view(np.recarray)
-
-
-def estimation_report(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                      theta: float) -> np.record:
-    """Assemble C, K_LG, F (correlation route), F_Q and F/F_Q at one point."""
-    return _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], [theta])[0]

@@ -20,10 +20,6 @@ import numpy as np
 from .spin import SpinSystem
 
 
-class DegeneratePreparationError(ValueError):
-    """A POVM arm has zero probability; the conditional state is undefined."""
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
     """Blocks (two_mu, members) assigning every m to a Gaussian center mu.

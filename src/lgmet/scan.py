@@ -149,11 +149,9 @@ def violation_threshold_b(two_j: int, theta: float, tol: float = 1e-4,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive, got %r" % tol)
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite, got %r" % theta)
+    _check_phases(_check_two_j(two_j) + 1, theta)
     sys = make_spin_system(two_j)
     partition = resolve_partition(sys, partition)
-    _check_phases(sys, theta)
     kernel = _klg_kernel(sys, theta)
 
     def violates(b: float) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from lgmet import build_measurement, make_spin_system
 import lgmet.correlations
+from lgmet.estimation import _rows
 from lgmet.measurement import PartitionSpec
 
 import oracles
@@ -45,6 +46,11 @@ def count_calls(monkeypatch, fn) -> list:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def rows_at(sys, meas, thetas):
+    """One measurement's sweep rows at thetas (a scalar is one theta), from estimation._rows."""
+    return _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], np.atleast_1d(thetas))
 
 
 def parity_correlation_closed_form(d, theta):

@@ -9,16 +9,18 @@ Fisher information, and the general eigh-based QFI of any state.  The
 threshold bisection builds a full measurement at every step.  The
 direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps,
 in the summation order lgmet uses, so lgmet must match them bit for bit.
+
+From lgmet this module takes only the spin and measurement builders and
+their types, and klg_equal_interval for threshold_b's Fourier-weight route;
+it evaluates nothing else through the code it checks, and raises its own errors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lgmet.correlations import correlation, klg_equal_interval
-from lgmet.estimation import InconsistentCorrelationError
-from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
-                               PartitionSpec, build_measurement)
+from lgmet.correlations import klg_equal_interval
+from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, build_measurement
 from lgmet.spin import SpinSystem, make_spin_system
 
 DEFAULT_FD_STEP = 1e-5
@@ -30,6 +32,10 @@ NULL_EIGENVALUE_CUTOFF = 1e-12
 
 class NearSingularProbabilityError(ArithmeticError):
     """An outcome probability vanishes while still carrying a derivative."""
+
+
+class DegenerateOutcomeError(ValueError):
+    """An outcome has zero probability, so the state it prepares is undefined."""
 
 
 def dense_jx(two_j: int) -> np.ndarray:
@@ -105,7 +111,7 @@ def prepared_state(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     e = (eye + sign * np.diag(meas.a_diag)) / 2
     p = float(np.trace(e)) / sys.dim
     if p <= 0.0:
-        raise DegeneratePreparationError("outcome %+d has zero probability" % sign)
+        raise DegenerateOutcomeError("outcome %+d has zero probability" % sign)
     root = np.sqrt(e)
     return root @ (eye / sys.dim) @ root / p, p
 
@@ -116,7 +122,8 @@ def outcome_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
 
     Evaluated directly as Tr(E_pm rho_sign(theta)) with dense matrices formed
     here (prepared_state), independent of the Fourier weights, and
-    cross-checked against the closed form 1/2 pm sign*C(theta)/2.
+    cross-checked against the closed form 1/2 pm sign*C(theta)/2 with C from
+    direct_correlation.
     """
     rho, _ = prepared_state(sys, meas, prep_sign)
     u = propagator(sys, theta)
@@ -124,10 +131,9 @@ def outcome_probabilities(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     p_plus = float(np.real(np.trace(np.diag((1.0 + meas.a_diag) / 2) @ rho_t)))
     p_minus = float(np.real(np.trace(np.diag((1.0 - meas.a_diag) / 2) @ rho_t)))
 
-    c = correlation(sys, meas, theta)
+    c = direct_correlation(sys, meas, theta)
     if abs(p_plus - (0.5 + prep_sign * c / 2)) > 1e-10:
-        raise InconsistentCorrelationError(
-            "direct probability disagrees with 1/2 + sign*C/2 beyond 1e-10")
+        raise AssertionError("direct probability disagrees with 1/2 + sign*C/2 beyond 1e-10")
     return p_plus, p_minus
 
 

@@ -8,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from lgmet import (build_measurement, correlation, correlation_derivatives,
-                   fisher_from_correlation, make_spin_system, max_violation, qfi)
+from lgmet import build_measurement, max_violation
+from lgmet.correlations import _fourier_sums
 from lgmet.scan import RunConfig, reproduce_figure, sweep, violation_threshold_b
 from conftest import parity_correlation_closed_form, random_partition
 from oracles import fisher_from_probabilities, prepared_state, two_time_correlation
@@ -29,9 +29,9 @@ def phase_map_table():
     return sweep("phase-map", grid)
 
 
-def test_criterion_1_projective_optimum(spin52, parity52):
-    f = fisher_from_correlation(spin52, parity52, PI)
-    f_q = qfi(spin52, parity52)
+def test_criterion_1_projective_optimum():
+    (row,) = sweep("report", RunConfig(5, [1.0], [PI])).rows
+    f, f_q = row.F, row.F_Q
     closed_form = 4 * 2.5 * 3.5 / 3  # 4 j(j+1)/3
     ok = (abs(f - f_q) <= 1e-6 * f_q
           and abs(f - closed_form) <= 1e-6 * closed_form
@@ -39,13 +39,9 @@ def test_criterion_1_projective_optimum(spin52, parity52):
     _verdict(1, "projective optimum F = F_Q = 35/3 at theta=pi", ok)
 
 
-def test_criterion_2_noise_collapse(spin52):
-    ok = True
-    for b in (0.999, 0.99, 0.9):
-        meas = build_measurement(spin52, b)
-        ok &= fisher_from_correlation(spin52, meas, PI) <= 1e-4
-        if b == 0.99:
-            ok &= qfi(spin52, meas) > 1.0
+def test_criterion_2_noise_collapse():
+    rows = sweep("scan-b", RunConfig(5, [0.999, 0.99, 0.9], [PI])).rows
+    ok = bool(np.all(rows.F <= 1e-4)) and rows.F_Q[1] > 1.0
     _verdict(2, "Fisher collapse at theta=pi for b < 1", ok)
 
 
@@ -55,11 +51,9 @@ def test_criterion_3_violation_threshold():
              0.93 <= b_star <= 0.95)
 
 
-def test_criterion_4_null_case(spin52):
-    theta = 0.34 * PI
-    worst = max(abs(3 * correlation(spin52, build_measurement(spin52, b), theta)
-                    - correlation(spin52, build_measurement(spin52, b), 3 * theta))
-                for b in np.linspace(0, 1, 201))
+def test_criterion_4_null_case():
+    rows = sweep("scan-b", RunConfig(5, np.linspace(0, 1, 201), [0.34 * PI])).rows
+    worst = float(np.max(np.abs(rows.K_LG)))
     _verdict(4, "no violation at theta=0.34pi for any b", worst <= 2.0)
 
 
@@ -83,17 +77,16 @@ def test_criterion_7_oracle_equivalence(spin52):
     while count < 200:
         b = rng.uniform(0.05, 1.0)
         theta = rng.uniform(-PI, PI)
-        meas = build_measurement(spin52, b)
-        if 1 - correlation(spin52, meas, theta) ** 2 <= 1e-6:
+        (row,) = sweep("report", RunConfig(5, [b], [theta])).rows
+        if 1 - row.C ** 2 <= 1e-6:
             continue
-        f_corr = fisher_from_correlation(spin52, meas, theta)
-        f_prob = fisher_from_probabilities(spin52, meas, +1, theta)
+        f_corr = row.F
+        f_prob = fisher_from_probabilities(spin52, build_measurement(spin52, b), +1, theta)
         ok &= abs(f_prob - f_corr) <= 1e-6 * max(abs(f_corr), 1e-3)
         count += 1
-    parity = build_measurement(spin52, 1.0)
-    for theta in rng.uniform(-2 * PI, 2 * PI, size=100):
-        ok &= abs(correlation(spin52, parity, theta)
-                  - parity_correlation_closed_form(6, theta)) <= 1e-10
+    thetas = rng.uniform(-2 * PI, 2 * PI, size=100)
+    for row in sweep("scan-theta", RunConfig(5, [1.0], thetas)).rows:
+        ok &= abs(row.C - parity_correlation_closed_form(6, row.theta)) <= 1e-10
     _verdict(7, "probability-route Fisher and closed-form C oracles agree", ok)
 
 
@@ -114,16 +107,16 @@ def test_criterion_8_structural_invariants(spin52):
 
         theta = rng.uniform(-PI, PI)
         t0 = rng.uniform(-2, 2)
-        c = correlation(spin52, meas, theta)
-        ok &= abs(two_time_correlation(spin52, meas, t0, t0 + theta) - c) <= 1e-10
-        ok &= abs(correlation(spin52, meas, -theta) - c) <= 1e-12
-        ok &= abs(correlation(spin52, meas, theta + 2 * PI) - c) <= 1e-10
-        ok &= fisher_from_correlation(spin52, meas, theta) <= qfi(spin52, meas) + 1e-8
-
         h = 1e-4
-        _, c1, c2 = correlation_derivatives(spin52, meas, theta)
-        cp = correlation(spin52, meas, theta + h)
-        cm = correlation(spin52, meas, theta - h)
+        rows = sweep("scan-theta", RunConfig(5, [b], [theta, -theta, theta + 2 * PI,
+                                                      theta + h, theta - h], part)).rows
+        c, c_neg, c_shift, cp, cm = rows.C
+        ok &= abs(two_time_correlation(spin52, meas, t0, t0 + theta) - c) <= 1e-10
+        ok &= abs(c_neg - c) <= 1e-12
+        ok &= abs(c_shift - c) <= 1e-10
+        ok &= rows.F[0] <= rows.F_Q[0] + 1e-8
+
+        _, _, c1, c2 = _fourier_sums(spin52, meas.weights[None], [theta], True)[0, 0]
         ok &= abs(c1 - (cp - cm) / (2 * h)) <= 1e-6
         ok &= abs(c2 - (cp - 2 * c + cm) / h ** 2) <= 1e-6
     _verdict(8, "POVM, stationarity, symmetry, Cramer-Rao, derivative checks", ok)

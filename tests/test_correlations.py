@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import warnings
 import weakref
 
@@ -7,13 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgmet import (build_measurement, correlation, correlation_derivatives,
-                   fisher_from_correlation, klg_equal_interval, make_spin_system,
-                   max_violation)
+from lgmet import build_measurement, klg_equal_interval, make_spin_system, max_violation
 import lgmet.correlations
-from lgmet.correlations import MAX_GRID_COUNT, _klg_kernel
+from lgmet.correlations import MAX_GRID_COUNT, _fourier_sums, _klg_kernel
 from conftest import (brute_force_correlation, count_calls, parity_correlation_closed_form,
-                      random_partition)
+                      random_partition, rows_at)
 from oracles import direct_correlation, two_time_correlation
 
 
@@ -26,71 +25,71 @@ def _dense_klg_four_time(sys, meas, t1, t2, t3, t4):
 
 class TestCorrelation:
     def test_projective_boundary_values(self, spin52, parity52):
-        assert correlation(spin52, parity52, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert correlation(spin52, parity52, math.pi / 2) == pytest.approx(0.0, abs=1e-12)
-        assert correlation(spin52, parity52, math.pi) == pytest.approx(-1.0, abs=1e-12)
+        c = rows_at(spin52, parity52, [0.0, math.pi / 2, math.pi]).C
+        assert c.tolist() == pytest.approx([1.0, 0.0, -1.0], abs=1e-12)
 
     def test_matches_closed_form(self, spin52, parity52):
         rng = np.random.default_rng(21)
-        for theta in rng.uniform(0.05, math.pi - 0.05, size=40):
-            assert correlation(spin52, parity52, theta) == pytest.approx(
-                parity_correlation_closed_form(6, theta), abs=1e-12)
+        thetas = rng.uniform(0.05, math.pi - 0.05, size=40)
+        for theta, c in zip(thetas, rows_at(spin52, parity52, thetas).C):
+            assert c == pytest.approx(parity_correlation_closed_form(6, theta), abs=1e-12)
 
     def test_matches_brute_force(self, spin52):
         rng = np.random.default_rng(22)
         for b in (0.3, 0.8, 1.0):
             meas = build_measurement(spin52, b)
-            for theta in rng.uniform(-4, 4, size=8):
-                assert correlation(spin52, meas, theta) == pytest.approx(
-                    brute_force_correlation(spin52, meas, theta), abs=1e-10)
+            thetas = rng.uniform(-4, 4, size=8)
+            for theta, c in zip(thetas, rows_at(spin52, meas, thetas).C):
+                assert c == pytest.approx(brute_force_correlation(spin52, meas, theta), abs=1e-10)
 
     def test_bounded_by_c_zero(self, spin52):
         for b in (0.2, 0.6, 1.0):
-            meas = build_measurement(spin52, b)
-            c0 = correlation(spin52, meas, 0.0)
-            for theta in np.linspace(0, 2 * math.pi, 61):
-                assert abs(correlation(spin52, meas, theta)) <= c0 + 1e-12
+            c = rows_at(spin52, build_measurement(spin52, b), np.linspace(0, 2 * math.pi, 61)).C
+            assert np.all(np.abs(c) <= c[0] + 1e-12)  # c[0] is C(0)
 
     @settings(max_examples=60, deadline=None)
     @given(theta=st.floats(-8, 8), b=st.floats(0, 1))
     def test_even_and_periodic(self, spin52, theta, b):
         meas = build_measurement(spin52, b)
-        c = correlation(spin52, meas, theta)
-        assert correlation(spin52, meas, -theta) == pytest.approx(c, abs=1e-12)
-        assert correlation(spin52, meas, theta + 2 * math.pi) == pytest.approx(c, abs=1e-10)
+        thetas = [theta, -theta, theta + 2 * math.pi]
+        c, c_neg, c_shift = _fourier_sums(spin52, meas.weights[None], thetas, False)[0, :, 0]
+        assert c_neg == pytest.approx(c, abs=1e-12)
+        assert c_shift == pytest.approx(c, abs=1e-10)
 
 
 class TestStationarity:
-    """correlation(theta) against the dense two-time route C_ij at shifted times."""
+    """C(theta) of the sweep rows against the dense two-time route C_ij at shifted times."""
 
     def test_shift_invariance(self, spin52, parity52):
         theta = 0.63
         assert two_time_correlation(spin52, parity52, 0.3, 0.3 + theta) == pytest.approx(
-            correlation(spin52, parity52, theta), abs=1e-10)
+            rows_at(spin52, parity52, theta).C[0], abs=1e-10)
 
     def test_equal_times(self, spin52, parity52):
         assert two_time_correlation(spin52, parity52, 0.0, 0.0) == pytest.approx(
-            correlation(spin52, parity52, 0.0), abs=1e-12)
+            rows_at(spin52, parity52, 0.0).C[0], abs=1e-12)
 
     def test_reversed_times_use_evenness(self, spin52, parity52):
         assert two_time_correlation(spin52, parity52, 1.0, 0.2) == pytest.approx(
-            correlation(spin52, parity52, 0.8), abs=1e-12)
+            rows_at(spin52, parity52, 0.8).C[0], abs=1e-12)
 
 
 class TestDerivatives:
+    """The C' and C'' columns (2 and 3) of _fourier_sums."""
+
     def test_symmetry_at_origin(self, spin52):
         for b in (0.4, 1.0):
             meas = build_measurement(spin52, b)
-            _, c1, _ = correlation_derivatives(spin52, meas, 0.0)
+            c1 = _fourier_sums(spin52, meas.weights[None], [0.0], True)[0, 0, 2]
             assert c1 == pytest.approx(0.0, abs=1e-12)
 
     def test_projective_values_at_pi(self, spin52, parity52):
-        _, c1, c2 = correlation_derivatives(spin52, parity52, math.pi)
+        _, _, c1, c2 = _fourier_sums(spin52, parity52.weights[None], [math.pi], True)[0, 0]
         assert c1 == pytest.approx(0.0, abs=1e-10)
         assert c2 == pytest.approx(35 / 3, abs=1e-10)
 
     def test_projective_slope_at_half_pi(self, spin52, parity52):
-        _, c1, _ = correlation_derivatives(spin52, parity52, math.pi / 2)
+        c1 = _fourier_sums(spin52, parity52.weights[None], [math.pi / 2], True)[0, 0, 2]
         assert c1 == pytest.approx(-1.0, abs=1e-10)
 
     def test_against_finite_differences(self, spin52):
@@ -100,9 +99,8 @@ class TestDerivatives:
             b = rng.uniform(0, 1)
             theta = rng.uniform(-3, 3)
             meas = build_measurement(spin52, b)
-            c, c1, c2 = correlation_derivatives(spin52, meas, theta)
-            cp = correlation(spin52, meas, theta + h)
-            cm = correlation(spin52, meas, theta - h)
+            sums = _fourier_sums(spin52, meas.weights[None], [theta, theta + h, theta - h], True)
+            (c, _, c1, c2), (cp, *_), (cm, *_) = sums[0]
             assert c1 == pytest.approx((cp - cm) / (2 * h), abs=1e-6)
             assert c2 == pytest.approx((cp - 2 * c + cm) / h ** 2, abs=1e-6)
 
@@ -120,7 +118,7 @@ class TestLeggettGargParameter:
     def test_bound_by_four_c_zero(self, spin52):
         for b in (0.3, 0.7, 1.0):
             meas = build_measurement(spin52, b)
-            c0 = correlation(spin52, meas, 0.0)
+            c0 = rows_at(spin52, meas, 0.0).C[0]
             for theta in np.linspace(0, math.pi, 101):
                 assert abs(klg_equal_interval(spin52, meas, theta)) <= 4 * c0 + 1e-12
 
@@ -133,10 +131,8 @@ class TestLeggettGargParameter:
         assert _dense_klg_four_time(spin52, parity52, 0, 0, 0, 0) == pytest.approx(2.0, abs=1e-12)
 
     def test_four_time_general_gaps(self, spin52, parity52):
-        expected = (correlation(spin52, parity52, 0.2)
-                    + correlation(spin52, parity52, 0.3)
-                    + correlation(spin52, parity52, 0.4)
-                    - correlation(spin52, parity52, 0.9))
+        c2, c3, c4, c9 = rows_at(spin52, parity52, [0.2, 0.3, 0.4, 0.9]).C
+        expected = c2 + c3 + c4 - c9
         assert _dense_klg_four_time(spin52, parity52, 0, 0.2, 0.5, 0.9) == \
             pytest.approx(expected, abs=1e-12)
 
@@ -152,13 +148,18 @@ class TestMaxViolation:
         assert k_max <= 2.0
 
     def test_collapsed_range(self, spin52, parity52):
+        # the general path: a grid of one repeated theta, and Brent stops at once
         theta_star, k_max = max_violation(spin52, parity52, math.pi, math.pi)
         assert theta_star == math.pi
         assert k_max == pytest.approx(2.0, abs=1e-10)
+        assert struct.pack("<d", k_max) == struct.pack(
+            "<d", abs(klg_equal_interval(spin52, parity52, math.pi)))
         for bound in (1, np.float32(1.0), np.float64(1.0)):
             theta_star, k_max = max_violation(spin52, parity52, bound, bound)
             assert type(theta_star) is float and type(k_max) is float
             assert theta_star == 1.0
+            assert struct.pack("<d", k_max) == struct.pack(
+                "<d", abs(klg_equal_interval(spin52, parity52, 1.0)))
 
     def test_refinement_is_local_maximum(self, spin52, parity52):
         theta_star, k_max = max_violation(spin52, parity52, 0.0, math.pi)
@@ -308,27 +309,26 @@ class TestCommonExtremumTheorem:
         # at every stationary point of C, either C^2 = 1 (b=1 only) or F = 0
         meas = build_measurement(spin52, b)
         grid = np.linspace(0.0, math.pi, 4001)
-        slopes = np.array([correlation_derivatives(spin52, meas, t)[1] for t in grid])
+        slopes = _fourier_sums(spin52, meas.weights[None], grid, True)[0, :, 2]
         for i in np.flatnonzero(np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0):
             lo, hi = grid[i], grid[i + 1]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if slopes[i] * correlation_derivatives(spin52, meas, mid)[1] > 0:
+                if slopes[i] * _fourier_sums(spin52, meas.weights[None], [mid], True)[0, 0, 2] > 0:
                     lo = mid
                 else:
                     hi = mid
-            theta_e = 0.5 * (lo + hi)
-            c = correlation(spin52, meas, theta_e)
-            if abs(c * c - 1.0) > 1e-8:
-                assert fisher_from_correlation(spin52, meas, theta_e) <= 1e-8
+            (row,) = rows_at(spin52, meas, 0.5 * (lo + hi))
+            if abs(row.C * row.C - 1.0) > 1e-8:
+                assert row.F <= 1e-8
             else:
                 assert b == 1.0
 
 
 def test_measurement_freed_after_use(spin52):
-    """Correlation calls keep no reference to the measurement they were given."""
+    """Evaluations keep no reference to the measurement they were given."""
     meas = build_measurement(spin52, 0.9)
-    correlation(spin52, meas, 0.4)
+    rows_at(spin52, meas, 0.4)
     klg_equal_interval(spin52, meas, 0.4)
     max_violation(spin52, meas, 0.0, 1.0)
     ref = weakref.ref(meas)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
-                   correlation_derivatives, klg_equal_interval, make_spin_system,
-                   max_violation, qfi)
+from lgmet import (InconsistentCorrelationError, build_measurement, klg_equal_interval,
+                   make_spin_system, max_violation)
 import lgmet.correlations
-from lgmet.estimation import _fisher, _rows
+from lgmet.correlations import _fourier_sums
+from lgmet.estimation import _fisher, _qfi, _rows
 from conftest import narrow_blocks, random_partition
 from oracles import direct_correlation, direct_correlation_derivatives
 
@@ -38,11 +38,14 @@ def _direct_klg(sys, meas, theta):
 @settings(max_examples=150, deadline=None)
 @given(setup=setups, theta=thetas)
 def test_point_functions(setup, theta):
+    """One theta: both _fourier_sums column sets, and klg_equal_interval."""
     sys, meas = _measurement(setup)
-    assert _bits([correlation(sys, meas, theta)]) == _bits([direct_correlation(sys, meas, theta)])
-    assert (_bits(correlation_derivatives(sys, meas, theta))
-            == _bits(direct_correlation_derivatives(sys, meas, theta)))
-    assert _bits([klg_equal_interval(sys, meas, theta)]) == _bits([_direct_klg(sys, meas, theta)])
+    c, k_lg = _fourier_sums(sys, meas.weights[None], [theta], False)[0, 0]
+    c_d, k_lg_d, c1, c2 = _fourier_sums(sys, meas.weights[None], [theta], True)[0, 0]
+    direct_k_lg = _direct_klg(sys, meas, theta)
+    assert _bits([c]) == _bits([direct_correlation(sys, meas, theta)])
+    assert _bits([c_d, c1, c2]) == _bits(direct_correlation_derivatives(sys, meas, theta))
+    assert _bits([k_lg, k_lg_d, klg_equal_interval(sys, meas, theta)]) == _bits([direct_k_lg] * 3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,7 +55,7 @@ def test_rows(setup, points, lo, hi, count):
     """Every row over a grid that spans many evaluator blocks."""
     sys, meas = _measurement(setup)
     grid = points + list(np.linspace(lo, hi, count))
-    f_q = qfi(sys, meas)
+    f_q = _qfi(sys, meas.a_diag[None])[0]
     try:
         expected = []
         for theta in grid:

@@ -5,16 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from lgmet import (build_measurement, correlation, correlation_derivatives, estimation_report,
-                   fisher_from_correlation, klg_equal_interval, make_spin_system,
-                   max_violation, qfi)
+from lgmet import build_measurement, klg_equal_interval, make_spin_system, max_violation
 import lgmet.estimation
-from lgmet.correlations import _block_size
+from lgmet.correlations import _block_size, _fourier_sums
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
-from lgmet.measurement import (DegeneratePreparationError, NoisyDichotomicMeasurement,
-                               PartitionSpec, _a_diag, _weights, default_partition)
+from lgmet.measurement import PartitionSpec, _a_diag, _weights
 from lgmet.scan import RunConfig, sweep, violation_threshold_b
-from conftest import count_calls, random_partition
+from conftest import count_calls, random_partition, rows_at
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
                      outcome_probabilities, prepared_state, propagator, qfi_of_state)
 
@@ -80,18 +77,19 @@ class TestFisherFromProbabilities:
 
 
 class TestFisherFromCorrelation:
+    """The F column of the sweep rows, (dC/dtheta)^2 / (1 - C^2) with its |C''| limit."""
+
     def test_projective_limit_at_pi(self, spin52, parity52):
-        assert fisher_from_correlation(spin52, parity52, math.pi) == \
-            pytest.approx(35 / 3, abs=1e-10)
+        assert rows_at(spin52, parity52, math.pi).F[0] == pytest.approx(35 / 3, abs=1e-10)
 
     def test_noise_collapse_at_pi(self, spin52):
         meas = build_measurement(spin52, 0.99)
-        assert fisher_from_correlation(spin52, meas, math.pi) < 1e-6
+        assert rows_at(spin52, meas, math.pi).F[0] < 1e-6
 
     def test_zero_at_origin_for_weak_measurement(self, spin52):
         for b in (0.2, 0.7, 0.99):
             meas = build_measurement(spin52, b)
-            assert fisher_from_correlation(spin52, meas, 0.0) == pytest.approx(0.0, abs=1e-12)
+            assert rows_at(spin52, meas, 0.0).F[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_agrees_with_probability_route(self, spin52):
         rng = np.random.default_rng(53)
@@ -100,9 +98,10 @@ class TestFisherFromCorrelation:
             b = rng.uniform(0.05, 1.0)
             theta = rng.uniform(-3, 3)
             meas = build_measurement(spin52, b)
-            if 1 - correlation(spin52, meas, theta) ** 2 <= 1e-6:
+            (row,) = rows_at(spin52, meas, theta)
+            if 1 - row.C ** 2 <= 1e-6:
                 continue
-            f_corr = fisher_from_correlation(spin52, meas, theta)
+            f_corr = row.F
             f_prob = fisher_from_probabilities(spin52, meas, +1, theta)
             assert f_prob == pytest.approx(f_corr, rel=1e-6, abs=1e-9)
             count += 1
@@ -124,24 +123,19 @@ class TestFisherArrays:
 
 
 class TestQuantumFisherInformation:
-    def test_projective_closed_form(self, spin52, parity52):
-        assert qfi(spin52, parity52) == pytest.approx(35 / 3, abs=1e-10)
+    """The F_Q column of the sweep rows."""
 
-    def test_only_the_requested_arm_must_be_defined(self, spin52):
-        broken = NoisyDichotomicMeasurement(1.0, default_partition(spin52), np.ones(6),
-                                            np.zeros(36))
-        assert qfi(spin52, broken) == 0.0  # E+ = 1 prepares I/d; the - arm is never prepared
-        with pytest.raises(DegeneratePreparationError, match="outcome -1"):
-            prepared_state(spin52, broken, -1)
+    def test_projective_closed_form(self, spin52, parity52):
+        assert rows_at(spin52, parity52, 0.0).F_Q[0] == pytest.approx(35 / 3, abs=1e-10)
 
     def test_spin_half_closed_form(self):
         sys = make_spin_system(1)
         meas = build_measurement(sys, 1.0)
-        assert qfi(sys, meas) == pytest.approx(1.0, abs=1e-12)
+        assert rows_at(sys, meas, 0.0).F_Q[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_carries_nothing(self):
         sys, meas = _null_measurement()
-        assert qfi(sys, meas) == pytest.approx(0.0, abs=1e-12)
+        assert rows_at(sys, meas, 0.0).F_Q[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_theta_independent(self, spin52):
         meas = build_measurement(spin52, 0.8)
@@ -154,20 +148,17 @@ class TestQuantumFisherInformation:
 
     def test_bounds_classical_fisher(self, spin52):
         for b in (0.3, 0.8, 1.0):
-            meas = build_measurement(spin52, b)
-            f_q = qfi(spin52, meas)
-            for theta in np.linspace(0, math.pi, 101):
-                assert fisher_from_correlation(spin52, meas, theta) <= f_q + 1e-8
+            rows = rows_at(spin52, build_measurement(spin52, b), np.linspace(0, math.pi, 101))
+            assert np.all(rows.F <= rows.F_Q + 1e-8)
 
     def test_fragility_under_infinitesimal_noise(self, spin52):
         for b in (0.999, 0.99, 0.9):
             meas = build_measurement(spin52, b)
-            for n in (1, 2):
-                assert fisher_from_correlation(spin52, meas, n * math.pi) <= 1e-4
+            assert np.all(rows_at(spin52, meas, [math.pi, 2 * math.pi]).F <= 1e-4)
 
 
 def _one_row_qfi(sys, a_diag):
-    """The qfi sum over one 1-D diagonal, every reduction on that row alone."""
+    """The F_Q sum over one 1-D diagonal, every reduction on that row alone."""
     e = (1.0 + a_diag) / 2
     p = e / (sys.dim * (float(np.sum(e)) / sys.dim))
     psum = p[:-1] + p[1:]
@@ -179,6 +170,7 @@ class TestQfiPerBlock:
 
     @pytest.mark.parametrize("two_j", [1, 2, 5, 12, 51, 201, 401])
     def test_block_column_bit_equal_to_per_row_qfi(self, two_j):
+        """Each F_Q of a block equals that of a one-b block built from its measurement."""
         rng = np.random.default_rng(two_j)
         sys = make_spin_system(two_j)
         partition = random_partition(rng, two_j)
@@ -187,7 +179,8 @@ class TestQfiPerBlock:
             bs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(0, size - 2))])[:size]
             a_diags = np.array([_a_diag(sys, b, partition) for b in bs.tolist()])
             f_q = _rows(sys, bs, a_diags, _weights(sys, a_diags), [0.3]).F_Q
-            expected = [qfi(sys, build_measurement(sys, b, partition)) for b in bs.tolist()]
+            expected = [rows_at(sys, build_measurement(sys, b, partition), 0.3).F_Q[0]
+                        for b in bs.tolist()]
             assert f_q.tobytes() == np.array(expected).tobytes(), (two_j, size)
             assert f_q.tobytes() == np.array([_one_row_qfi(sys, a) for a in a_diags]).tobytes()
 
@@ -200,41 +193,39 @@ class TestQfiPerBlock:
 
 
 class TestEstimationReport:
-    def test_is_one_float64_record(self, spin52, parity52):
-        rec = estimation_report(spin52, parity52, 0.3)
+    """The rows of the report sweep, and of scan-b and phase-map sweeps of spin 5/2."""
+
+    def test_is_one_float64_record(self):
+        (rec,) = sweep("report", RunConfig(5, [1.0], [0.3])).rows
         assert rec.dtype.names == COLUMNS
         assert all(rec.dtype[c] == np.float64 for c in COLUMNS)
         assert rec.tolist() == tuple(rec[c] for c in COLUMNS)
         assert (rec.theta, rec.b) == (0.3, 1.0)
 
-    def test_projective_at_pi(self, spin52, parity52):
-        rec = estimation_report(spin52, parity52, math.pi)
+    def test_projective_at_pi(self):
+        (rec,) = sweep("report", RunConfig(5, [1.0], [math.pi])).rows
         assert rec.C == pytest.approx(-1.0, abs=1e-10)
         assert rec.K_LG == pytest.approx(-2.0, abs=1e-10)
         assert rec.F == pytest.approx(35 / 3, abs=1e-10)
         assert rec.F_Q == pytest.approx(35 / 3, abs=1e-10)
         assert rec.F_ratio == pytest.approx(1.0, abs=1e-10)
 
-    def test_projective_at_origin(self, spin52, parity52):
-        rec = estimation_report(spin52, parity52, 0.0)
+    def test_projective_at_origin(self):
+        (rec,) = sweep("report", RunConfig(5, [1.0], [0.0])).rows
         assert rec.C == pytest.approx(1.0, abs=1e-10)
         assert rec.K_LG == pytest.approx(2.0, abs=1e-10)
         assert rec.F == pytest.approx(35 / 3, abs=1e-10)
         assert rec.F_ratio == pytest.approx(1.0, abs=1e-10)
 
-    def test_invariants_on_grid(self, spin52):
-        for b in (0.2, 0.6, 0.95):
-            meas = build_measurement(spin52, b)
-            for theta in np.linspace(0, math.pi, 25):
-                rec = estimation_report(spin52, meas, theta)
-                assert rec.F <= rec.F_Q + 1e-8
-                assert 0 <= rec.F_ratio <= 1 + 1e-10
+    def test_invariants_on_grid(self):
+        rows = sweep("phase-map", RunConfig(5, [0.2, 0.6, 0.95], np.linspace(0, math.pi, 25))).rows
+        assert rows.size == 3 * 25
+        assert np.all(rows.F <= rows.F_Q + 1e-8)
+        assert np.all((0 <= rows.F_ratio) & (rows.F_ratio <= 1 + 1e-10))
 
-    def test_no_violation_window_for_any_b(self, spin52):
-        theta = 0.34 * math.pi
-        for b in np.linspace(0, 1, 51):
-            rec = estimation_report(spin52, build_measurement(spin52, b), theta)
-            assert abs(rec.K_LG) <= 2.0
+    def test_no_violation_window_for_any_b(self):
+        rows = sweep("scan-b", RunConfig(5, np.linspace(0, 1, 51), [0.34 * math.pi])).rows
+        assert np.all(np.abs(rows.K_LG) <= 2.0)
 
 
 def _rows_around(sys, meas, theta):
@@ -253,10 +244,18 @@ def _violation_threshold_b(sys, meas, theta):
     return violation_threshold_b(sys.two_j, theta)
 
 
+# Each case reaches the theta check through another caller or block shape; an id names the
+# columns its route yields: C alone, C with C' and C'', F of one row, a block of two b.
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307])
-@pytest.mark.parametrize("fn", [correlation, correlation_derivatives, klg_equal_interval,
-                                fisher_from_correlation, estimation_report, _rows_around,
-                                _max_violation_lo, _max_violation_hi, _violation_threshold_b])
+@pytest.mark.parametrize("fn", [
+    pytest.param(lambda s, m, t: _fourier_sums(s, m.weights[None], [t], False), id="correlation"),
+    pytest.param(lambda s, m, t: _fourier_sums(s, m.weights[None], [t], True),
+                 id="correlation_derivatives"),
+    klg_equal_interval,
+    pytest.param(rows_at, id="fisher_from_correlation"),
+    pytest.param(lambda s, m, t: _rows(s, [m.b] * 2, np.stack([m.a_diag] * 2),
+                                       np.stack([m.weights] * 2), [t]), id="estimation_report"),
+    _rows_around, _max_violation_lo, _max_violation_hi, _violation_threshold_b])
 def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
     # every entry point applies the one theta-domain rule, before any grid or kernel
     # is built; a finite theta whose phase 3 theta (d - 1) overflows is named as given
@@ -273,22 +272,17 @@ def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
                 fn(sys, meas, theta)
 
 
-WEIGHTS_OF_ANOTHER_SPIN = "weights have 36 columns, but a spin of dimension 8 needs 64"
-DIAGONAL_OF_ANOTHER_SPIN = "diagonal has length 6, but the spin has dimension 8"
-
-
-@pytest.mark.parametrize("fn, message", [
-    (lambda s, m: correlation(s, m, 0.3), WEIGHTS_OF_ANOTHER_SPIN),
-    (lambda s, m: correlation_derivatives(s, m, 0.3), WEIGHTS_OF_ANOTHER_SPIN),
-    (lambda s, m: klg_equal_interval(s, m, 0.3), WEIGHTS_OF_ANOTHER_SPIN),
-    (lambda s, m: fisher_from_correlation(s, m, 0.3), WEIGHTS_OF_ANOTHER_SPIN),
-    (lambda s, m: max_violation(s, m, 0.0, 1.0), WEIGHTS_OF_ANOTHER_SPIN),
-    (qfi, DIAGONAL_OF_ANOTHER_SPIN),
-    (lambda s, m: estimation_report(s, m, 0.3), DIAGONAL_OF_ANOTHER_SPIN),
+@pytest.mark.parametrize("fn", [
+    lambda s, m: _fourier_sums(s, m.weights[None], [0.3], False),
+    lambda s, m: _fourier_sums(s, m.weights[None], [0.3], True),
+    lambda s, m: klg_equal_interval(s, m, 0.3),
+    lambda s, m: rows_at(s, m, 0.3),
+    lambda s, m: max_violation(s, m, 0.0, 1.0),
 ], ids=["correlation", "correlation_derivatives", "klg_equal_interval",
-        "fisher_from_correlation", "max_violation", "qfi", "estimation_report"])
-def test_measurement_of_another_spin_rejected(fn, message):
+        "fisher_from_correlation", "max_violation"])
+def test_measurement_of_another_spin_rejected(fn):
     """A two_j = 5 measurement given with a two_j = 7 spin is a ValueError naming both sizes."""
     meas = build_measurement(make_spin_system(5), 0.9)
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(
+            "weights have 36 columns, but a spin of dimension 8 needs 64")):
         fn(make_spin_system(7), meas)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgmet import (DegeneratePreparationError, build_measurement, default_partition,
-                   format_partition, make_spin_system, parse_partition, qfi)
+from lgmet import (build_measurement, default_partition, format_partition, make_spin_system,
+                   parse_partition)
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diag, _weights
-from conftest import random_partition
-from oracles import dense_jx, prepared_state, qfi_of_state
+from conftest import random_partition, rows_at
+from oracles import DegenerateOutcomeError, dense_jx, prepared_state, qfi_of_state
 
 
 class TestPartition:
@@ -109,15 +109,15 @@ class TestBuildMeasurement:
 
 
 class TestPrepareStates:
-    """The state that outcome + prepares from I/d, read through qfi and the dense oracle."""
+    """The state that outcome + prepares from I/d, read through F_Q and the dense oracle."""
 
     @staticmethod
     def _assert_qfi_of_populations(sys, meas, populations):
         rho, p = prepared_state(sys, meas, +1)
         np.testing.assert_allclose(np.diag(rho), populations, atol=1e-12)
         assert p == pytest.approx(0.5, abs=1e-12)
-        assert qfi(sys, meas) == pytest.approx(qfi_of_state(sys, np.diag(populations)),
-                                               rel=1e-12, abs=1e-13)
+        assert rows_at(sys, meas, 0.0).F_Q[0] == pytest.approx(
+            qfi_of_state(sys, np.diag(populations)), rel=1e-12, abs=1e-13)
 
     def test_projective_preparation(self, spin52, parity52):
         self._assert_qfi_of_populations(spin52, parity52, [1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
@@ -138,9 +138,7 @@ class TestPrepareStates:
     def test_degenerate_arm_rejected(self, spin52):
         part = default_partition(spin52)
         broken = NoisyDichotomicMeasurement(1.0, part, -np.ones(6), np.zeros(36))
-        with pytest.raises(DegeneratePreparationError, match="outcome \\+1"):
-            qfi(spin52, broken)
-        with pytest.raises(DegeneratePreparationError):
+        with pytest.raises(DegenerateOutcomeError, match="outcome \\+1"):
             prepared_state(spin52, broken, +1)
 
 
@@ -161,7 +159,8 @@ def test_diagonal_form_matches_dense_form(two_j, seed, b):
     p = np.trace(e) / sys.dim
     root = np.sqrt(e)  # E is diagonal, so its square root is entrywise
     rho = root @ (eye / sys.dim) @ root / p
-    assert qfi(sys, meas) == pytest.approx(qfi_of_state(sys, rho), rel=1e-12, abs=1e-13)
+    assert rows_at(sys, meas, 0.0).F_Q[0] == pytest.approx(qfi_of_state(sys, rho),
+                                                          rel=1e-12, abs=1e-13)
 
 
 def _a_diag_loop(sys, b, partition):

@@ -217,10 +217,13 @@ class TestViolationThreshold:
         ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol"),
         ({"tol": math.inf}, "tol"), ({"theta": math.nan}, "theta"),
         ({"theta": math.inf}, "theta"), ({"theta": -math.inf}, "theta"),
+        ({"theta": 1e308}, "theta=1e\\+308 is too large"),
+        ({"theta": -1e308}, "theta=-1e\\+308 is too large"),
     ])
     def test_rejects_bad_arguments_before_any_work(self, monkeypatch, kwargs, match):
         # a check that lets the call through reaches the spin build and fails with
-        # AssertionError, instead of looping forever (tol <= 0) or answering nan
+        # AssertionError, instead of looping forever (tol <= 0) or answering nan; an
+        # overflowing phase 3 theta (d - 1) is named from two_j alone
         def no_spin(two_j):
             raise AssertionError("spin system built before the arguments were checked")
 

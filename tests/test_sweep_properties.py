@@ -1,20 +1,18 @@
-"""Sweep rows against the single-point functions, and qfi against the eigh form."""
+"""Sweep rows against one-point evaluations, and the F_Q column against the eigh form."""
 
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lgmet import (InconsistentCorrelationError, build_measurement, correlation,
-                   fisher_from_correlation, klg_equal_interval, make_spin_system, qfi)
-from lgmet.estimation import QFI_EIGENVALUE_CUTOFF
+from lgmet import InconsistentCorrelationError, build_measurement, make_spin_system
 from lgmet.measurement import PartitionSpec, _a_diag, default_partition
 from lgmet.scan import RunConfig, sweep
 import lgmet.correlations
 import lgmet.measurement
-from conftest import count_calls, narrow_blocks, random_partition
+from conftest import count_calls, narrow_blocks, random_partition, rows_at
 from oracles import prepared_state, qfi_of_state
 
 
@@ -40,11 +38,10 @@ def _bits(x: float) -> bytes:
 
 
 def _composed(sys, meas, theta):
-    c = correlation(sys, meas, theta)
-    k = klg_equal_interval(sys, meas, theta)
-    f = fisher_from_correlation(sys, meas, theta)
-    f_q = qfi(sys, meas)
-    return (theta, meas.b, c, k, f, f_q, f / f_q if f_q > 0.0 else 0.0)
+    """The row of one (b, theta) point evaluated alone, its F_ratio divided here."""
+    (row,) = rows_at(sys, meas, theta)
+    return (theta, meas.b, row.C, row.K_LG, row.F, row.F_Q,
+            row.F / row.F_Q if row.F_Q > 0.0 else 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,51 +107,54 @@ def test_phase_map_weight_stacks_stay_within_budget(monkeypatch):
 @settings(max_examples=80, deadline=None)
 @given(setup=partitions(), b=b_values)
 def test_qfi_matches_eigh_form(setup, b):
-    """qfi against the eigh QFI of the dense state that outcome + prepares."""
+    """F_Q against the eigh QFI of the dense state that outcome + prepares."""
     two_j, partition = setup
     sys = make_spin_system(two_j)
     meas = build_measurement(sys, b, partition)
     rho, _ = prepared_state(sys, meas, +1)
-    assert qfi(sys, meas) == pytest.approx(qfi_of_state(sys, rho), rel=1e-12, abs=1e-13)
+    assert rows_at(sys, meas, 0.0).F_Q[0] == pytest.approx(qfi_of_state(sys, rho),
+                                                          rel=1e-12, abs=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
 @given(two_j=st.integers(0, 25).map(lambda n: 2 * n + 1), b=b_values)
 def test_qfi_of_the_minus_arm_is_the_mirror_image(two_j, b):
-    """Under the default partition the - arm mirrors the + arm, so qfi needs only the +."""
+    """Under the default partition the - arm mirrors the + arm, so F_Q needs only the +."""
     sys = make_spin_system(two_j)
     meas = build_measurement(sys, b, default_partition(sys))
     rho, _ = prepared_state(sys, meas, -1)
-    assert qfi(sys, meas) == pytest.approx(qfi_of_state(sys, rho), rel=1e-12, abs=1e-13)
+    assert rows_at(sys, meas, 0.0).F_Q[0] == pytest.approx(qfi_of_state(sys, rho),
+                                                          rel=1e-12, abs=1e-13)
 
 
 @settings(max_examples=80, deadline=None)
 @given(setup=partitions(), b=b_values)
 def test_qfi_bit_equal_to_prepare_states_populations(setup, b):
-    """qfi sums over the + arm populations e / (d p), e = (1 + a)/2, p = sum(e) / d, bit for bit."""
+    """F_Q sums over the + arm populations e / (d p), e = (1 + a)/2, p = sum(e) / d, bit for bit."""
     two_j, partition = setup
     sys = make_spin_system(two_j)
     meas = build_measurement(sys, b, partition)
     e = (1.0 + meas.a_diag) / 2
     p = e / (sys.dim * (float(np.sum(e)) / sys.dim))
-    psum = p[:-1] + p[1:]
-    mask = psum > QFI_EIGENVALUE_CUTOFF
-    ratio = (p[:-1] - p[1:])[mask] ** 2 / psum[mask]
-    expected = float(4.0 * np.sum(ratio * sys.jx_ladder[mask] ** 2))
-    assert _bits(qfi(sys, meas)) == _bits(expected)
+    ratio = (p[:-1] - p[1:]) ** 2 / (p[:-1] + p[1:])
+    expected = float(4.0 * np.sum(ratio * sys.jx_ladder ** 2))
+    assert _bits(rows_at(sys, meas, 0.0).F_Q[0]) == _bits(expected)
 
 
 @settings(max_examples=80, deadline=None)
 @given(two_j=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1), b=b_values)
+@example(two_j=201, seed=0, b=0.5)
+@example(two_j=401, seed=1, b=1.0)
 def test_qfi_cutoff_and_degenerate_branches_unreachable(two_j, seed, b):
-    """No _a_diag diagonal reaches _qfi's eigenvalue cutoff or its DegeneratePreparationError.
+    """_qfi divides by the + probability and by every adjacent population sum unguarded.
 
-    Every even k has a = +b^(g^2) >= 0, so e_k >= 1/2 and every adjacent pair holds one.
+    Every even k of an _a_diag diagonal has a = +b^(g^2) >= 0, so e_k >= 1/2, the
+    probability sum(e) / d is at most 1, and each such population, hence each adjacent
+    pair sum, is at least 1/(2d).
     """
     sys = make_spin_system(two_j)
     e = (1.0 + _a_diag(sys, b, random_partition(np.random.default_rng(seed), two_j))) / 2
-    prob = float(np.sum(e)) / sys.dim
-    p = e / (sys.dim * prob)
-    assert prob >= 1.0 / (2 * sys.dim)
-    assert np.all(p[:-1] + p[1:] > QFI_EIGENVALUE_CUTOFF)
-    assert np.all(p[0::2] >= 1.0 / (2 * sys.dim))
+    p = e / (sys.dim * (float(np.sum(e)) / sys.dim))
+    bound = 1.0 / (2 * sys.dim)
+    assert np.all(p[0::2] >= bound)
+    assert np.all(p[:-1] + p[1:] >= bound)
