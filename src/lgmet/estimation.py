@@ -43,7 +43,7 @@ def _qfi(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
     tridiagonal there, so the spectral QFI formula reduces to the O(d) sum
     4 sum_k (p_k - p_{k+1})^2 / (p_k + p_{k+1}) J_x[k, k+1]^2, theta-independent.
     Each row of the (B, d) stack is bit-equal to the sum over that row alone.  The
-    diagonals come from _a_diag, with a = +b^(g^2) >= 0 at even k, so p_k >= 1/(2d)
+    diagonals come from _a_diags, with a = +b^(g^2) >= 0 at even k, so p_k >= 1/(2d)
     there and no pair sum is zero.  (The default partition's - arm is the mirror
     image: same QFI.)
     """

@@ -22,31 +22,9 @@ from .spin import SpinSystem
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Blocks (two_mu, members) assigning every m to a Gaussian center mu.
-
-    Members are 2m integers; blocks must be pairwise disjoint and cover the
-    whole m ladder of the spin system they are used with.
-    """
+    """Blocks (two_mu, members) of 2m integers, assigning every m to a Gaussian center mu."""
 
     blocks: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def validate(self, sys: SpinSystem) -> None:
-        ladder = set(int(t) for t in (sys.two_j - 2 * np.arange(sys.dim)))
-        seen: set[int] = set()
-        for two_mu, members in self.blocks:
-            if abs(two_mu) > sys.two_j:
-                raise ValueError("block center 2mu=%d outside [-2j, 2j]" % two_mu)
-            if (two_mu - sys.two_j) % 2 != 0:
-                raise ValueError("block center 2mu=%d off the m lattice" % two_mu)
-            for two_m in members:
-                if two_m in seen:
-                    raise ValueError("m value 2m=%d assigned to two blocks" % two_m)
-                if two_m not in ladder:
-                    raise ValueError("m value 2m=%d not in the spin ladder" % two_m)
-                seen.add(two_m)
-        if seen != ladder:
-            missing = sorted(ladder - seen)
-            raise ValueError("partition does not cover m values (2m): %s" % missing)
 
 
 def default_partition(sys: SpinSystem) -> PartitionSpec:
@@ -64,12 +42,30 @@ def default_partition(sys: SpinSystem) -> PartitionSpec:
     return PartitionSpec(((sys.two_j, plus), (-sys.two_j, minus)))
 
 
-def resolve_partition(sys: SpinSystem, partition: PartitionSpec | None) -> PartitionSpec:
-    """partition, or default_partition(sys) if None, validated against sys."""
+def resolve_partition(sys: SpinSystem, partition: PartitionSpec | None) -> list[int]:
+    """Gaps |m - mu| at each level k = j - m of partition, or of default_partition(sys) if None.
+
+    ValueError unless the blocks are disjoint, cover the m ladder of sys, and center on it.
+    """
     if partition is None:
         partition = default_partition(sys)
-    partition.validate(sys)
-    return partition
+    level = {sys.two_j - 2 * k: k for k in range(sys.dim)}  # 2m -> k
+    gaps: list = [None] * sys.dim
+    for two_mu, members in partition.blocks:
+        if abs(two_mu) > sys.two_j:
+            raise ValueError("block center 2mu=%d outside [-2j, 2j]" % two_mu)
+        if (two_mu - sys.two_j) % 2 != 0:
+            raise ValueError("block center 2mu=%d off the m lattice" % two_mu)
+        for two_m in members:
+            if two_m not in level:
+                raise ValueError("m value 2m=%d not in the spin ladder" % two_m)
+            if gaps[level[two_m]] is not None:
+                raise ValueError("m value 2m=%d assigned to two blocks" % two_m)
+            gaps[level[two_m]] = abs(two_m - two_mu) // 2
+    missing = sorted(two_m for two_m, k in level.items() if gaps[k] is None)
+    if missing:
+        raise ValueError("partition does not cover m values (2m): %s" % missing)
+    return gaps
 
 
 def parse_partition(text: str) -> PartitionSpec:
@@ -104,7 +100,6 @@ class NoisyDichotomicMeasurement:
     """
 
     b: float
-    partition: PartitionSpec
     a_diag: np.ndarray
     weights: np.ndarray
 
@@ -117,9 +112,8 @@ def build_measurement(sys: SpinSystem, b: float,
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("measurability b must lie in [0, 1], got %r" % b)
-    partition = resolve_partition(sys, partition)
-    a_diag = _a_diag(sys, b, partition)
-    return NoisyDichotomicMeasurement(float(b), partition, a_diag, _weights(sys, a_diag[None])[0])
+    a_diag = _a_diags(resolve_partition(sys, partition), [b])[0]
+    return NoisyDichotomicMeasurement(float(b), a_diag, _weights(sys, a_diag[None])[0])
 
 
 def _weights(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
@@ -135,15 +129,14 @@ def _squared_transform(m: np.ndarray, diags: np.ndarray) -> np.ndarray:
     return ((m * diags[:, None, :]) @ m.T) ** 2
 
 
-def _a_diag(sys: SpinSystem, b: float, partition: PartitionSpec) -> np.ndarray:
-    """Diagonal (-1)^(j-m) b^((m-mu)^2) of A over m = j, ..., -j; partition already validated.
+def _a_diags(gaps: list[int], b_values) -> np.ndarray:
+    """(B, d) diagonals (-1)^k b^(gap_k^2) of A, one row per b, from resolve_partition's gaps.
 
-    Each power is a scalar float ** int, taken once per gap |m - mu| and
-    gathered: np.power differs from it in the last bit for some (b, exponent).
+    One scalar float ** int per (b, gap), as np.power differs from it in the last bit for
+    some (b, exponent); 0**0 == 1 covers b = 0 at m = mu.  np.take, unlike fancy indexing,
+    keeps the stack C-contiguous, so _qfi's row sums keep their bits.
     """
-    gaps = [0] * sys.dim  # |m - mu| at index k = j - m
-    for two_mu, members in partition.blocks:
-        for two_m in members:
-            gaps[(sys.two_j - two_m) // 2] = abs(two_m - two_mu) // 2
-    powers = [float(b) ** (g * g) for g in range(max(gaps) + 1)]  # 0**0 == 1 covers b=0 at m=mu
-    return np.array([-powers[g] if k % 2 else powers[g] for k, g in enumerate(gaps)])
+    powers = [[b ** (g * g) for g in range(max(gaps) + 1)] for b in map(float, b_values)]
+    a_diags = np.take(powers, gaps, axis=1)
+    a_diags[:, 1::2] *= -1.0  # exact
+    return a_diags

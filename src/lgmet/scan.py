@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .correlations import MAX_GRID_COUNT, _block_size, _check_phases, _klg_kernel
 from .estimation import COLUMNS, _rows
-from .measurement import PartitionSpec, _a_diag, _weights, format_partition, resolve_partition
+from .measurement import PartitionSpec, _a_diags, _weights, format_partition, resolve_partition
 from .spin import _check_two_j, make_spin_system
 
 # sweep kind -> (metadata "sweep" name, grids given as a single value, plot x column,
@@ -116,19 +116,19 @@ def _sweep_kind(kind: str) -> tuple:
 
 
 def sweep(kind: str, config: RunConfig) -> ScanTable:
-    """The SWEEPS kind's table: rows over the (b, theta) grid, sorted by (b, theta)."""
+    """The SWEEPS kind's table: one row per (b, theta), b-major in the order of the grids."""
     name, single, *_ = _sweep_kind(kind)
     sizes = {"b": config.b_values.size, "theta": config.theta_values.size}
     if any(sizes[flag] != 1 for flag in single):
         raise ValueError("%s needs %s value"
                          % (kind, " and ".join("a single --" + flag for flag in single)))
     sys = make_spin_system(config.two_j)
-    partition = resolve_partition(sys, config.partition)
+    gaps = resolve_partition(sys, config.partition)
     bs, step = config.b_values, _block_size(sys)
     blocks = []
     for start in range(0, bs.size, step):
         block = bs[start:start + step]
-        a_diags = np.array([_a_diag(sys, b, partition) for b in block.tolist()])
+        a_diags = _a_diags(gaps, block)
         blocks.append(_rows(sys, block, a_diags, _weights(sys, a_diags), config.theta_values))
     metadata = {"tool": "lgmet %s" % __version__, "sweep": name, "config": config.describe()}
     return ScanTable(metadata, np.concatenate(blocks).view(np.recarray))
@@ -151,11 +151,11 @@ def violation_threshold_b(two_j: int, theta: float, tol: float = 1e-4,
         raise ValueError("tol must be finite and positive, got %r" % tol)
     _check_phases(_check_two_j(two_j) + 1, theta)
     sys = make_spin_system(two_j)
-    partition = resolve_partition(sys, partition)
+    gaps = resolve_partition(sys, partition)
     kernel = _klg_kernel(sys, theta)
 
     def violates(b: float) -> bool:
-        a = _a_diag(sys, b, partition)
+        a = _a_diags(gaps, [b])[0]
         return abs(float(a @ kernel @ a)) > 2.0
 
     lo, hi = 0.0, 1.0

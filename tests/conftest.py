@@ -72,6 +72,13 @@ def brute_force_correlation(sys, meas, theta):
     return float(np.real(np.trace(a @ u @ a @ u.conj().T))) / sys.dim
 
 
+def sign_partition(two_j):
+    """m >= 0 with mu = +j and m < 0 with mu = -j: the default partition, extended to integer spin."""
+    ladder = range(two_j, -two_j - 1, -2)
+    return PartitionSpec(((two_j, tuple(t for t in ladder if t >= 0)),
+                          (-two_j, tuple(t for t in ladder if t < 0))))
+
+
 def random_partition(rng, two_j, symmetric=False):
     """Random valid PartitionSpec; symmetric=True mirrors blocks under m -> -m.
 

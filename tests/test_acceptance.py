@@ -1,9 +1,11 @@
 """Acceptance suite: one test per quantitative claim, printed pass/fail lines.
 
-Everything runs on spin 5/2 (two_j=5, d=6).
+Everything runs on spin 5/2 (two_j=5, d=6), except the contour limit of criterion 5,
+which runs over both spin parities.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from lgmet import build_measurement, max_violation
 from lgmet.correlations import _fourier_sums
 from lgmet.scan import RunConfig, reproduce_figure, sweep, violation_threshold_b
-from conftest import parity_correlation_closed_form, random_partition
+from conftest import parity_correlation_closed_form, random_partition, sign_partition
 from oracles import fisher_from_probabilities, prepared_state, two_time_correlation
 
 PI = math.pi
@@ -62,6 +64,26 @@ def test_criterion_5_violation_floor_on_fisher(phase_map_table):
     floor = min(ratios)
     _verdict(5, "min F/F_Q among violating rows in [0.24, 0.30]",
              bool(ratios) and 0.24 <= floor <= 0.30)
+
+
+@pytest.mark.parametrize("two_j, limit", [
+    (3, Fraction(1, 4)), (5, Fraction(1, 4)), (7, Fraction(1, 4)),
+    (2, Fraction(1, 3)), (4, Fraction(3, 10)), (8, Fraction(5, 18))])
+def test_criterion_5_contour_limit(two_j, limit):
+    """On the violation contour b*(theta), F/F_Q tends to r / (2d), r = ceil(d / 2), from
+    above as theta -> 0, with a deviation that shrinks like theta^2."""
+    d = two_j + 1
+    assert limit == Fraction(math.ceil(d / 2), 2 * d)
+    partition = sign_partition(two_j)
+    deviation = {}
+    for theta in (1e-2, 1e-3):
+        b_star = violation_threshold_b(two_j, theta, tol=1e-14, partition=partition)
+        (row,) = sweep("report", RunConfig(two_j, [b_star], [theta], partition)).rows
+        deviation[theta] = row.F_ratio - float(limit)
+    print("two_j=%d: F/F_Q - r/(2d) = %.3g at theta=1e-2, %.3g at 1e-3"
+          % (two_j, deviation[1e-2], deviation[1e-3]))
+    _verdict(5, "F/F_Q on the violation contour tends to r/(2d) = %s like theta^2" % limit,
+             0.0 < deviation[1e-3] <= 2e-5 and 90 <= deviation[1e-2] / deviation[1e-3] <= 110)
 
 
 def test_criterion_6_near_optimal_needs_violation(phase_map_table):

@@ -251,7 +251,7 @@ class TestMaxViolation:
         assert k_max >= max(oracle_klg(theta) for theta in np.linspace(lo, hi, 401)) - 1e-12
 
     @pytest.mark.xfail(strict=True, reason="phases beyond about 1e16 are rounding noise; "
-                       "exact phase reduction (ROADMAP item 3) removes this marker")
+                       "exact phase reduction (ROADMAP item 4) removes this marker")
     def test_huge_range_cannot_exceed_true_maximum(self):
         # K_LG is 2 pi periodic, so no range holds a larger |K_LG| than [0, 2 pi] does
         sys = make_spin_system(1)

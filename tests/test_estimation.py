@@ -9,9 +9,10 @@ from lgmet import build_measurement, klg_equal_interval, make_spin_system, max_v
 import lgmet.estimation
 from lgmet.correlations import _block_size, _fourier_sums
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
-from lgmet.measurement import PartitionSpec, _a_diag, _weights
+from lgmet.measurement import PartitionSpec, _a_diags, _weights, resolve_partition
 from lgmet.scan import RunConfig, sweep, violation_threshold_b
-from conftest import count_calls, random_partition, rows_at
+from conftest import (count_calls, parity_correlation_closed_form, random_partition, rows_at,
+                      sign_partition)
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
                      outcome_probabilities, prepared_state, propagator, qfi_of_state)
 
@@ -165,6 +166,23 @@ def _one_row_qfi(sys, a_diag):
     return float(4.0 * np.sum((p[:-1] - p[1:]) ** 2 / psum * sys.jx_ladder ** 2))
 
 
+@pytest.mark.parametrize("two_j", [1, 2, 3, 4, 51, 201, 401])
+def test_projective_closed_forms_at_every_spin(two_j):
+    """At b = 1 the observable is the parity for every partition: C(theta) = sin(d theta) /
+    (d sin theta) at every spin, and F_Q = 4 j (j + 1) / 3 at half-integer spin.
+
+    theta = n / 64 keeps d theta exact, so the closed form itself is accurate to a few ulps.
+    """
+    d, j = two_j + 1, two_j / 2
+    thetas = np.arange(202) / 64  # 0 ... 3.1406
+    partition = None if two_j % 2 else sign_partition(two_j)
+    rows = sweep("scan-theta", RunConfig(two_j, [1.0], thetas, partition)).rows
+    closed = np.array([parity_correlation_closed_form(d, theta) for theta in thetas.tolist()])
+    assert np.max(np.abs(rows.C - closed)) <= 1e-14
+    if two_j % 2:
+        assert np.max(np.abs(rows.F_Q / (4 * j * (j + 1) / 3) - 1)) <= 1e-14
+
+
 class TestQfiPerBlock:
     """_rows computes the F_Q column of a whole b block in one _qfi call."""
 
@@ -177,7 +195,7 @@ class TestQfiPerBlock:
         step = _block_size(sys)
         for size in sorted({1, min(2, step), min(7, step), step}):
             bs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(0, size - 2))])[:size]
-            a_diags = np.array([_a_diag(sys, b, partition) for b in bs.tolist()])
+            a_diags = _a_diags(resolve_partition(sys, partition), bs)
             f_q = _rows(sys, bs, a_diags, _weights(sys, a_diags), [0.3]).F_Q
             expected = [rows_at(sys, build_measurement(sys, b, partition), 0.3).F_Q[0]
                         for b in bs.tolist()]

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmet import (build_measurement, default_partition, format_partition, make_spin_system,
                    parse_partition)
-from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diag, _weights
-from conftest import random_partition, rows_at
+from lgmet.measurement import (NoisyDichotomicMeasurement, PartitionSpec, _a_diags, _weights,
+                               resolve_partition)
+import lgmet.measurement
+from conftest import count_calls, random_partition, rows_at
 from oracles import DegenerateOutcomeError, dense_jx, prepared_state, qfi_of_state
 
 
@@ -24,23 +28,33 @@ class TestPartition:
 
     def test_validate_rejects_missing_m(self, spin52):
         part = PartitionSpec(((5, (5, 3)), (-5, (-1, -3, -5))))
-        with pytest.raises(ValueError, match="does not cover"):
-            part.validate(spin52)
+        with pytest.raises(ValueError, match=re.escape("does not cover m values (2m): [1]")):
+            resolve_partition(spin52, part)
 
     def test_validate_rejects_overlap(self, spin52):
         part = PartitionSpec(((5, (5, 3, 1)), (-5, (1, -1, -3, -5))))
         with pytest.raises(ValueError, match="two blocks"):
-            part.validate(spin52)
+            resolve_partition(spin52, part)
 
     def test_validate_rejects_out_of_range_center(self, spin52):
         part = PartitionSpec(((7, (5, 3, 1)), (-5, (-1, -3, -5))))
         with pytest.raises(ValueError, match="outside"):
-            part.validate(spin52)
+            resolve_partition(spin52, part)
+
+    @pytest.mark.parametrize("blocks, match", [
+        (((4, (5, 3, 1)), (-5, (-1, -3, -5))), "2mu=4 off the m lattice"),
+        (((5, (5, 3, 1, 2)), (-5, (-1, -3, -5))), "2m=2 not in the spin ladder"),
+        (((5, (5, 3, 1, 7)), (-5, (-1, -3, -5))), "2m=7 not in the spin ladder"),
+        (((5, (5, 3, 1)), (-5, (-1, -3, -5, -5))), "2m=-5 assigned to two blocks"),
+    ])
+    def test_validate_rejects_off_lattice(self, spin52, blocks, match):
+        with pytest.raises(ValueError, match=match):
+            resolve_partition(spin52, PartitionSpec(blocks))
 
     def test_text_round_trip(self, spin52):
         text = "5:5,3,1;-5:-1,-3,-5"
         part = parse_partition(text)
-        part.validate(spin52)
+        assert resolve_partition(spin52, part) == [0, 1, 2, 2, 1, 0]
         assert format_partition(part) == text
 
     @pytest.mark.parametrize("bad", ["", "5:x,3", "nonsense"])
@@ -54,6 +68,12 @@ class TestBuildMeasurement:
         meas = build_measurement(spin52, 1.0)
         np.testing.assert_allclose(meas.a_diag, [1, -1, 1, -1, 1, -1], atol=1e-15)
         np.testing.assert_allclose(meas.a_diag ** 2, np.ones(6), atol=1e-15)
+
+    def test_walks_the_partition_once(self, monkeypatch, spin52):
+        walks = count_calls(monkeypatch, lgmet.measurement.resolve_partition)
+        build_measurement(spin52, 0.7)
+        build_measurement(make_spin_system(4), 0.7, parse_partition("4:4,2,0;-4:-2,-4"))
+        assert len(walks) == 2
 
     def test_half_measurability_entry(self, spin52):
         meas = build_measurement(spin52, 0.5)
@@ -136,8 +156,7 @@ class TestPrepareStates:
             assert p_plus == pytest.approx((1.0 + np.mean(meas.a_diag)) / 2, abs=1e-12)
 
     def test_degenerate_arm_rejected(self, spin52):
-        part = default_partition(spin52)
-        broken = NoisyDichotomicMeasurement(1.0, part, -np.ones(6), np.zeros(36))
+        broken = NoisyDichotomicMeasurement(1.0, -np.ones(6), np.zeros(36))
         with pytest.raises(DegenerateOutcomeError, match="outcome \\+1"):
             prepared_state(spin52, broken, +1)
 
@@ -179,12 +198,15 @@ def _a_diag_loop(sys, b, partition):
        b=st.one_of(st.sampled_from([0.0, 1.0] + np.linspace(0.0, 1.0, 201).tolist()),
                    st.floats(0.0, 1.0)))
 def test_a_diag_matches_scalar_loop(two_j, seed, b):
-    """The gathered diagonal is bit-equal to a scalar power per entry."""
+    """Each gathered diagonal of a C-contiguous stack is bit-equal to a scalar power per entry."""
     sys = make_spin_system(two_j)
     partition = random_partition(np.random.default_rng(seed), two_j)
-    a = _a_diag(sys, b, partition)
-    assert a.tobytes() == _a_diag_loop(sys, b, partition).tobytes()
-    assert build_measurement(sys, b, partition).a_diag.tobytes() == a.tobytes()
+    bs = [b, 0.0, 1.0, 1.0 - b]
+    stack = _a_diags(resolve_partition(sys, partition), bs)
+    assert stack.shape == (4, sys.dim) and stack.flags.c_contiguous
+    for a, b_row in zip(stack, bs):
+        assert a.tobytes() == _a_diag_loop(sys, b_row, partition).tobytes()
+    assert build_measurement(sys, b, partition).a_diag.tobytes() == stack[0].tobytes()
 
 
 @pytest.mark.parametrize("two_j", [201, 401])
@@ -205,7 +227,7 @@ def test_stacked_weights_bit_equal_to_one_matmul_per_b(two_j, count):
     sys = make_spin_system(two_j)
     partition = random_partition(np.random.default_rng(two_j), two_j)
     bs = [0.0, 1.0, *np.random.default_rng(count).uniform(0.0, 1.0, count - 2)]
-    a_diags = np.array([_a_diag(sys, b, partition) for b in bs])
+    a_diags = _a_diags(resolve_partition(sys, partition), bs)
     v = sys.eigenvectors
     stacked = _weights(sys, a_diags)
     assert stacked.shape == (count, sys.dim ** 2)

@@ -200,18 +200,20 @@ class TestViolationThreshold:
         assert abs(b_star - oracles.threshold_b(5, 0.95 * math.pi, tol=1e-6, partition=part)) <= 1e-6
 
     def test_no_measurement_per_step(self, monkeypatch):
-        """The bisection steps read a fixed-theta kernel, not a new measurement."""
-        builds, steps = count_calls(monkeypatch, lgmet.measurement.build_measurement), []
-        a_diag = lgmet.scan._a_diag
-        monkeypatch.setattr(lgmet.scan, "_a_diag",
-                            lambda *args, **kw: steps.append(1) or a_diag(*args, **kw))
-        counts = {}
-        for tol in (1e-2, 1e-8):
-            del builds[:], steps[:]
-            violation_threshold_b(5, 0.95 * math.pi, tol=tol)
-            counts[tol] = len(builds), len(steps)
-        assert counts[1e-8][1] > counts[1e-2][1] + 10
-        assert counts[1e-8][0] == counts[1e-2][0] <= 1
+        """The bisection steps read a fixed-theta kernel and gaps resolved once, not a new
+        measurement: one partition walk whatever the step count."""
+        builds = count_calls(monkeypatch, lgmet.measurement.build_measurement)
+        walks = count_calls(monkeypatch, lgmet.measurement.resolve_partition)
+        steps = count_calls(monkeypatch, lgmet.measurement._a_diags)
+        for partition in (None, PartitionSpec(((5, (5, 3)), (1, (1, -1)), (-5, (-3, -5))))):
+            counts = {}
+            for tol in (1e-2, 1e-8):
+                del builds[:], walks[:], steps[:]
+                violation_threshold_b(5, 0.95 * math.pi, tol=tol, partition=partition)
+                counts[tol] = len(builds), len(walks), len(steps)
+            assert counts[1e-8][2] > counts[1e-2][2] + 10
+            assert counts[1e-8][0] == counts[1e-2][0] <= 1
+            assert counts[1e-8][1] == counts[1e-2][1] == 1
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol"),
@@ -248,15 +250,15 @@ class TestViolationThreshold:
         # the bracket stops shrinking at adjacent floats; count steps so that a
         # regression fails here instead of hanging the suite
         steps = []
-        a_diag = lgmet.scan._a_diag
+        a_diags = lgmet.scan._a_diags
 
         def counted(*args):
             steps.append(1)
             if len(steps) > 200:
                 raise AssertionError("bisection did not terminate")
-            return a_diag(*args)
+            return a_diags(*args)
 
-        monkeypatch.setattr(lgmet.scan, "_a_diag", counted)
+        monkeypatch.setattr(lgmet.scan, "_a_diags", counted)
         b_star = violation_threshold_b(5, 0.95 * math.pi, tol=1e-300)
         coarse = violation_threshold_b(5, 0.95 * math.pi, tol=1e-12)
         assert abs(b_star - coarse) <= 1e-12

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lgmet import InconsistentCorrelationError, build_measurement, make_spin_system
-from lgmet.measurement import PartitionSpec, _a_diag, default_partition
+from lgmet.measurement import (PartitionSpec, _a_diags, default_partition, parse_partition,
+                               resolve_partition)
 from lgmet.scan import RunConfig, sweep
 import lgmet.correlations
 import lgmet.measurement
@@ -77,15 +78,26 @@ def test_sweep_rows_bit_equal_to_composed_values(setup, bs, thetas, per_block):
 
 
 def test_scan_b_evaluates_all_b_in_one_block(monkeypatch):
-    """201 b values at two_j = 5 are one block: no measurement, one partition check, one sum."""
+    """201 b values at two_j = 5 are one block: no measurement, one partition walk, one sum."""
     builds = count_calls(monkeypatch, lgmet.measurement.build_measurement)
     sums = count_calls(monkeypatch, lgmet.correlations._fourier_sums)
-    validations, validate = [], PartitionSpec.validate
-    monkeypatch.setattr(PartitionSpec, "validate", lambda *args: validations.append(args)
-                        or validate(*args))
+    walks = count_calls(monkeypatch, lgmet.measurement.resolve_partition)
     rows = sweep("scan-b", RunConfig(5, np.linspace(0.0, 1.0, 201), [0.95 * math.pi])).rows
     assert rows.size == 201
-    assert (len(builds), len(validations), len(sums)) == (0, 1, 1)
+    assert (len(builds), len(walks), len(sums)) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("two_j, partition", [(51, None), (4, "4:4,2,0;-4:-2,-4")])
+def test_scan_b_walks_the_partition_once(monkeypatch, two_j, partition):
+    """A 201-b scan-b resolves its gaps once and gathers one diagonal stack per b block."""
+    walks = count_calls(monkeypatch, lgmet.measurement.resolve_partition)
+    stacks = count_calls(monkeypatch, lgmet.measurement._a_diags)
+    config = RunConfig(two_j, np.linspace(0.0, 1.0, 201), [0.95 * math.pi],
+                       None if partition is None else parse_partition(partition))
+    sweep("scan-b", config)
+    assert len(walks) == 1
+    # _block_size is 24 b values at two_j = 51, and more than 201 at two_j = 4
+    assert [len(b_values) for _, b_values in stacks] == {51: [24] * 8 + [9], 4: [201]}[two_j]
 
 
 def test_phase_map_weight_stacks_stay_within_budget(monkeypatch):
@@ -148,12 +160,13 @@ def test_qfi_bit_equal_to_prepare_states_populations(setup, b):
 def test_qfi_cutoff_and_degenerate_branches_unreachable(two_j, seed, b):
     """_qfi divides by the + probability and by every adjacent population sum unguarded.
 
-    Every even k of an _a_diag diagonal has a = +b^(g^2) >= 0, so e_k >= 1/2, the
+    Every even k of an _a_diags diagonal has a = +b^(g^2) >= 0, so e_k >= 1/2, the
     probability sum(e) / d is at most 1, and each such population, hence each adjacent
     pair sum, is at least 1/(2d).
     """
     sys = make_spin_system(two_j)
-    e = (1.0 + _a_diag(sys, b, random_partition(np.random.default_rng(seed), two_j))) / 2
+    gaps = resolve_partition(sys, random_partition(np.random.default_rng(seed), two_j))
+    e = (1.0 + _a_diags(gaps, [b])[0]) / 2
     p = e / (sys.dim * (float(np.sum(e)) / sys.dim))
     bound = 1.0 / (2 * sys.dim)
     assert np.all(p[0::2] >= bound)
