@@ -16,7 +16,8 @@ K_LG = 3 C(theta) - C(3 theta), and the sweep rows, klg_equal_interval and
 max_violation read its columns.
 Each sum runs over (k, l) in the order of a direct d^2 evaluation and equals
 it bit for bit.  A non-finite theta, or one whose largest phase
-3 theta (d - 1) overflows, is a ValueError.
+3 |theta| (d - 1) overflows or reaches 2**54 (where a phase's float spacing
+passes pi), is a ValueError.
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ BLOCK_ELEMENTS = 2 ** 16
 # max_violation grid; about 2000x the largest figure grid (512).
 MAX_GRID_COUNT = 10 ** 6
 
+# Bound on the largest phase 3 |theta| (d - 1): from 2**54 on, the float spacing
+# of a phase is 4 or more, past pi, so its cos and sin are rounding noise.
+MAX_PHASE = 2.0 ** 54
+
 
 def _block_size(sys: SpinSystem) -> int:
     """Rows of d^2 values per block: thetas per Toeplitz table, or b values per weight stack."""
@@ -47,14 +52,20 @@ def _block_size(sys: SpinSystem) -> int:
 
 
 def _check_phases(dim: int, thetas) -> None:
-    """ValueError for a non-finite theta, or one whose largest phase 3 theta (dim - 1) overflows."""
+    """ValueError for a non-finite theta, or one whose largest phase 3 |theta| (dim - 1)
+    overflows or reaches MAX_PHASE."""
     thetas = np.asarray(thetas, float)
     with np.errstate(over="ignore"):
-        bad = ~np.isfinite(3.0 * thetas * (dim - 1))
+        phases = np.abs(3.0 * thetas * (dim - 1))
+    bad = ~np.isfinite(phases)
     if bad.any():
         theta = float(thetas[bad][0])
         raise ValueError(("theta must be finite, got %r" % theta) if not math.isfinite(theta) else
                          "theta=%r is too large: 3 theta times %d overflows" % (theta, dim - 1))
+    bad = phases >= MAX_PHASE
+    if bad.any():
+        raise ValueError("theta=%r is too large: 3 theta times %d reaches 2**54, where the "
+                         "float spacing of a phase passes pi" % (float(thetas[bad][0]), dim - 1))
 
 
 def _toeplitz(table: np.ndarray) -> np.ndarray:

@@ -7,11 +7,16 @@ m value is the exact rational (two_j - 2k)/2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 STRUCTURAL_TOL = 1e-10
+
+# Largest two_j: each d x d float64 array of a spin build (d = 4096 at most)
+# then takes at most 128 MiB, and the few that a build holds fit in memory.
+MAX_TWO_J = 4095
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,14 +41,58 @@ class SpinSystem:
 
 
 def _check_two_j(two_j) -> int:
-    """two_j as an int; ValueError unless it is a Python or numpy integer >= 1 (a bool is not)."""
+    """two_j as an int; ValueError unless it is a Python or numpy integer (not a bool)
+    in [1, MAX_TWO_J]."""
     if isinstance(two_j, bool) or not isinstance(two_j, (int, np.integer)) or two_j < 1:
         raise ValueError("two_j must be a positive integer (d >= 2), got %r" % (two_j,))
+    if two_j > MAX_TWO_J:
+        raise ValueError("two_j=%d is too large: the limit is %d, where one d x d float64 "
+                         "array takes 128 MiB" % (two_j, MAX_TWO_J))
     return int(two_j)
 
 
+@functools.cache
+def _dstevd():
+    """eigh of a zero-diagonal symmetric tridiagonal matrix through LAPACK dstevd, or None.
+
+    The function takes the off-diagonal and returns (ascending eigenvalues,
+    C-contiguous eigenvectors as columns).  It calls the ILP64 OpenBLAS that
+    the numpy wheel ships and already loaded; None where no such library or
+    symbol is found.  np.linalg.eigh runs dsyevd, which on a tridiagonal
+    matrix is dsytrd with every reflector tau = 0, dstedc('I') on the same
+    diagonals, and an identity back-transform, so dstevd (dstedc alone)
+    returns the same bits without the two d^3 no-op passes.
+    """
+    import ctypes
+    import glob
+    import os
+
+    lib = os.path.join(os.path.dirname(np.__file__) + ".libs", "libscipy_openblas64_*")
+    try:
+        dstevd = ctypes.CDLL(glob.glob(lib)[0]).scipy_dstevd_64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, then JOBZ's hidden length
+    dstevd.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
+    dstevd.restype = None
+
+    def solve(off: np.ndarray):
+        d = len(off) + 1
+        n, lwork, liwork, info = (ctypes.c_int64(k) for k in (d, 1 + 4 * d + d * d, 3 + 5 * d, 0))
+        diag, sub, z = np.zeros(d), np.array(off, float), np.empty((d, d))  # dstevd overwrites sub
+        work, iwork = np.empty(lwork.value), np.empty(liwork.value, np.int64)
+        dstevd(b"V", ctypes.byref(n), diag.ctypes.data, sub.ctypes.data, z.ctypes.data,
+               ctypes.byref(n), work.ctypes.data, ctypes.byref(lwork), iwork.ctypes.data,
+               ctypes.byref(liwork), ctypes.byref(info), 1)
+        if info.value != 0:
+            raise np.linalg.LinAlgError("dstevd failed with info = %d" % info.value)
+        return diag, np.ascontiguousarray(z.T)  # z holds the eigenvectors column-major
+
+    return solve
+
+
 def make_spin_system(two_j: int) -> SpinSystem:
-    """Construct the spin system for a given two_j >= 1."""
+    """Construct the spin system for a given two_j in [1, MAX_TWO_J]."""
     two_j = _check_two_j(two_j)
     dim = two_j + 1
     j = two_j / 2
@@ -51,8 +100,12 @@ def make_spin_system(two_j: int) -> SpinSystem:
 
     # ladder element between m and m-1: (1/2) sqrt(j(j+1) - m(m-1))
     off = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
-    # J_x is real symmetric, so eigh gives real eigenvectors
-    vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    # J_x is real symmetric and tridiagonal with a zero diagonal: real eigenvectors
+    solve = _dstevd()
+    if solve is None:
+        vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    else:
+        vals, vecs = solve(off)
     # J_x spectrum is exactly {-j, ..., j}; eigh sorts ascending, so it is the ladder
     if np.max(np.abs(vals - (np.arange(dim) - j))) > STRUCTURAL_TOL:
         raise AssertionError("J_x eigenvalues deviate from the exact ladder")

@@ -202,7 +202,28 @@ class TestMaxViolation:
                                                            "times 5 overflows" % bad)):
                 max_violation(spin52, parity52, lo, hi)
 
-    @pytest.mark.parametrize("lo", [1e9, -1e12, 2.0 ** 60])
+    @pytest.mark.parametrize("lo", [2.0 ** 60, -1e16])
+    def test_rejects_range_of_noise_phases(self, spin52, parity52, monkeypatch, lo):
+        # a bound phase 3 theta (d - 1) of 2**54 or more has a float spacing past pi;
+        # it is named as given, before any grid is built
+        monkeypatch.setattr(np, "linspace", None)
+        hi = lo + 1e6 * math.ulp(lo)
+        with pytest.raises(ValueError, match=re.escape("theta=%r is too large: 3 theta times 5 "
+                                                       "reaches 2**54" % lo)):
+            max_violation(spin52, parity52, lo, hi)
+
+    @pytest.mark.parametrize("dim", [2, 6, 402])
+    def test_phase_bound_is_two_to_the_54(self, dim):
+        # the largest theta whose phase rounds below 2**54 passes; the next float fails
+        theta = 2.0 ** 54 / (3 * (dim - 1))
+        while 3.0 * theta * (dim - 1) >= 2.0 ** 54:
+            theta = math.nextafter(theta, 0.0)
+        for sign in (1.0, -1.0):
+            lgmet.correlations._check_phases(dim, [sign * theta])
+            with pytest.raises(ValueError, match="reaches 2"):
+                lgmet.correlations._check_phases(dim, [0.0, sign * math.nextafter(theta, math.inf)])
+
+    @pytest.mark.parametrize("lo", [1e9, -1e12])
     def test_terminates_at_large_theta(self, spin52, parity52, monkeypatch, lo):
         # 1e-8 is below the float spacing there; count evaluations so that a
         # regression fails here instead of hanging the suite
@@ -250,8 +271,6 @@ class TestMaxViolation:
         assert lo <= theta_star <= hi
         assert k_max >= max(oracle_klg(theta) for theta in np.linspace(lo, hi, 401)) - 1e-12
 
-    @pytest.mark.xfail(strict=True, reason="phases beyond about 1e16 are rounding noise; "
-                       "exact phase reduction (ROADMAP item 4) removes this marker")
     def test_huge_range_cannot_exceed_true_maximum(self):
         # K_LG is 2 pi periodic, so no range holds a larger |K_LG| than [0, 2 pi] does
         sys = make_spin_system(1)

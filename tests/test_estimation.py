@@ -264,7 +264,7 @@ def _violation_threshold_b(sys, meas, theta):
 
 # Each case reaches the theta check through another caller or block shape; an id names the
 # columns its route yields: C alone, C with C' and C'', F of one row, a block of two b.
-@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307])
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307, 1e16])
 @pytest.mark.parametrize("fn", [
     pytest.param(lambda s, m, t: _fourier_sums(s, m.weights[None], [t], False), id="correlation"),
     pytest.param(lambda s, m, t: _fourier_sums(s, m.weights[None], [t], True),
@@ -276,7 +276,8 @@ def _violation_threshold_b(sys, meas, theta):
     _rows_around, _max_violation_lo, _max_violation_hi, _violation_threshold_b])
 def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
     # every entry point applies the one theta-domain rule, before any grid or kernel
-    # is built; a finite theta whose phase 3 theta (d - 1) overflows is named as given
+    # is built; a finite theta whose phase 3 theta (d - 1) overflows or reaches 2**54 is
+    # named as given
     message = ("theta must be finite, got %r" if not math.isfinite(theta)
                else "theta=%r is too large") % theta
     monkeypatch.setattr(np, "linspace", None)

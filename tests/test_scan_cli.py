@@ -221,11 +221,12 @@ class TestViolationThreshold:
         ({"theta": math.inf}, "theta"), ({"theta": -math.inf}, "theta"),
         ({"theta": 1e308}, "theta=1e\\+308 is too large"),
         ({"theta": -1e308}, "theta=-1e\\+308 is too large"),
+        ({"theta": 2e15}, "theta=2000000000000000.0 is too large: 3 theta times 5 reaches 2"),
     ])
     def test_rejects_bad_arguments_before_any_work(self, monkeypatch, kwargs, match):
         # a check that lets the call through reaches the spin build and fails with
-        # AssertionError, instead of looping forever (tol <= 0) or answering nan; an
-        # overflowing phase 3 theta (d - 1) is named from two_j alone
+        # AssertionError, instead of looping forever (tol <= 0) or answering nan; a
+        # phase 3 theta (d - 1) that overflows or reaches 2**54 is named from two_j alone
         def no_spin(two_j):
             raise AssertionError("spin system built before the arguments were checked")
 

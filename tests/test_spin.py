@@ -1,11 +1,18 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys as _sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import lgmet.spin
 from lgmet import make_spin_system
 from lgmet.correlations import _toeplitz
+from lgmet.scan import RunConfig
+from lgmet.spin import MAX_TWO_J, _check_two_j
 from oracles import dense_jx, gaps, ladder, propagator
 
 
@@ -57,6 +64,45 @@ class TestMakeSpinSystem:
     def test_rejects_bad_two_j(self, bad):
         with pytest.raises(ValueError):
             make_spin_system(bad)
+
+    @pytest.mark.parametrize("route", ["dstevd", "eigh"])
+    def test_eigenvectors_are_the_bits_of_dense_eigh(self, monkeypatch, route):
+        # dstedc solves up to 25 rows directly and divides larger problems; both
+        # routes must give np.linalg.eigh's bits of the dense real J_x (CI checks
+        # that the dstevd route is live on its numpy wheel)
+        if route == "eigh":
+            monkeypatch.setattr(lgmet.spin, "_dstevd", lambda: None)
+        for two_j in [*range(1, 31), 51, 100, 201, 400, 401, 801]:
+            sys = make_spin_system(two_j)
+            off = sys.jx_ladder
+            vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+            assert sys.eigenvectors.flags.c_contiguous
+            assert sys.eigenvectors.tobytes() == vecs.tobytes(), two_j
+
+    def test_import_looks_up_no_lapack_symbol(self):
+        # numpy itself imports ctypes; lgmet adds no import of it and opens no library
+        code = ("import sys, numpy; before = set(sys.modules); import lgmet.spin as s; "
+                "print(s._dstevd.cache_info().currsize, 'ctypes' in set(sys.modules) - before)")
+        src = pathlib.Path(lgmet.spin.__file__).resolve().parents[1]
+        out = subprocess.run([_sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out == "0 False\n"
+
+    @pytest.mark.parametrize("two_j", [MAX_TWO_J + 1, 10 ** 5, 10 ** 18, np.int64(10 ** 5)])
+    def test_rejects_two_j_above_limit_before_allocating(self, monkeypatch, two_j):
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("allocated before two_j was checked")
+
+        for name in ("empty", "zeros", "arange"):
+            monkeypatch.setattr(np, name, no_alloc)
+        monkeypatch.setattr(np.linalg, "eigh", no_alloc)
+        for build in (make_spin_system, RunConfig):
+            with pytest.raises(ValueError, match="two_j=%d is too large" % two_j):
+                build(two_j)
+
+    def test_limit_itself_is_accepted(self):
+        assert _check_two_j(MAX_TWO_J) == _check_two_j(np.int32(MAX_TWO_J)) == MAX_TWO_J
+        assert 8 * (MAX_TWO_J + 1) ** 2 <= 2 ** 27
 
     @pytest.mark.parametrize("two_j", [1, 4, 5])
     def test_trace_identity(self, two_j):
