@@ -7,10 +7,10 @@ through its Fourier form over the J_x spectrum:
 
 with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
 (meas.weights).  Each gap lam_k - lam_l is the integer k - l, one of the
-2d - 1 frequencies of the spin system (sys.frequencies), so a point costs
-O(d) trig plus an O(d^2) Toeplitz copy and dot product.  A theta grid is
-evaluated in blocks of at most BLOCK_ELEMENTS table values, for a whole
-stack of weights (one per b) at once, with one np.vecdot per block for each
+2d - 1 frequencies -(d - 1), ..., d - 1, so a point costs O(d) trig plus an
+O(d^2) Toeplitz copy and dot product.  A theta grid is evaluated in blocks
+of at most BLOCK_ELEMENTS table values, for a whole stack of weights (one
+per b) at once, with one np.vecdot per block for each
 of C(theta), C(3 theta), C' and C''; the evaluator returns C and
 K_LG = 3 C(theta) - C(3 theta), and the sweep rows, klg_equal_interval and
 max_violation read its columns.
@@ -61,10 +61,10 @@ def _check_phases(dim: int, thetas) -> None:
     if bad.any():
         theta = float(thetas[bad][0])
         raise ValueError(("theta must be finite, got %r" % theta) if not math.isfinite(theta) else
-                         "theta=%r is too large: 3 theta times %d overflows" % (theta, dim - 1))
+                         "theta=%r rad is too large: 3 theta times %d overflows" % (theta, dim - 1))
     bad = phases >= MAX_PHASE
     if bad.any():
-        raise ValueError("theta=%r is too large: 3 theta times %d reaches 2**54, where the "
+        raise ValueError("theta=%r rad is too large: 3 theta times %d reaches 2**54, where the "
                          "float spacing of a phase passes pi" % (float(thetas[bad][0]), dim - 1))
 
 
@@ -98,8 +98,9 @@ def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
     # checked here, so no trig sees inf or nan
     _check_phases(sys.dim, thetas)
     w = weights[:, None]
+    frequencies = np.arange(1.0 - sys.dim, sys.dim)
     if derivatives:
-        g = _toeplitz(sys.frequencies[None])[0]
+        g = _toeplitz(frequencies[None])[0]
         wg = w * g
         wg2 = wg * g
     out = np.empty((len(weights), thetas.size, 4 if derivatives else 2))
@@ -107,9 +108,9 @@ def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
     for start in range(0, thetas.size, step):
         t = thetas[start:start + step]
         block = out[:, start:start + step]
-        phases = np.multiply.outer(3.0 * t, sys.frequencies)
+        phases = np.multiply.outer(3.0 * t, frequencies)
         block[..., 1] = np.vecdot(_toeplitz(np.cos(phases)), w)
-        phases = np.multiply.outer(t, sys.frequencies)
+        phases = np.multiply.outer(t, frequencies)
         cos_gt = _toeplitz(np.cos(phases))
         block[..., 0] = np.vecdot(cos_gt, w)
         if derivatives:

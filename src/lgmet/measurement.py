@@ -27,34 +27,25 @@ class PartitionSpec:
     blocks: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def default_partition(sys: SpinSystem) -> PartitionSpec:
-    """Two blocks mu = +-j: positive m with +j, negative m with -j.
+def resolve_partition(two_j: int, partition: PartitionSpec | None) -> list[int]:
+    """Gaps |m - mu| at each level k = j - m of the spin two_j = 2j under partition.
 
-    Integer spin is rejected: m = 0 belongs to neither sign block, so the
-    caller must supply an explicit PartitionSpec.
-    """
-    if sys.two_j % 2 == 0:
-        raise ValueError("default partition needs half-integer spin; "
-                         "m=0 is unassigned for integer spin")
-    ladder = [int(t) for t in (sys.two_j - 2 * np.arange(sys.dim))]
-    plus = tuple(t for t in ladder if t > 0)
-    minus = tuple(t for t in ladder if t < 0)
-    return PartitionSpec(((sys.two_j, plus), (-sys.two_j, minus)))
-
-
-def resolve_partition(sys: SpinSystem, partition: PartitionSpec | None) -> list[int]:
-    """Gaps |m - mu| at each level k = j - m of partition, or of default_partition(sys) if None.
-
-    ValueError unless the blocks are disjoint, cover the m ladder of sys, and center on it.
+    None is the default two sign blocks mu = +-j, positive m with +j and negative m
+    with -j, so the gap is min(k, two_j - k); it needs half-integer spin, since m = 0
+    belongs to neither block.  ValueError unless the blocks are disjoint, cover the
+    m ladder, and center on it; the uncovered-m error names the first 8 and the count.
     """
     if partition is None:
-        partition = default_partition(sys)
-    level = {sys.two_j - 2 * k: k for k in range(sys.dim)}  # 2m -> k
-    gaps: list = [None] * sys.dim
+        if two_j % 2 == 0:
+            raise ValueError("default partition needs half-integer spin; "
+                             "m=0 is unassigned for integer spin")
+        return [min(k, two_j - k) for k in range(two_j + 1)]
+    level = {two_j - 2 * k: k for k in range(two_j + 1)}  # 2m -> k
+    gaps: list = [None] * len(level)
     for two_mu, members in partition.blocks:
-        if abs(two_mu) > sys.two_j:
+        if abs(two_mu) > two_j:
             raise ValueError("block center 2mu=%d outside [-2j, 2j]" % two_mu)
-        if (two_mu - sys.two_j) % 2 != 0:
+        if (two_mu - two_j) % 2 != 0:
             raise ValueError("block center 2mu=%d off the m lattice" % two_mu)
         for two_m in members:
             if two_m not in level:
@@ -64,7 +55,9 @@ def resolve_partition(sys: SpinSystem, partition: PartitionSpec | None) -> list[
             gaps[level[two_m]] = abs(two_m - two_mu) // 2
     missing = sorted(two_m for two_m, k in level.items() if gaps[k] is None)
     if missing:
-        raise ValueError("partition does not cover m values (2m): %s" % missing)
+        shown = ", ".join(map(str, missing[:8])) + (", ..." if len(missing) > 8 else "")
+        raise ValueError("partition does not cover %d of the %d m values (2m): [%s]"
+                         % (len(missing), len(level), shown))
     return gaps
 
 
@@ -112,7 +105,7 @@ def build_measurement(sys: SpinSystem, b: float,
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("measurability b must lie in [0, 1], got %r" % b)
-    a_diag = _a_diags(resolve_partition(sys, partition), [b])[0]
+    a_diag = _a_diags(resolve_partition(sys.two_j, partition), [b])[0]
     return NoisyDichotomicMeasurement(float(b), a_diag, _weights(sys, a_diag[None])[0])
 
 

@@ -71,7 +71,7 @@ def parse_grid(text: str, scale: float = 1.0) -> np.ndarray:
 
 @dataclass
 class RunConfig:
-    """Parsed sweep parameters; theta values are in radians."""
+    """Parsed sweep parameters, theta in radians; every field but the partition is checked here."""
 
     two_j: int = 5
     b_values: np.ndarray = field(default_factory=lambda: np.array([1.0]))
@@ -86,10 +86,9 @@ class RunConfig:
             if grid.ndim != 1 or grid.size == 0:
                 raise ValueError("the %s grid must be a non-empty 1-D array, got shape %s"
                                  % (name, grid.shape))
-        if not (np.all(np.isfinite(self.b_values)) and np.all(np.isfinite(self.theta_values))):
-            raise ValueError("every b and theta grid point must be finite")
-        if np.any(self.b_values < 0.0) or np.any(self.b_values > 1.0):
-            raise ValueError("every b grid point must lie in [0, 1]")
+        if not np.all((self.b_values >= 0.0) & (self.b_values <= 1.0)):  # False for NaN
+            raise ValueError("every b grid point must be finite and lie in [0, 1]")
+        _check_phases(self.two_j + 1, self.theta_values)
         rows = self.b_values.size * self.theta_values.size
         if rows > MAX_ROW_COUNT:
             raise ValueError("%d b values times %d theta values is %d rows, above the limit of %d"
@@ -122,8 +121,8 @@ def sweep(kind: str, config: RunConfig) -> ScanTable:
     if any(sizes[flag] != 1 for flag in single):
         raise ValueError("%s needs %s value"
                          % (kind, " and ".join("a single --" + flag for flag in single)))
+    gaps = resolve_partition(config.two_j, config.partition)
     sys = make_spin_system(config.two_j)
-    gaps = resolve_partition(sys, config.partition)
     bs, step = config.b_values, _block_size(sys)
     blocks = []
     for start in range(0, bs.size, step):
@@ -149,9 +148,10 @@ def violation_threshold_b(two_j: int, theta: float, tol: float = 1e-4,
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and positive, got %r" % tol)
-    _check_phases(_check_two_j(two_j) + 1, theta)
+    two_j = _check_two_j(two_j)
+    _check_phases(two_j + 1, theta)
+    gaps = resolve_partition(two_j, partition)
     sys = make_spin_system(two_j)
-    gaps = resolve_partition(sys, partition)
     kernel = _klg_kernel(sys, theta)
 
     def violates(b: float) -> bool:

@@ -28,16 +28,13 @@ class SpinSystem:
     The eigenvalues of the real symmetric J_x are the exact ladder
     lam_k = k - j, k = 0, ..., dim - 1, in ascending order, so only the real
     eigenvectors (columns, in that order) are stored; measurement weights
-    reuse them.  The gap lam_k - lam_l is the integer k - l: frequencies holds
-    the 2 dim - 1 values -(dim - 1), ..., dim - 1 as floats, so the d^2 gaps
-    over (k, l) are the Toeplitz array frequencies[k - l + dim - 1].
+    reuse them, and each gap lam_k - lam_l is the integer k - l.
     """
 
     two_j: int
     dim: int
     jx_ladder: np.ndarray
     eigenvectors: np.ndarray
-    frequencies: np.ndarray
 
 
 def _check_two_j(two_j) -> int:
@@ -109,4 +106,4 @@ def make_spin_system(two_j: int) -> SpinSystem:
     # J_x spectrum is exactly {-j, ..., j}; eigh sorts ascending, so it is the ladder
     if np.max(np.abs(vals - (np.arange(dim) - j))) > STRUCTURAL_TOL:
         raise AssertionError("J_x eigenvalues deviate from the exact ladder")
-    return SpinSystem(two_j, dim, off, vecs, np.arange(1.0 - dim, dim))
+    return SpinSystem(two_j, dim, off, vecs)

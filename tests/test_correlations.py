@@ -198,7 +198,7 @@ class TestMaxViolation:
         bad = next(t for t in (lo, hi) if not math.isfinite(3.0 * t * (spin52.dim - 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape("theta=%r is too large: 3 theta "
+            with pytest.raises(ValueError, match=re.escape("theta=%r rad is too large: 3 theta "
                                                            "times 5 overflows" % bad)):
                 max_violation(spin52, parity52, lo, hi)
 
@@ -208,7 +208,7 @@ class TestMaxViolation:
         # it is named as given, before any grid is built
         monkeypatch.setattr(np, "linspace", None)
         hi = lo + 1e6 * math.ulp(lo)
-        with pytest.raises(ValueError, match=re.escape("theta=%r is too large: 3 theta times 5 "
+        with pytest.raises(ValueError, match=re.escape("theta=%r rad is too large: 3 theta times 5 "
                                                        "reaches 2**54" % lo)):
             max_violation(spin52, parity52, lo, hi)
 

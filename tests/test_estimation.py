@@ -195,7 +195,7 @@ class TestQfiPerBlock:
         step = _block_size(sys)
         for size in sorted({1, min(2, step), min(7, step), step}):
             bs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(0, size - 2))])[:size]
-            a_diags = _a_diags(resolve_partition(sys, partition), bs)
+            a_diags = _a_diags(resolve_partition(sys.two_j, partition), bs)
             f_q = _rows(sys, bs, a_diags, _weights(sys, a_diags), [0.3]).F_Q
             expected = [rows_at(sys, build_measurement(sys, b, partition), 0.3).F_Q[0]
                         for b in bs.tolist()]
@@ -279,7 +279,7 @@ def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
     # is built; a finite theta whose phase 3 theta (d - 1) overflows or reaches 2**54 is
     # named as given
     message = ("theta must be finite, got %r" if not math.isfinite(theta)
-               else "theta=%r is too large") % theta
+               else "theta=%r rad is too large") % theta
     monkeypatch.setattr(np, "linspace", None)
     monkeypatch.setattr("lgmet.scan._klg_kernel", None)
     for two_j in (1, 5):

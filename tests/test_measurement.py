@@ -4,42 +4,46 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgmet import (build_measurement, default_partition, format_partition, make_spin_system,
-                   parse_partition)
+from lgmet import build_measurement, format_partition, make_spin_system, parse_partition
 from lgmet.measurement import (NoisyDichotomicMeasurement, PartitionSpec, _a_diags, _weights,
                                resolve_partition)
 import lgmet.measurement
-from conftest import count_calls, random_partition, rows_at
+from conftest import count_calls, random_partition, rows_at, sign_partition
 from oracles import DegenerateOutcomeError, dense_jx, prepared_state, qfi_of_state
 
 
 class TestPartition:
-    def test_default_spin_five_halves(self, spin52):
-        part = default_partition(spin52)
-        assert part.blocks == ((5, (5, 3, 1)), (-5, (-1, -3, -5)))
-
-    def test_default_spin_half(self):
-        part = default_partition(make_spin_system(1))
-        assert part.blocks == ((1, (1,)), (-1, (-1,)))
+    @pytest.mark.parametrize("two_j", [1, 3, 5, 51, 401])
+    def test_default_is_the_sign_partition(self, two_j):
+        assert resolve_partition(two_j, None) == resolve_partition(two_j, sign_partition(two_j))
 
     def test_default_rejects_integer_spin(self):
         with pytest.raises(ValueError, match="m=0"):
-            default_partition(make_spin_system(4))
+            resolve_partition(4, None)
 
-    def test_validate_rejects_missing_m(self, spin52):
+    def test_validate_rejects_missing_m(self):
         part = PartitionSpec(((5, (5, 3)), (-5, (-1, -3, -5))))
-        with pytest.raises(ValueError, match=re.escape("does not cover m values (2m): [1]")):
-            resolve_partition(spin52, part)
+        with pytest.raises(ValueError,
+                           match=re.escape("does not cover 1 of the 6 m values (2m): [1]")):
+            resolve_partition(5, part)
 
-    def test_validate_rejects_overlap(self, spin52):
+    def test_missing_m_names_the_first_eight_and_the_count(self):
+        # an uncovered half of the largest ladder names 8 of its 2048 m values, not all
+        part = PartitionSpec(((4095, tuple(range(4095, 0, -2))),))
+        with pytest.raises(ValueError) as info:
+            resolve_partition(4095, part)
+        assert str(info.value) == ("partition does not cover 2048 of the 4096 m values (2m): "
+                                   "[-4095, -4093, -4091, -4089, -4087, -4085, -4083, -4081, ...]")
+
+    def test_validate_rejects_overlap(self):
         part = PartitionSpec(((5, (5, 3, 1)), (-5, (1, -1, -3, -5))))
         with pytest.raises(ValueError, match="two blocks"):
-            resolve_partition(spin52, part)
+            resolve_partition(5, part)
 
-    def test_validate_rejects_out_of_range_center(self, spin52):
+    def test_validate_rejects_out_of_range_center(self):
         part = PartitionSpec(((7, (5, 3, 1)), (-5, (-1, -3, -5))))
         with pytest.raises(ValueError, match="outside"):
-            resolve_partition(spin52, part)
+            resolve_partition(5, part)
 
     @pytest.mark.parametrize("blocks, match", [
         (((4, (5, 3, 1)), (-5, (-1, -3, -5))), "2mu=4 off the m lattice"),
@@ -47,14 +51,14 @@ class TestPartition:
         (((5, (5, 3, 1, 7)), (-5, (-1, -3, -5))), "2m=7 not in the spin ladder"),
         (((5, (5, 3, 1)), (-5, (-1, -3, -5, -5))), "2m=-5 assigned to two blocks"),
     ])
-    def test_validate_rejects_off_lattice(self, spin52, blocks, match):
+    def test_validate_rejects_off_lattice(self, blocks, match):
         with pytest.raises(ValueError, match=match):
-            resolve_partition(spin52, PartitionSpec(blocks))
+            resolve_partition(5, PartitionSpec(blocks))
 
-    def test_text_round_trip(self, spin52):
+    def test_text_round_trip(self):
         text = "5:5,3,1;-5:-1,-3,-5"
         part = parse_partition(text)
-        assert resolve_partition(spin52, part) == [0, 1, 2, 2, 1, 0]
+        assert resolve_partition(5, part) == [0, 1, 2, 2, 1, 0]
         assert format_partition(part) == text
 
     @pytest.mark.parametrize("bad", ["", "5:x,3", "nonsense"])
@@ -202,7 +206,7 @@ def test_a_diag_matches_scalar_loop(two_j, seed, b):
     sys = make_spin_system(two_j)
     partition = random_partition(np.random.default_rng(seed), two_j)
     bs = [b, 0.0, 1.0, 1.0 - b]
-    stack = _a_diags(resolve_partition(sys, partition), bs)
+    stack = _a_diags(resolve_partition(sys.two_j, partition), bs)
     assert stack.shape == (4, sys.dim) and stack.flags.c_contiguous
     for a, b_row in zip(stack, bs):
         assert a.tobytes() == _a_diag_loop(sys, b_row, partition).tobytes()
@@ -227,7 +231,7 @@ def test_stacked_weights_bit_equal_to_one_matmul_per_b(two_j, count):
     sys = make_spin_system(two_j)
     partition = random_partition(np.random.default_rng(two_j), two_j)
     bs = [0.0, 1.0, *np.random.default_rng(count).uniform(0.0, 1.0, count - 2)]
-    a_diags = _a_diags(resolve_partition(sys, partition), bs)
+    a_diags = _a_diags(resolve_partition(sys.two_j, partition), bs)
     v = sys.eigenvectors
     stacked = _weights(sys, a_diags)
     assert stacked.shape == (count, sys.dim ** 2)

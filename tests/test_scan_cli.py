@@ -15,7 +15,7 @@ import lgmet.scan
 from lgmet import build_measurement, make_spin_system, max_violation
 from lgmet.cli import main
 from lgmet.estimation import COLUMNS, ROW_DTYPE
-from lgmet.measurement import PartitionSpec
+from lgmet.measurement import PartitionSpec, parse_partition
 from lgmet.scan import (MAX_GRID_COUNT, MAX_ROW_COUNT, SWEEPS, RunConfig, ScanTable, parse_grid,
                         render_svg_lineplot, reproduce_figure, scan_theta, sweep, table_to_csv,
                         table_to_json, violation_threshold_b, write_sweep)
@@ -109,6 +109,60 @@ class TestRunConfig:
                 build(flag)
         for two_j in (1, 3, np.int64(3), np.int32(2), np.uint8(1)):
             assert type(build(two_j).two_j) is int and build(two_j).two_j == two_j
+
+
+# (two_j, theta in pi units, partition text or None, message part): inputs that
+# two_j rules out, with no spin system
+BAD_INPUTS = [
+    (5, math.nan, None, "finite"),
+    (5, math.inf, None, "finite"),
+    (5, -math.inf, None, "finite"),
+    (5, 1e307, None, "rad is too large: 3 theta times 5 overflows"),
+    (5, -1e15, None, "rad is too large: 3 theta times 5 reaches 2**54"),
+    (4095, 1e13, None, "rad is too large: 3 theta times 4095 reaches 2**54"),
+    (5, 0.5, "5:5,3;-5:-1,-3,-5", "does not cover 1 of the 6 m values (2m): [1]"),
+    (4095, 0.5, "4095:4095", "does not cover 4095 of the 4096 m values"),
+    (5, 0.5, "5:5,3,1;-5:1,-1,-3,-5", "2m=1 assigned to two blocks"),
+    (5, 0.5, "4:5,3,1;-5:-1,-3,-5", "2mu=4 off the m lattice"),
+    (5, 0.5, "7:5,3,1;-5:-1,-3,-5", "2mu=7 outside [-2j, 2j]"),
+    (5, 0.5, "5:5,3,1,2;-5:-1,-3,-5", "2m=2 not in the spin ladder"),
+    (4, 0.5, None, "m=0 is unassigned for integer spin"),
+]
+
+
+class TestChecksBeforeSpinBuild:
+    """Every input rule follows from two_j, b, the partition and theta, so a bad input
+    fails before the O(d^3) spin build, on every route into it."""
+
+    @pytest.fixture(autouse=True)
+    def no_spin(self, monkeypatch):
+        def no_spin(two_j):
+            raise AssertionError("spin system built before the inputs were checked")
+
+        monkeypatch.setattr(lgmet.scan, "make_spin_system", no_spin)
+
+    @pytest.mark.parametrize("two_j, theta, partition, message", BAD_INPUTS)
+    def test_sweep(self, two_j, theta, partition, message):
+        for kind in SWEEPS:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                sweep(kind, RunConfig(two_j, [0.9], [theta * math.pi],
+                                      None if partition is None else parse_partition(partition)))
+
+    @pytest.mark.parametrize("two_j, theta, partition, message", BAD_INPUTS)
+    def test_cli(self, two_j, theta, partition, message, capsys):
+        # the CLI names a non-finite theta as a grid value, and a finite one in radians
+        for verb in SWEEPS:
+            argv = [verb, "--two-j", str(two_j), "--b", "0.9", "--theta", repr(theta)]
+            assert main(argv + ([] if partition is None else ["--partition", partition])) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("lgmet: error: ") and message in captured.err
+
+    @pytest.mark.parametrize("two_j, theta, partition, message", BAD_INPUTS)
+    def test_violation_threshold_b(self, two_j, theta, partition, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            violation_threshold_b(two_j, theta * math.pi, partition=None if partition is None
+                                  else parse_partition(partition))
 
 
 class TestScans:
@@ -219,9 +273,9 @@ class TestViolationThreshold:
         ({"tol": 0.0}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": math.nan}, "tol"),
         ({"tol": math.inf}, "tol"), ({"theta": math.nan}, "theta"),
         ({"theta": math.inf}, "theta"), ({"theta": -math.inf}, "theta"),
-        ({"theta": 1e308}, "theta=1e\\+308 is too large"),
-        ({"theta": -1e308}, "theta=-1e\\+308 is too large"),
-        ({"theta": 2e15}, "theta=2000000000000000.0 is too large: 3 theta times 5 reaches 2"),
+        ({"theta": 1e308}, "theta=1e\\+308 rad is too large"),
+        ({"theta": -1e308}, "theta=-1e\\+308 rad is too large"),
+        ({"theta": 2e15}, "theta=2000000000000000.0 rad is too large: 3 theta times 5 reaches 2"),
     ])
     def test_rejects_bad_arguments_before_any_work(self, monkeypatch, kwargs, match):
         # a check that lets the call through reaches the spin build and fails with
@@ -244,7 +298,7 @@ class TestViolationThreshold:
         monkeypatch.setattr(lgmet.scan, "_klg_kernel", no_kernel)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape("theta=%r is too large" % theta)):
+            with pytest.raises(ValueError, match=re.escape("theta=%r rad is too large" % theta)):
                 violation_threshold_b(5, theta)
 
     def test_tol_below_float_spacing_terminates(self, monkeypatch):

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lgmet import InconsistentCorrelationError, build_measurement, make_spin_system
-from lgmet.measurement import (PartitionSpec, _a_diags, default_partition, parse_partition,
-                               resolve_partition)
+from lgmet.measurement import PartitionSpec, _a_diags, parse_partition, resolve_partition
 from lgmet.scan import RunConfig, sweep
 import lgmet.correlations
 import lgmet.measurement
@@ -133,7 +132,7 @@ def test_qfi_matches_eigh_form(setup, b):
 def test_qfi_of_the_minus_arm_is_the_mirror_image(two_j, b):
     """Under the default partition the - arm mirrors the + arm, so F_Q needs only the +."""
     sys = make_spin_system(two_j)
-    meas = build_measurement(sys, b, default_partition(sys))
+    meas = build_measurement(sys, b)
     rho, _ = prepared_state(sys, meas, -1)
     assert rows_at(sys, meas, 0.0).F_Q[0] == pytest.approx(qfi_of_state(sys, rho),
                                                           rel=1e-12, abs=1e-13)
@@ -165,7 +164,7 @@ def test_qfi_cutoff_and_degenerate_branches_unreachable(two_j, seed, b):
     pair sum, is at least 1/(2d).
     """
     sys = make_spin_system(two_j)
-    gaps = resolve_partition(sys, random_partition(np.random.default_rng(seed), two_j))
+    gaps = resolve_partition(two_j, random_partition(np.random.default_rng(seed), two_j))
     e = (1.0 + _a_diags(gaps, [b])[0]) / 2
     p = e / (sys.dim * (float(np.sum(e)) / sys.dim))
     bound = 1.0 / (2 * sys.dim)
