@@ -11,9 +11,9 @@ with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
 O(d^2) Toeplitz copy and dot product.  A theta grid is evaluated in blocks
 of at most BLOCK_ELEMENTS table values, for a whole stack of weights (one
 per b) at once, with one np.vecdot per block for each
-of C(theta), C(3 theta), C' and C''; the evaluator returns C and
-K_LG = 3 C(theta) - C(3 theta), and the sweep rows, klg_equal_interval and
-max_violation read its columns.
+of C(theta), C(3 theta) and C' (three d^2 dot products per theta); it returns
+C and K_LG = 3 C(theta) - C(3 theta), and the sweep rows, klg_equal_interval and
+max_violation read its columns.  _second_derivative gives C'' for F's C^2 -> 1 limit.
 Each sum runs over (k, l) in the order of a direct d^2 evaluation and equals
 it bit for bit.  A non-finite theta, or one whose largest phase
 3 |theta| (d - 1) overflows or reaches 2**54 (where a phase's float spacing
@@ -81,9 +81,9 @@ def _toeplitz(table: np.ndarray) -> np.ndarray:
 
 def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
                   derivatives: bool) -> np.ndarray:
-    """(C, K_LG), or (C, K_LG, dC/dtheta, d2C/dtheta2) if derivatives, per (b, theta).
+    """(C, K_LG), or (C, K_LG, dC/dtheta) if derivatives, per (b, theta).
 
-    Shape (B, T, 2) or (B, T, 4) for a (B, d^2) stack of weights, with
+    Shape (B, T, 2) or (B, T, 3) for a (B, d^2) stack of weights, with
     K_LG = 3 C(theta) - C(3 theta).  Each block of thetas gets one (theta, frequency)
     cos/sin table per angle, copied by _toeplitz into a (theta, k l) array shared by all
     B weight rows.  np.vecdot of it with the broadcast weights calls, once per (b, theta),
@@ -100,26 +100,31 @@ def _fourier_sums(sys: SpinSystem, weights: np.ndarray, thetas,
     w = weights[:, None]
     frequencies = np.arange(1.0 - sys.dim, sys.dim)
     if derivatives:
-        g = _toeplitz(frequencies[None])[0]
-        wg = w * g
-        wg2 = wg * g
-    out = np.empty((len(weights), thetas.size, 4 if derivatives else 2))
+        wg = w * _toeplitz(frequencies[None])[0]
+    out = np.empty((len(weights), thetas.size, 3 if derivatives else 2))
     step = _block_size(sys)
     for start in range(0, thetas.size, step):
         t = thetas[start:start + step]
         block = out[:, start:start + step]
-        phases = np.multiply.outer(3.0 * t, frequencies)
-        block[..., 1] = np.vecdot(_toeplitz(np.cos(phases)), w)
+        block[..., 1] = np.vecdot(_toeplitz(np.cos(np.multiply.outer(3.0 * t, frequencies))), w)
         phases = np.multiply.outer(t, frequencies)
-        cos_gt = _toeplitz(np.cos(phases))
-        block[..., 0] = np.vecdot(cos_gt, w)
+        block[..., 0] = np.vecdot(_toeplitz(np.cos(phases)), w)
         if derivatives:
             block[..., 2] = -np.vecdot(_toeplitz(np.sin(phases)), wg)
-            block[..., 3] = -np.vecdot(cos_gt, wg2)
     out /= sys.dim
     # after the division, as 3.0 * C(theta) - C(3.0 * theta) of two returned values
     out[..., 1] = 3.0 * out[..., 0] - out[..., 1]
     return out
+
+
+def _second_derivative(sys: SpinSystem, weights: np.ndarray, thetas) -> np.ndarray:
+    """(B, T) d2C/dtheta2 = -(w g) g . cos(g theta) / d at checked thetas, as _fourier_sums sums."""
+    frequencies = np.arange(1.0 - sys.dim, sys.dim)
+    g = _toeplitz(frequencies[None])[0]
+    wg2, step = weights[:, None] * g * g, _block_size(sys)
+    tables = (_toeplitz(np.cos(np.multiply.outer(thetas[i:i + step], frequencies)))
+              for i in range(0, len(thetas), step))
+    return -np.concatenate([np.vecdot(table, wg2) for table in tables], axis=1) / sys.dim
 
 
 def klg_equal_interval(sys: SpinSystem, meas: NoisyDichotomicMeasurement,

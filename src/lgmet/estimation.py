@@ -1,19 +1,19 @@
 """Classical and quantum Fisher information for the dichotomic parity probe.
 
 The classical Fisher information comes from the correlation function,
-F = (dC/dtheta)^2 / (1 - C^2).  The quantum Fisher information of the
-unitary family U(theta) rho U(-theta) with generator J_x is
-theta-independent; _qfi evaluates the spectral formula for the state that
-the + outcome prepares as an O(d) tridiagonal sum.  A sweep row holds the
-COLUMNS values of one (theta, b) point; rows are float64 record arrays of
-ROW_DTYPE.
+F = (dC/dtheta)^2 / (1 - C^2), with the limit |d2C/dtheta2| where C^2 -> 1,
+the only place C'' is evaluated.  The quantum Fisher information of the
+unitary family U(theta) rho U(-theta) with generator J_x is theta-independent;
+_qfi evaluates the spectral formula for the state that the + outcome prepares
+as an O(d) tridiagonal sum.  A sweep row holds the COLUMNS values of one
+(theta, b) point; rows are float64 record arrays of ROW_DTYPE.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .correlations import _fourier_sums
+from .correlations import _fourier_sums, _second_derivative
 from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
@@ -27,13 +27,17 @@ class InconsistentCorrelationError(ArithmeticError):
     """C^2 = 1 with a nonzero slope; smoothness is violated numerically."""
 
 
-def _fisher(c, c1, c2):
-    """(dC/dtheta)^2 / (1 - C^2) from arrays of (C, C', C''), with the |C''| limit at C^2 = 1."""
+def _fisher(c, c1, second_derivative):
+    """C'^2 / (1 - C^2) for (B, T) arrays C, C'; at C^2 = 1, |C''| of second_derivative(columns)."""
     den = 1.0 - c * c
     singular = den <= SINGULAR_DENOMINATOR
     if np.any(singular & (np.abs(c1) > 1e-6)):
         raise InconsistentCorrelationError("C^2 = 1 with |dC/dtheta| > 1e-6; numerical fault")
-    return np.where(singular, np.abs(c2), c1 * c1 / np.where(singular, 1.0, den))
+    f = c1 * c1 / np.where(singular, 1.0, den)
+    if singular.any():
+        columns = singular.any(axis=0)
+        f[singular] = np.abs(second_derivative(columns))[singular[:, columns]]
+    return f
 
 
 def _qfi(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
@@ -57,13 +61,14 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
           thetas) -> np.recarray:
     """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
 
-    One _fourier_sums call evaluates the block and one _qfi call gives its F_Q column;
-    every value is bit-identical to a call for its (b, theta) point alone.
+    One _fourier_sums call gives C, K_LG and C' (three d^2 dot products per theta), C'' only
+    the theta columns of F's C^2 -> 1 limit, and one _qfi call the F_Q column; every value
+    is bit-identical to a call for its (b, theta) point alone.
     """
     thetas = np.asarray(thetas, float)
-    c, k_lg, c1, c2 = np.moveaxis(_fourier_sums(sys, weights, thetas, True), -1, 0)
+    c, k_lg, c1 = np.moveaxis(_fourier_sums(sys, weights, thetas, True), -1, 0)
     f_q = _qfi(sys, a_diags)[:, None]
-    f = _fisher(c, c1, c2)
+    f = _fisher(c, c1, lambda columns: _second_derivative(sys, weights, thetas[columns]))
     ratio = np.divide(f, f_q, out=np.zeros(f.shape), where=f_q > 0.0)
     columns = (thetas, np.asarray(b_values, float)[:, None], c, k_lg, f, f_q, ratio)
     rows = np.empty(c.shape, ROW_DTYPE)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from lgmet import build_measurement, klg_equal_interval, make_spin_system, max_violation
 import lgmet.correlations
-from lgmet.correlations import MAX_GRID_COUNT, _fourier_sums, _klg_kernel
+from lgmet.correlations import MAX_GRID_COUNT, _fourier_sums, _klg_kernel, _second_derivative
 from conftest import (brute_force_correlation, count_calls, parity_correlation_closed_form,
                       random_partition, rows_at)
 from oracles import direct_correlation, two_time_correlation
@@ -75,7 +75,7 @@ class TestStationarity:
 
 
 class TestDerivatives:
-    """The C' and C'' columns (2 and 3) of _fourier_sums."""
+    """The C' column (2) of _fourier_sums, and C'' from _second_derivative."""
 
     def test_symmetry_at_origin(self, spin52):
         for b in (0.4, 1.0):
@@ -84,7 +84,8 @@ class TestDerivatives:
             assert c1 == pytest.approx(0.0, abs=1e-12)
 
     def test_projective_values_at_pi(self, spin52, parity52):
-        _, _, c1, c2 = _fourier_sums(spin52, parity52.weights[None], [math.pi], True)[0, 0]
+        _, _, c1 = _fourier_sums(spin52, parity52.weights[None], [math.pi], True)[0, 0]
+        (c2,) = _second_derivative(spin52, parity52.weights[None], [math.pi])[0]
         assert c1 == pytest.approx(0.0, abs=1e-10)
         assert c2 == pytest.approx(35 / 3, abs=1e-10)
 
@@ -100,7 +101,8 @@ class TestDerivatives:
             theta = rng.uniform(-3, 3)
             meas = build_measurement(spin52, b)
             sums = _fourier_sums(spin52, meas.weights[None], [theta, theta + h, theta - h], True)
-            (c, _, c1, c2), (cp, *_), (cm, *_) = sums[0]
+            (c, _, c1), (cp, *_), (cm, *_) = sums[0]
+            (c2,) = _second_derivative(spin52, meas.weights[None], [theta])[0]
             assert c1 == pytest.approx((cp - cm) / (2 * h), abs=1e-6)
             assert c2 == pytest.approx((cp - 2 * c + cm) / h ** 2, abs=1e-6)
 

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 from lgmet import (InconsistentCorrelationError, build_measurement, klg_equal_interval,
                    make_spin_system, max_violation)
 import lgmet.correlations
-from lgmet.correlations import _fourier_sums
+import lgmet.estimation
+from lgmet.correlations import _fourier_sums, _second_derivative
 from lgmet.estimation import _fisher, _qfi, _rows
 from conftest import narrow_blocks, random_partition
 from oracles import direct_correlation, direct_correlation_derivatives
@@ -35,13 +36,19 @@ def _direct_klg(sys, meas, theta):
     return 3.0 * direct_correlation(sys, meas, theta) - direct_correlation(sys, meas, 3.0 * theta)
 
 
+def _point_fisher(c, c1, c2):
+    """_fisher of one (C, C', C'') point."""
+    return float(_fisher(np.array([[c]]), np.array([[c1]]), lambda columns: np.array([[c2]]))[0, 0])
+
+
 @settings(max_examples=150, deadline=None)
 @given(setup=setups, theta=thetas)
 def test_point_functions(setup, theta):
-    """One theta: both _fourier_sums column sets, and klg_equal_interval."""
+    """One theta: both _fourier_sums column sets, _second_derivative, and klg_equal_interval."""
     sys, meas = _measurement(setup)
     c, k_lg = _fourier_sums(sys, meas.weights[None], [theta], False)[0, 0]
-    c_d, k_lg_d, c1, c2 = _fourier_sums(sys, meas.weights[None], [theta], True)[0, 0]
+    c_d, k_lg_d, c1 = _fourier_sums(sys, meas.weights[None], [theta], True)[0, 0]
+    (c2,) = _second_derivative(sys, meas.weights[None], [theta])[0]
     direct_k_lg = _direct_klg(sys, meas, theta)
     assert _bits([c]) == _bits([direct_correlation(sys, meas, theta)])
     assert _bits([c_d, c1, c2]) == _bits(direct_correlation_derivatives(sys, meas, theta))
@@ -60,7 +67,7 @@ def test_rows(setup, points, lo, hi, count):
         expected = []
         for theta in grid:
             c, c1, c2 = direct_correlation_derivatives(sys, meas, theta)
-            f = _fisher(c, c1, c2)
+            f = _point_fisher(c, c1, c2)
             expected.append((theta, meas.b, c, _direct_klg(sys, meas, theta), f, f_q,
                              f / f_q if f_q > 0.0 else 0.0))
     except InconsistentCorrelationError:
@@ -95,24 +102,60 @@ def test_max_violation_grid(setup, lo, span, grid_points):
     assert result[1] >= max(values)
 
 
-def test_blocks_bounded_and_contiguous_at_large_spin(monkeypatch):
-    """At two_j = 401 a block is one theta wide: each stacked operand holds d^2 values."""
+def test_blocks_bounded_and_contiguous_at_large_spin():
+    """At two_j = 401 a block is one theta wide: each stacked operand holds d^2 values.
+
+    C(theta), C(3 theta) and C' take three vecdots per theta; C'' takes one more only for
+    a theta column where C^2 = 1 (theta = 0 and pi at b = 1).
+    """
     sys = make_spin_system(401)
-    meas = build_measurement(sys, 0.99)
     grid = np.linspace(0.0, math.pi, 300)
-    operands = []  # (C-contiguous, size) of each first operand, not the array itself
-    vecdot = np.vecdot
-    monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: (
-        operands.append((a.flags.c_contiguous, a.size)) or vecdot(a, b, **kw)))
-    rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
-    monkeypatch.undo()
     limit = max(lgmet.correlations.BLOCK_ELEMENTS, sys.dim ** 2)
-    assert len(operands) == 4 * grid.size  # C, C', C'' at theta and C at 3 theta
-    assert all(contiguous and size <= limit for contiguous, size in operands)
-    for i in (0, 150, 299):
-        c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i])
-        assert (_bits([rows.C[i], rows.K_LG[i], rows.F[i]])
-                == _bits([c, _direct_klg(sys, meas, grid[i]), _fisher(c, c1, c2)]))
+    for measurability, singular_columns in ((0.99, 0), (1.0, 2)):
+        meas = build_measurement(sys, measurability)
+        operands = []  # (C-contiguous, size) of each first operand, not the array itself
+        vecdot = np.vecdot
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "vecdot", lambda a, b, **kw: (
+                operands.append((a.flags.c_contiguous, a.size)) or vecdot(a, b, **kw)))
+            rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
+        assert len(operands) == 3 * grid.size + singular_columns
+        assert all(contiguous and size <= limit for contiguous, size in operands)
+        for i in (0, 150, 299):
+            c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i])
+            assert (_bits([rows.C[i], rows.K_LG[i], rows.F[i]])
+                    == _bits([c, _direct_klg(sys, meas, grid[i]), _point_fisher(c, c1, c2)]))
+
+
+def test_second_derivative_only_for_singular_columns(spin52, monkeypatch):
+    """One b block where C'' is evaluated for a theta column but read only by its C^2 = 1 rows."""
+    measurements = [build_measurement(spin52, b) for b in (0.5, 0.99, 1.0)]
+    grid = np.array([0.0, math.pi, math.pi + 1e-9, math.pi - 1e-9, 0.3])
+    asked = []
+    second_derivative = lgmet.estimation._second_derivative
+    monkeypatch.setattr(lgmet.estimation, "_second_derivative", lambda sys, weights, thetas: (
+        asked.append(thetas.tolist()) or second_derivative(sys, weights, thetas)))
+    rows = _rows(spin52, [m.b for m in measurements], np.array([m.a_diag for m in measurements]),
+                 np.array([m.weights for m in measurements]), grid)
+    assert asked == [grid[:4].tolist()]
+    singular = 0
+    for row, (meas, theta) in zip(rows, [(m, t) for m in measurements for t in grid]):
+        c, c1, c2 = direct_correlation_derivatives(spin52, meas, theta)
+        singular += 1.0 - c * c <= lgmet.estimation.SINGULAR_DENOMINATOR
+        f_q = _qfi(spin52, meas.a_diag[None])[0]
+        f = _point_fisher(c, c1, c2)
+        assert _bits(row.tolist()) == _bits([theta, meas.b, c, _direct_klg(spin52, meas, theta),
+                                              f, f_q, f / f_q if f_q > 0.0 else 0.0])
+    assert singular == 4  # the b = 1 row of each of the first four columns
+
+
+def test_inconsistent_row_raises_before_second_derivative(spin52, monkeypatch):
+    """theta = 1e-6, b = 1 - 5e-12: 1 - C^2 is singular with |C'| = 1.2e-5, and no C'' is formed."""
+    meas = build_measurement(spin52, 0.9999999999949978)
+    monkeypatch.setattr(lgmet.estimation, "_second_derivative",
+                        lambda *args: pytest.fail("C'' evaluated for an inconsistent row"))
+    with pytest.raises(InconsistentCorrelationError):
+        _rows(spin52, [meas.b], meas.a_diag[None], meas.weights[None], [1e-6])
 
 
 def test_rows_make_no_vector_dot(monkeypatch):

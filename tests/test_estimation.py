@@ -110,17 +110,26 @@ class TestFisherFromCorrelation:
 
 class TestFisherArrays:
     def test_regular_and_singular_rows(self):
-        c = np.array([0.5, 1.0, -1.0, 0.0])
-        c1 = np.array([0.3, 0.0, 1e-7, -1.0])
-        c2 = np.array([2.0, -35 / 3, 4.0, 0.0])
-        f = _fisher(c, c1, c2)
-        assert f.tolist() == [0.3 * 0.3 / (1.0 - 0.5 * 0.5), 35 / 3, 4.0, 1.0]
+        c = np.array([[0.5, 1.0, -1.0, 0.0], [0.5, 0.2, 0.3, 0.0]])
+        c1 = np.array([[0.3, 0.0, 1e-7, -1.0], [0.3, 0.1, 0.2, -1.0]])
+        c2 = np.array([[2.0, -35 / 3, 4.0, 0.0], [2.0, 5.0, 6.0, 0.0]])
+        asked = []
+        f = _fisher(c, c1, lambda columns: asked.append(columns.tolist()) or c2[:, columns])
+        assert asked == [[False, True, True, False]]
+        assert f.tolist() == [[0.3 * 0.3 / (1.0 - 0.5 * 0.5), 35 / 3, 4.0, 1.0],
+                              [0.3 * 0.3 / (1.0 - 0.5 * 0.5), 0.1 * 0.1 / (1.0 - 0.2 * 0.2),
+                               0.2 * 0.2 / (1.0 - 0.3 * 0.3), 1.0]]
+
+    def test_no_singular_row_evaluates_no_second_derivative(self):
+        f = _fisher(np.array([[0.5, 0.0]]), np.array([[0.3, -1.0]]),
+                    lambda columns: pytest.fail("C'' evaluated with no singular row"))
+        assert f.tolist() == [[0.3 * 0.3 / (1.0 - 0.5 * 0.5), 1.0]]
 
     def test_any_singular_row_with_a_slope_raises(self):
-        c = np.array([0.5, 1.0, -1.0])
-        c1 = np.array([0.3, 0.0, 1e-5])
+        c = np.array([[0.5, 1.0, -1.0]])
+        c1 = np.array([[0.3, 0.0, 1e-5]])
         with pytest.raises(InconsistentCorrelationError):
-            _fisher(c, c1, np.ones(3))
+            _fisher(c, c1, lambda columns: pytest.fail("C'' evaluated before the slope check"))
 
 
 class TestQuantumFisherInformation:
