@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .correlations import _fourier_sums, _second_derivative
+from .correlations import _correlation_klg, _series, _toeplitz
 from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
@@ -61,14 +61,18 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
           thetas) -> np.recarray:
     """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
 
-    One _fourier_sums call gives C, K_LG and C' (three d^2 dot products per theta), C'' only
-    the theta columns of F's C^2 -> 1 limit, and one _qfi call the F_Q column; every value
-    is bit-identical to a call for its (b, theta) point alone.
+    C, C(3 theta) and C' are one correlations._series call each (three d^2 dot products
+    per theta), C'' = -(w g) g . cos(g theta) / d over the d^2 gap table g = k - l one
+    more, only for the theta columns of F's C^2 -> 1 limit, and one _qfi call gives the
+    F_Q column; every value is bit-identical to a call for its (b, theta) point alone.
     """
     thetas = np.asarray(thetas, float)
-    c, k_lg, c1 = np.moveaxis(_fourier_sums(sys, weights, thetas, True), -1, 0)
+    c, k_lg = _correlation_klg(sys, weights, thetas)
+    g = _toeplitz(np.arange(1.0 - sys.dim, sys.dim)[None])[0]
+    wg = weights * g
+    c1 = -_series(sys, wg, thetas, np.sin)
     f_q = _qfi(sys, a_diags)[:, None]
-    f = _fisher(c, c1, lambda columns: _second_derivative(sys, weights, thetas[columns]))
+    f = _fisher(c, c1, lambda columns: -_series(sys, wg * g, thetas[columns], np.cos))
     ratio = np.divide(f, f_q, out=np.zeros(f.shape), where=f_q > 0.0)
     columns = (thetas, np.asarray(b_values, float)[:, None], c, k_lg, f, f_q, ratio)
     rows = np.empty(c.shape, ROW_DTYPE)

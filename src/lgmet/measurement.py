@@ -51,7 +51,7 @@ def resolve_partition(two_j: int, partition: PartitionSpec | None) -> list[int]:
             if two_m not in level:
                 raise ValueError("m value 2m=%d not in the spin ladder" % two_m)
             if gaps[level[two_m]] is not None:
-                raise ValueError("m value 2m=%d assigned to two blocks" % two_m)
+                raise ValueError("m value 2m=%d assigned more than once" % two_m)
             gaps[level[two_m]] = abs(two_m - two_mu) // 2
     missing = sorted(two_m for two_m, k in level.items() if gaps[k] is None)
     if missing:
@@ -89,7 +89,7 @@ def format_partition(partition: PartitionSpec) -> str:
 class NoisyDichotomicMeasurement:
     """Observable A = diag(a_diag), measurability b, and the Fourier weights
     (V^T A V)_kl^2 over the real J_x eigenvectors V, raveled over (k, l)
-    like the Toeplitz tables of correlations._fourier_sums.
+    like the Toeplitz tables of correlations._series.
     """
 
     b: float

@@ -7,6 +7,7 @@ import pytest
 
 from lgmet import build_measurement, make_spin_system
 import lgmet.correlations
+from lgmet.correlations import _series
 from lgmet.estimation import _rows
 from lgmet.measurement import PartitionSpec
 
@@ -51,6 +52,13 @@ def count_calls(monkeypatch, fn) -> list:
 def rows_at(sys, meas, thetas):
     """One measurement's sweep rows at thetas (a scalar is one theta), from estimation._rows."""
     return _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], np.atleast_1d(thetas))
+
+
+def derivative_columns(sys, meas, thetas):
+    """(C', C'') of one measurement at thetas (a scalar is one theta), as _rows sums them."""
+    g, thetas = oracles.gaps(sys), np.atleast_1d(np.asarray(thetas, float))
+    wg = meas.weights[None] * g
+    return -_series(sys, wg, thetas, np.sin)[0], -_series(sys, wg * g, thetas, np.cos)[0]
 
 
 def parity_correlation_closed_form(d, theta):

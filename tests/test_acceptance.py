@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from lgmet import build_measurement, max_violation
-from lgmet.correlations import _fourier_sums, _second_derivative
 from lgmet.scan import RunConfig, reproduce_figure, sweep, violation_threshold_b
-from conftest import parity_correlation_closed_form, random_partition, sign_partition
+from conftest import (derivative_columns, parity_correlation_closed_form, random_partition,
+                      sign_partition)
 from oracles import fisher_from_probabilities, prepared_state, two_time_correlation
 
 PI = math.pi
@@ -138,8 +138,7 @@ def test_criterion_8_structural_invariants(spin52):
         ok &= abs(c_shift - c) <= 1e-10
         ok &= rows.F[0] <= rows.F_Q[0] + 1e-8
 
-        _, _, c1 = _fourier_sums(spin52, meas.weights[None], [theta], True)[0, 0]
-        c2 = _second_derivative(spin52, meas.weights[None], [theta])[0, 0]
+        (c1,), (c2,) = derivative_columns(spin52, meas, theta)
         ok &= abs(c1 - (cp - cm) / (2 * h)) <= 1e-6
         ok &= abs(c2 - (cp - 2 * c + cm) / h ** 2) <= 1e-6
     _verdict(8, "POVM, stationarity, symmetry, Cramer-Rao, derivative checks", ok)

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from lgmet import build_measurement, klg_equal_interval, make_spin_system, max_violation
 import lgmet.correlations
-from lgmet.correlations import MAX_GRID_COUNT, _fourier_sums, _klg_kernel, _second_derivative
-from conftest import (brute_force_correlation, count_calls, parity_correlation_closed_form,
-                      random_partition, rows_at)
+from lgmet.correlations import MAX_GRID_COUNT, _correlation_klg, _klg_kernel, _series
+from conftest import (brute_force_correlation, count_calls, derivative_columns,
+                      parity_correlation_closed_form, random_partition, rows_at)
 from oracles import direct_correlation, two_time_correlation
 
 
@@ -51,8 +51,8 @@ class TestCorrelation:
     @given(theta=st.floats(-8, 8), b=st.floats(0, 1))
     def test_even_and_periodic(self, spin52, theta, b):
         meas = build_measurement(spin52, b)
-        thetas = [theta, -theta, theta + 2 * math.pi]
-        c, c_neg, c_shift = _fourier_sums(spin52, meas.weights[None], thetas, False)[0, :, 0]
+        thetas = np.array([theta, -theta, theta + 2 * math.pi])
+        c, c_neg, c_shift = _series(spin52, meas.weights[None], thetas, np.cos)[0]
         assert c_neg == pytest.approx(c, abs=1e-12)
         assert c_shift == pytest.approx(c, abs=1e-10)
 
@@ -75,22 +75,21 @@ class TestStationarity:
 
 
 class TestDerivatives:
-    """The C' column (2) of _fourier_sums, and C'' from _second_derivative."""
+    """C' and C'' from correlations._series, as _rows forms them."""
 
     def test_symmetry_at_origin(self, spin52):
         for b in (0.4, 1.0):
             meas = build_measurement(spin52, b)
-            c1 = _fourier_sums(spin52, meas.weights[None], [0.0], True)[0, 0, 2]
+            (c1,), _ = derivative_columns(spin52, meas, 0.0)
             assert c1 == pytest.approx(0.0, abs=1e-12)
 
     def test_projective_values_at_pi(self, spin52, parity52):
-        _, _, c1 = _fourier_sums(spin52, parity52.weights[None], [math.pi], True)[0, 0]
-        (c2,) = _second_derivative(spin52, parity52.weights[None], [math.pi])[0]
+        (c1,), (c2,) = derivative_columns(spin52, parity52, math.pi)
         assert c1 == pytest.approx(0.0, abs=1e-10)
         assert c2 == pytest.approx(35 / 3, abs=1e-10)
 
     def test_projective_slope_at_half_pi(self, spin52, parity52):
-        c1 = _fourier_sums(spin52, parity52.weights[None], [math.pi / 2], True)[0, 0, 2]
+        (c1,), _ = derivative_columns(spin52, parity52, math.pi / 2)
         assert c1 == pytest.approx(-1.0, abs=1e-10)
 
     def test_against_finite_differences(self, spin52):
@@ -100,9 +99,9 @@ class TestDerivatives:
             b = rng.uniform(0, 1)
             theta = rng.uniform(-3, 3)
             meas = build_measurement(spin52, b)
-            sums = _fourier_sums(spin52, meas.weights[None], [theta, theta + h, theta - h], True)
-            (c, _, c1), (cp, *_), (cm, *_) = sums[0]
-            (c2,) = _second_derivative(spin52, meas.weights[None], [theta])[0]
+            c, cp, cm = _series(spin52, meas.weights[None], np.array([theta, theta + h, theta - h]),
+                                np.cos)[0]
+            (c1,), (c2,) = derivative_columns(spin52, meas, theta)
             assert c1 == pytest.approx((cp - cm) / (2 * h), abs=1e-6)
             assert c2 == pytest.approx((cp - 2 * c + cm) / h ** 2, abs=1e-6)
 
@@ -278,8 +277,7 @@ class TestMaxViolation:
         sys = make_spin_system(1)
         meas = build_measurement(sys, 0.97)
         grid = np.linspace(0.0, 2 * math.pi, 2 ** 18 + 1)
-        true_max = float(np.max(np.abs(lgmet.correlations._fourier_sums(
-            sys, meas.weights[None], grid, False)[0, :, 1])))
+        true_max = float(np.max(np.abs(_correlation_klg(sys, meas.weights[None], grid)[1])))
         try:
             k_max = max_violation(sys, meas, -1e307, 1e307, 16)[1]
         except ValueError:
@@ -330,12 +328,12 @@ class TestCommonExtremumTheorem:
         # at every stationary point of C, either C^2 = 1 (b=1 only) or F = 0
         meas = build_measurement(spin52, b)
         grid = np.linspace(0.0, math.pi, 4001)
-        slopes = _fourier_sums(spin52, meas.weights[None], grid, True)[0, :, 2]
+        slopes = derivative_columns(spin52, meas, grid)[0]
         for i in np.flatnonzero(np.sign(slopes[:-1]) * np.sign(slopes[1:]) < 0):
             lo, hi = grid[i], grid[i + 1]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if slopes[i] * _fourier_sums(spin52, meas.weights[None], [mid], True)[0, 0, 2] > 0:
+                if slopes[i] * derivative_columns(spin52, meas, mid)[0][0] > 0:
                     lo = mid
                 else:
                     hi = mid

@@ -11,10 +11,10 @@ from lgmet import (InconsistentCorrelationError, build_measurement, klg_equal_in
                    make_spin_system, max_violation)
 import lgmet.correlations
 import lgmet.estimation
-from lgmet.correlations import _fourier_sums, _second_derivative
+from lgmet.correlations import _correlation_klg, _series
 from lgmet.estimation import _fisher, _qfi, _rows
 from conftest import narrow_blocks, random_partition
-from oracles import direct_correlation, direct_correlation_derivatives
+from oracles import direct_correlation, direct_correlation_derivatives, gaps
 
 SPECIAL = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e3, -1e3]
 thetas = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
@@ -44,15 +44,17 @@ def _point_fisher(c, c1, c2):
 @settings(max_examples=150, deadline=None)
 @given(setup=setups, theta=thetas)
 def test_point_functions(setup, theta):
-    """One theta: both _fourier_sums column sets, _second_derivative, and klg_equal_interval."""
+    """One theta: C, C(3 theta), C' and C'' as _series calls, K_LG and klg_equal_interval."""
     sys, meas = _measurement(setup)
-    c, k_lg = _fourier_sums(sys, meas.weights[None], [theta], False)[0, 0]
-    c_d, k_lg_d, c1 = _fourier_sums(sys, meas.weights[None], [theta], True)[0, 0]
-    (c2,) = _second_derivative(sys, meas.weights[None], [theta])[0]
+    w, g, t = meas.weights[None], gaps(sys), np.array([theta])
+    (c,), (c3,) = _series(sys, w, t, np.cos)[0], _series(sys, w, 3.0 * t, np.cos)[0]
+    (c1,) = -_series(sys, w * g, t, np.sin)[0]
+    (c2,) = -_series(sys, w * g * g, t, np.cos)[0]
+    (c_k,), (k_lg,) = (column[0] for column in _correlation_klg(sys, w, [theta]))
+    assert _bits([c, c3]) == _bits([direct_correlation(sys, meas, x) for x in (theta, 3.0 * theta)])
+    assert _bits([c_k, c1, c2]) == _bits(direct_correlation_derivatives(sys, meas, theta))
     direct_k_lg = _direct_klg(sys, meas, theta)
-    assert _bits([c]) == _bits([direct_correlation(sys, meas, theta)])
-    assert _bits([c_d, c1, c2]) == _bits(direct_correlation_derivatives(sys, meas, theta))
-    assert _bits([k_lg, k_lg_d, klg_equal_interval(sys, meas, theta)]) == _bits([direct_k_lg] * 3)
+    assert _bits([k_lg, klg_equal_interval(sys, meas, theta)]) == _bits([direct_k_lg] * 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,13 +130,16 @@ def test_blocks_bounded_and_contiguous_at_large_spin():
 
 
 def test_second_derivative_only_for_singular_columns(spin52, monkeypatch):
-    """One b block where C'' is evaluated for a theta column but read only by its C^2 = 1 rows."""
+    """One b block where C'' is evaluated for a theta column but read only by its C^2 = 1 rows.
+
+    _rows sums C and C(3 theta) through _correlation_klg, so its own cos series is C''.
+    """
     measurements = [build_measurement(spin52, b) for b in (0.5, 0.99, 1.0)]
     grid = np.array([0.0, math.pi, math.pi + 1e-9, math.pi - 1e-9, 0.3])
     asked = []
-    second_derivative = lgmet.estimation._second_derivative
-    monkeypatch.setattr(lgmet.estimation, "_second_derivative", lambda sys, weights, thetas: (
-        asked.append(thetas.tolist()) or second_derivative(sys, weights, thetas)))
+    series = lgmet.estimation._series
+    monkeypatch.setattr(lgmet.estimation, "_series", lambda sys, weights, thetas, trig: (
+        trig is np.cos and asked.append(thetas.tolist())) or series(sys, weights, thetas, trig))
     rows = _rows(spin52, [m.b for m in measurements], np.array([m.a_diag for m in measurements]),
                  np.array([m.weights for m in measurements]), grid)
     assert asked == [grid[:4].tolist()]
@@ -152,8 +157,10 @@ def test_second_derivative_only_for_singular_columns(spin52, monkeypatch):
 def test_inconsistent_row_raises_before_second_derivative(spin52, monkeypatch):
     """theta = 1e-6, b = 1 - 5e-12: 1 - C^2 is singular with |C'| = 1.2e-5, and no C'' is formed."""
     meas = build_measurement(spin52, 0.9999999999949978)
-    monkeypatch.setattr(lgmet.estimation, "_second_derivative",
-                        lambda *args: pytest.fail("C'' evaluated for an inconsistent row"))
+    series = lgmet.estimation._series
+    monkeypatch.setattr(lgmet.estimation, "_series", lambda sys, weights, thetas, trig: (
+        trig is np.cos and pytest.fail("C'' evaluated for an inconsistent row")
+        or series(sys, weights, thetas, trig)))
     with pytest.raises(InconsistentCorrelationError):
         _rows(spin52, [meas.b], meas.a_diag[None], meas.weights[None], [1e-6])
 

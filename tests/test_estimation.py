@@ -7,7 +7,7 @@ import pytest
 
 from lgmet import build_measurement, klg_equal_interval, make_spin_system, max_violation
 import lgmet.estimation
-from lgmet.correlations import _block_size, _fourier_sums
+from lgmet.correlations import _block_size, _correlation_klg
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import PartitionSpec, _a_diags, _weights, resolve_partition
 from lgmet.scan import RunConfig, sweep, violation_threshold_b
@@ -272,12 +272,10 @@ def _violation_threshold_b(sys, meas, theta):
 
 
 # Each case reaches the theta check through another caller or block shape; an id names the
-# columns its route yields: C alone, C with C' and C'', F of one row, a block of two b.
+# columns its route yields: C with K_LG, F of one row, a block of two b.
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307, 1e16])
 @pytest.mark.parametrize("fn", [
-    pytest.param(lambda s, m, t: _fourier_sums(s, m.weights[None], [t], False), id="correlation"),
-    pytest.param(lambda s, m, t: _fourier_sums(s, m.weights[None], [t], True),
-                 id="correlation_derivatives"),
+    pytest.param(lambda s, m, t: _correlation_klg(s, m.weights[None], [t]), id="correlation"),
     klg_equal_interval,
     pytest.param(rows_at, id="fisher_from_correlation"),
     pytest.param(lambda s, m, t: _rows(s, [m.b] * 2, np.stack([m.a_diag] * 2),
@@ -301,13 +299,11 @@ def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
 
 
 @pytest.mark.parametrize("fn", [
-    lambda s, m: _fourier_sums(s, m.weights[None], [0.3], False),
-    lambda s, m: _fourier_sums(s, m.weights[None], [0.3], True),
+    lambda s, m: _correlation_klg(s, m.weights[None], [0.3]),
     lambda s, m: klg_equal_interval(s, m, 0.3),
     lambda s, m: rows_at(s, m, 0.3),
     lambda s, m: max_violation(s, m, 0.0, 1.0),
-], ids=["correlation", "correlation_derivatives", "klg_equal_interval",
-        "fisher_from_correlation", "max_violation"])
+], ids=["correlation", "klg_equal_interval", "fisher_from_correlation", "max_violation"])
 def test_measurement_of_another_spin_rejected(fn):
     """A two_j = 5 measurement given with a two_j = 7 spin is a ValueError naming both sizes."""
     meas = build_measurement(make_spin_system(5), 0.9)

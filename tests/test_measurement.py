@@ -37,7 +37,7 @@ class TestPartition:
 
     def test_validate_rejects_overlap(self):
         part = PartitionSpec(((5, (5, 3, 1)), (-5, (1, -1, -3, -5))))
-        with pytest.raises(ValueError, match="two blocks"):
+        with pytest.raises(ValueError, match="2m=1 assigned more than once"):
             resolve_partition(5, part)
 
     def test_validate_rejects_out_of_range_center(self):
@@ -49,7 +49,7 @@ class TestPartition:
         (((4, (5, 3, 1)), (-5, (-1, -3, -5))), "2mu=4 off the m lattice"),
         (((5, (5, 3, 1, 2)), (-5, (-1, -3, -5))), "2m=2 not in the spin ladder"),
         (((5, (5, 3, 1, 7)), (-5, (-1, -3, -5))), "2m=7 not in the spin ladder"),
-        (((5, (5, 3, 1)), (-5, (-1, -3, -5, -5))), "2m=-5 assigned to two blocks"),
+        (((5, (5, 3, 1)), (-5, (-1, -3, -5, -5))), "2m=-5 assigned more than once"),
     ])
     def test_validate_rejects_off_lattice(self, blocks, match):
         with pytest.raises(ValueError, match=match):

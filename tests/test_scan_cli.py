@@ -122,7 +122,7 @@ BAD_INPUTS = [
     (4095, 1e13, None, "rad is too large: 3 theta times 4095 reaches 2**54"),
     (5, 0.5, "5:5,3;-5:-1,-3,-5", "does not cover 1 of the 6 m values (2m): [1]"),
     (4095, 0.5, "4095:4095", "does not cover 4095 of the 4096 m values"),
-    (5, 0.5, "5:5,3,1;-5:1,-1,-3,-5", "2m=1 assigned to two blocks"),
+    (5, 0.5, "5:5,3,1;-5:1,-1,-3,-5", "2m=1 assigned more than once"),
     (5, 0.5, "4:5,3,1;-5:-1,-3,-5", "2mu=4 off the m lattice"),
     (5, 0.5, "7:5,3,1;-5:-1,-3,-5", "2mu=7 outside [-2j, 2j]"),
     (5, 0.5, "5:5,3,1,2;-5:-1,-3,-5", "2m=2 not in the spin ladder"),
