@@ -9,14 +9,16 @@ with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
 (meas.weights).  Each gap lam_k - lam_l is the integer k - l, one of the
 2d - 1 frequencies -(d - 1), ..., d - 1, so a point costs O(d) trig plus an
 O(d^2) Toeplitz copy and dot product.  One primitive, _series, sums
-sum_kl w_kl trig((k - l) theta) / d over a theta grid, in blocks of at most
-BLOCK_ELEMENTS table values, for a whole stack of weights (one per b) at
-once, with one np.vecdot per block.  With g the d^2 gap table k - l, each
-quantity is one call: C and C(3 theta) are cos series of w, C' = -(sin series
-of w g) and C'' = -(cos series of (w g) g).  _correlation_klg returns C and
-K_LG = 3 C(theta) - C(3 theta) for the sweep rows, klg_equal_interval and
-max_violation.  Each sum runs over (k, l) in the order of a direct d^2
-evaluation and equals it bit for bit.  A non-finite theta, or one whose
+sum_kl w_kl trig((k - l) theta) / d over a theta grid for a whole stack of
+weights (one per b) at once, in Toeplitz tables of at most BLOCK_ELEMENTS
+values at every spin: a table holds several thetas while d^2 fits the budget,
+and a chunk of rows k of one theta above it, with one np.vecdot per table.
+With g the d^2 gap table k - l, each quantity is one call: C and C(3 theta)
+are cos series of w, C' = -(sin series of w g) and C'' = -(cos series of
+(w g) g).  _correlation_klg returns C and K_LG = 3 C(theta) - C(3 theta) for
+the sweep rows, klg_equal_interval and max_violation.  Each sum runs over
+(k, l) in the order of a direct d^2 evaluation, chunk by chunk, and equals it
+bit for bit.  A non-finite theta, or one whose
 largest phase 3 |theta| (d - 1) overflows or reaches 2**54 (where a phase's
 float spacing passes pi), is a ValueError.
 """
@@ -33,9 +35,10 @@ from .spin import SpinSystem
 # Brent's golden-section step: this fraction of the larger part of the bracket.
 GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
-# Largest number of (theta, gap) table elements per block: a block holds
-# max(1, BLOCK_ELEMENTS // d^2) thetas, so each Toeplitz table stays within
-# 512 KiB and is one theta wide from two_j = 255 on, whatever the grid size.
+# Largest number of values in a Toeplitz table, and in a b block's weight stack:
+# 512 KiB at every spin, so a table and the weight slice it is dotted with stay in
+# L2 together.  While d^2 fits (two_j <= 255) a table holds BLOCK_ELEMENTS // d^2
+# thetas of all d rows k, and above that BLOCK_ELEMENTS // d rows k of one theta.
 BLOCK_ELEMENTS = 2 ** 16
 
 # Largest grid count, for every "lo:hi:count" sweep grid and every
@@ -48,7 +51,8 @@ MAX_PHASE = 2.0 ** 54
 
 
 def _block_size(sys: SpinSystem) -> int:
-    """Rows of d^2 values per block: thetas per Toeplitz table, or b values per weight stack."""
+    """Rows of d^2 values per block: b values per weight stack in scan.sweep, and, while
+    d^2 fits the budget, the thetas per _series table."""
     return max(1, BLOCK_ELEMENTS // sys.dim ** 2)
 
 
@@ -69,37 +73,63 @@ def _check_phases(dim: int, thetas) -> None:
                          "float spacing of a phase passes pi" % (float(thetas[bad][0]), dim - 1))
 
 
-def _toeplitz(table: np.ndarray) -> np.ndarray:
-    """C-contiguous (T, d^2) copy of a (T, 2d - 1) table, [t, k d + l] = table[t, k - l + d - 1].
+def _toeplitz(table: np.ndarray, first: int = 0, rows: int | None = None) -> np.ndarray:
+    """C-contiguous (T, rows d) Toeplitz copy of rows k = first, ..., first + rows - 1 (all d
+    by default) of a (T, 2d - 1) table over the descending frequencies d - 1, ..., -(d - 1):
+    [t, (k - first) d + l] = table[t, d - 1 - k + l], the value at frequency k - l.
 
-    One reshape copies the reversed rows r as [t, k, l] = r[t, d - 1 - k + l], offsets checked.
-    The reversed copy makes the inner (l) axis of that view read forward, so the reshape
-    copies contiguous runs.  A sliding_window_view of the table reads it backwards: at
-    two_j = 401 it took 104 us per one-theta table against 45 us for this copy (Intel Xeon,
-    best of 7 x 200 calls).
+    One reshape copies the view [t, k, l] = table[t, d - 1 - k + l], offsets checked.  With
+    the frequencies descending, the inner (l) axis of that view reads forward, so the
+    reshape copies contiguous runs.  A sliding_window_view of an ascending table reads it
+    backwards: at two_j = 401 it took 104 us per one-theta table against 45 us for this
+    copy (Intel Xeon, best of 7 x 200 calls).
     """
+    table = np.ascontiguousarray(table)
     t, d, step = len(table), (table.shape[1] + 1) // 2, table.itemsize
-    r = table[:, ::-1].copy()
-    view = np.ndarray((t, d, d), r.dtype, r, (d - 1) * step, (r.strides[0], -step, step))
-    return view.reshape(t, d * d)
+    rows = min(d - first, d if rows is None else rows)
+    view = np.ndarray((t, rows, d), table.dtype, table, (d - 1 - first) * step,
+                      (table.strides[0], -step, step))
+    # one row k of several thetas reshapes to a strided view, not a copy
+    return np.ascontiguousarray(view.reshape(t, rows * d))
 
 
 def _series(sys: SpinSystem, weights: np.ndarray, thetas: np.ndarray, trig) -> np.ndarray:
     """(B, T) sums sum_kl weights[:, k d + l] trig((k - l) theta) / d of a (B, d^2) stack.
 
-    Each block of thetas gets one (theta, frequency) trig table, copied by _toeplitz into a
-    (theta, k l) array shared by all B weight rows.  np.vecdot of it with the broadcast
-    weights calls, once per (b, theta), the same ddot that np.dot calls on two 1-D arrays,
-    so each sum equals the direct d^2 sum bit for bit; a matrix product (gemv, gemm,
-    einsum) sums in another order.  _correlation_klg checks the thetas first.
+    trig is np.cos or np.sin.  The raveled (k, l) axis is cut into chunks of
+    min(d, BLOCK_ELEMENTS // d) rows k, and the thetas into blocks that keep a chunk's
+    table within BLOCK_ELEMENTS values.  Chunks run outside and theta blocks inside, so a
+    chunk's weight slice stays in cache across the grid.  Per (chunk, block), trig is taken
+    on the d frequencies n >= 0 and mirrored to -n (cos(-x) = cos(x), sin(-x) = -sin(x) and
+    (-n) theta = -(n theta), bit for bit), and _toeplitz copies the chunk's rows of that
+    table for all B weight rows.  np.vecdot then calls, per (b, theta), the ddot that np.dot
+    calls on two 1-D arrays; a matrix product (gemv, gemm, einsum) sums in another order.
+    So up to two_j = 255, where one chunk holds every row, each sum equals the direct d^2
+    sum bit for bit; above, the row-chunk dot products added in row order.
+    _correlation_klg checks the thetas first.
     """
-    frequencies = np.arange(1.0 - sys.dim, sys.dim)
-    w, step = weights[:, None], _block_size(sys)
+    d = sys.dim
+    rows = min(d, BLOCK_ELEMENTS // d)
+    step = max(1, BLOCK_ELEMENTS // (rows * d))
+    descending = np.arange(d - 1.0, -1.0, -1.0)
     out = np.empty((len(weights), len(thetas)))
-    for start in range(0, len(thetas), step):
-        table = trig(np.multiply.outer(thetas[start:start + step], frequencies))
-        out[:, start:start + step] = np.vecdot(_toeplitz(table), w)
-    out /= sys.dim
+    for first in range(0, d, rows):
+        w = weights[:, None, first * d:(first + rows) * d]
+        for start in range(0, len(thetas), step):
+            block = thetas[start:start + step]
+            table = np.empty((len(block), 2 * d - 1))
+            # frequencies d - 1, ..., 0, then their mirror -1, ..., -(d - 1)
+            half = trig(np.multiply.outer(block, descending), out=table[:, :d])
+            if trig is np.sin:
+                np.negative(half[:, -2::-1], out=table[:, d:])
+            else:
+                table[:, d:] = half[:, -2::-1]
+            sums = np.vecdot(_toeplitz(table, first, rows), w)
+            if first:
+                out[:, start:start + step] += sums
+            else:
+                out[:, start:start + step] = sums
+    out /= d
     return out
 
 

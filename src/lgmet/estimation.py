@@ -68,7 +68,7 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
     """
     thetas = np.asarray(thetas, float)
     c, k_lg = _correlation_klg(sys, weights, thetas)
-    g = _toeplitz(np.arange(1.0 - sys.dim, sys.dim)[None])[0]
+    g = _toeplitz(np.arange(sys.dim - 1.0, -sys.dim, -1.0)[None])[0]
     wg = weights * g
     c1 = -_series(sys, wg, thetas, np.sin)
     f_q = _qfi(sys, a_diags)[:, None]

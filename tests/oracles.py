@@ -8,7 +8,9 @@ outcome probabilities Tr(E_pm rho(theta)) with their finite-difference
 Fisher information, and the general eigh-based QFI of any state.  The
 threshold bisection builds a full measurement at every step.  The
 direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps,
-in the summation order lgmet uses, so lgmet must match them bit for bit.
+in the summation order lgmet uses, so lgmet must match them bit for bit:
+one np.dot over the d^2 values, or, given a chunk of rows k, one np.dot
+per chunk of the raveled (k, l) axis, added in row order.
 
 From lgmet this module takes only the spin and measurement builders and
 their types, and klg_equal_interval for threshold_b's Fourier-weight route;
@@ -61,22 +63,35 @@ def gaps(sys: SpinSystem) -> np.ndarray:
     return (lam[:, None] - lam[None, :]).ravel()
 
 
+def chunked_dot(sys: SpinSystem, w: np.ndarray, x: np.ndarray, rows: int | None = None) -> float:
+    """w . x over the raveled (k, l) axis: np.dot over each chunk of rows k (all d rows by
+    default, so one np.dot), the chunk values added in row order."""
+    size = sys.dim * (sys.dim if rows is None else rows)
+    total = float(np.dot(w[:size], x[:size]))
+    for start in range(size, w.size, size):
+        total += float(np.dot(w[start:start + size], x[start:start + size]))
+    return total
+
+
 def direct_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                       theta: float) -> float:
-    """C(theta) = weights . cos(gaps theta) / d, with cos taken on every gap."""
-    return float(np.dot(meas.weights, np.cos(gaps(sys) * theta))) / sys.dim
+                       theta: float, rows: int | None = None) -> float:
+    """C(theta) = weights . cos(gaps theta) / d, with cos taken on every gap, summed in
+    chunks of rows k (chunked_dot)."""
+    return chunked_dot(sys, meas.weights, np.cos(gaps(sys) * theta), rows) / sys.dim
 
 
 def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                                   theta: float) -> tuple[float, float, float]:
-    """(C, C', C'') as weights . (cos, -g sin, -g^2 cos)(g theta) / d over the gaps g."""
+                                   theta: float, rows: int | None = None
+                                   ) -> tuple[float, float, float]:
+    """(C, C', C'') as weights . (cos, -g sin, -g^2 cos)(g theta) / d over the gaps g, summed
+    in chunks of rows k (chunked_dot)."""
     w, g = meas.weights, gaps(sys)
     gt = g * theta
     cos_gt = np.cos(gt)
     wg = w * g
-    return (float(np.dot(w, cos_gt)) / sys.dim,
-            -float(np.dot(wg, np.sin(gt))) / sys.dim,
-            -float(np.dot(wg * g, cos_gt)) / sys.dim)
+    return (chunked_dot(sys, w, cos_gt, rows) / sys.dim,
+            -chunked_dot(sys, wg, np.sin(gt), rows) / sys.dim,
+            -chunked_dot(sys, wg * g, cos_gt, rows) / sys.dim)
 
 
 def propagator(sys: SpinSystem, theta: float) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""The block evaluator of the Fourier sums against the direct d^2 sums, bit for bit."""
+"""The block evaluator of the Fourier sums against the direct d^2 sums, bit for bit.
+
+The Hypothesis tests also patch the element budget below d^2 (rows of a chunk drawn), so that
+small spins run the row-chunked tables of large spin against the chunked direct sums.
+"""
 
 import math
 import struct
@@ -20,6 +24,9 @@ SPECIAL = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e3, -1e3]
 thetas = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
 b_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 setups = st.tuples(st.integers(1, 15), st.integers(0, 2 ** 32 - 1), b_values)
+# rows k per chunk for narrow_blocks: None keeps all d rows (three thetas per table); an
+# integer below d splits each sum into chunks, one theta per table
+chunk_rows = st.one_of(st.none(), st.integers(1, 16))
 
 
 def _measurement(setup):
@@ -32,8 +39,19 @@ def _bits(values) -> list[bytes]:
     return [struct.pack("<d", x) for x in values]
 
 
-def _direct_klg(sys, meas, theta):
-    return 3.0 * direct_correlation(sys, meas, theta) - direct_correlation(sys, meas, 3.0 * theta)
+def _direct_klg(sys, meas, theta, rows=None):
+    return (3.0 * direct_correlation(sys, meas, theta, rows)
+            - direct_correlation(sys, meas, 3.0 * theta, rows))
+
+
+def _record_operands(mp) -> list:
+    """Patch np.vecdot to record, per call, (C-contiguous, size) of its Toeplitz table and of
+    its weight slice."""
+    operands = []
+    vecdot = np.vecdot
+    mp.setattr(np, "vecdot", lambda a, b, **kw: operands.append(
+        [(x.flags.c_contiguous, x.size) for x in (a, b)]) or vecdot(a, b, **kw))
+    return operands
 
 
 def _point_fisher(c, c1, c2):
@@ -42,25 +60,31 @@ def _point_fisher(c, c1, c2):
 
 
 @settings(max_examples=150, deadline=None)
-@given(setup=setups, theta=thetas)
-def test_point_functions(setup, theta):
-    """One theta: C, C(3 theta), C' and C'' as _series calls, K_LG and klg_equal_interval."""
+@given(setup=setups, theta=thetas, rows=chunk_rows)
+def test_point_functions(setup, theta, rows):
+    """One theta: C, C(3 theta), C' and C'' as _series calls, K_LG and klg_equal_interval,
+    each Toeplitz table C-contiguous and within the patched budget."""
     sys, meas = _measurement(setup)
     w, g, t = meas.weights[None], gaps(sys), np.array([theta])
-    (c,), (c3,) = _series(sys, w, t, np.cos)[0], _series(sys, w, 3.0 * t, np.cos)[0]
-    (c1,) = -_series(sys, w * g, t, np.sin)[0]
-    (c2,) = -_series(sys, w * g * g, t, np.cos)[0]
-    (c_k,), (k_lg,) = (column[0] for column in _correlation_klg(sys, w, [theta]))
-    assert _bits([c, c3]) == _bits([direct_correlation(sys, meas, x) for x in (theta, 3.0 * theta)])
-    assert _bits([c_k, c1, c2]) == _bits(direct_correlation_derivatives(sys, meas, theta))
-    direct_k_lg = _direct_klg(sys, meas, theta)
-    assert _bits([k_lg, klg_equal_interval(sys, meas, theta)]) == _bits([direct_k_lg] * 2)
+    with narrow_blocks(sys, rows=rows) as mp:
+        budget = lgmet.correlations.BLOCK_ELEMENTS
+        operands = _record_operands(mp)
+        (c,), (c3,) = _series(sys, w, t, np.cos)[0], _series(sys, w, 3.0 * t, np.cos)[0]
+        (c1,) = -_series(sys, w * g, t, np.sin)[0]
+        (c2,) = -_series(sys, w * g * g, t, np.cos)[0]
+        (c_k,), (k_lg,) = (column[0] for column in _correlation_klg(sys, w, [theta]))
+        k_point = klg_equal_interval(sys, meas, theta)
+    assert all(contiguous and size <= budget for call in operands for contiguous, size in call)
+    assert _bits([c, c3]) == _bits([direct_correlation(sys, meas, x, rows)
+                                    for x in (theta, 3.0 * theta)])
+    assert _bits([c_k, c1, c2]) == _bits(direct_correlation_derivatives(sys, meas, theta, rows))
+    assert _bits([k_lg, k_point]) == _bits([_direct_klg(sys, meas, theta, rows)] * 2)
 
 
 @settings(max_examples=40, deadline=None)
 @given(setup=setups, points=st.lists(thetas, max_size=4), lo=thetas, hi=thetas,
-       count=st.integers(0, 515))
-def test_rows(setup, points, lo, hi, count):
+       count=st.integers(0, 515), rows=chunk_rows)
+def test_rows(setup, points, lo, hi, count, rows):
     """Every row over a grid that spans many evaluator blocks."""
     sys, meas = _measurement(setup)
     grid = points + list(np.linspace(lo, hi, count))
@@ -68,15 +92,15 @@ def test_rows(setup, points, lo, hi, count):
     try:
         expected = []
         for theta in grid:
-            c, c1, c2 = direct_correlation_derivatives(sys, meas, theta)
+            c, c1, c2 = direct_correlation_derivatives(sys, meas, theta, rows)
             f = _point_fisher(c, c1, c2)
-            expected.append((theta, meas.b, c, _direct_klg(sys, meas, theta), f, f_q,
+            expected.append((theta, meas.b, c, _direct_klg(sys, meas, theta, rows), f, f_q,
                              f / f_q if f_q > 0.0 else 0.0))
     except InconsistentCorrelationError:
-        with narrow_blocks(sys), pytest.raises(InconsistentCorrelationError):
+        with narrow_blocks(sys, rows=rows), pytest.raises(InconsistentCorrelationError):
             _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
         return
-    with narrow_blocks(sys):
+    with narrow_blocks(sys, rows=rows):
         rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
     assert len(rows) == len(expected)
     for row, want in zip(rows, expected):
@@ -85,19 +109,19 @@ def test_rows(setup, points, lo, hi, count):
 
 @settings(max_examples=40, deadline=None)
 @given(setup=setups, lo=thetas, span=st.floats(0.0, 20.0, exclude_min=True),
-       grid_points=st.integers(16, 296))
-def test_max_violation_grid(setup, lo, span, grid_points):
+       grid_points=st.integers(16, 296), rows=chunk_rows)
+def test_max_violation_grid(setup, lo, span, grid_points, rows):
     """The |K_LG| values max_violation takes its argmax over, and its result."""
     sys, meas = _measurement(setup)
     hi = lo + span
     assume(hi > lo)
     seen = []
     argmax = np.argmax
-    with narrow_blocks(sys) as mp:
+    with narrow_blocks(sys, rows=rows) as mp:
         mp.setattr(np, "argmax", lambda a, *args, **kw: seen.append(np.array(a)) or argmax(a, *args, **kw))
         result = max_violation(sys, meas, lo, hi, grid_points)
     grid = np.linspace(lo, hi, grid_points)
-    values = [abs(_direct_klg(sys, meas, theta)) for theta in grid]
+    values = [abs(_direct_klg(sys, meas, theta, rows)) for theta in grid]
     assert len(seen) == 1
     assert _bits(seen[0]) == _bits(values)
     assert lo <= result[0] <= hi
@@ -105,28 +129,36 @@ def test_max_violation_grid(setup, lo, span, grid_points):
 
 
 def test_blocks_bounded_and_contiguous_at_large_spin():
-    """At two_j = 401 a block is one theta wide: each stacked operand holds d^2 values.
+    """At two_j = 401 a sum is three row-chunk dot products: 163 + 163 + 76 rows k.
 
-    C(theta), C(3 theta) and C' take three vecdots per theta; C'' takes one more only for
-    a theta column where C^2 = 1 (theta = 0 and pi at b = 1).
+    Each Toeplitz table is one theta of one chunk; it and its weight slice are C-contiguous
+    and within BLOCK_ELEMENTS.
+    C(theta), C(3 theta) and C' take one vecdot per (chunk, theta); C'' takes as many more
+    only for a theta column where C^2 = 1 (theta = 0 and pi at b = 1).  Rows are bit-equal to
+    the chunked direct sums, and within 1e-15 of the single d^2 dot product.
     """
     sys = make_spin_system(401)
+    d, budget = sys.dim, lgmet.correlations.BLOCK_ELEMENTS
+    rows_per_chunk = min(d, budget // d)
+    chunks = -(-d // rows_per_chunk)
+    assert (rows_per_chunk, chunks) == (163, 3)
     grid = np.linspace(0.0, math.pi, 300)
-    limit = max(lgmet.correlations.BLOCK_ELEMENTS, sys.dim ** 2)
     for measurability, singular_columns in ((0.99, 0), (1.0, 2)):
         meas = build_measurement(sys, measurability)
-        operands = []  # (C-contiguous, size) of each first operand, not the array itself
-        vecdot = np.vecdot
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np, "vecdot", lambda a, b, **kw: (
-                operands.append((a.flags.c_contiguous, a.size)) or vecdot(a, b, **kw)))
+            operands = _record_operands(mp)
             rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
-        assert len(operands) == 3 * grid.size + singular_columns
-        assert all(contiguous and size <= limit for contiguous, size in operands)
+        assert len(operands) == chunks * (3 * grid.size + singular_columns)
+        assert all(contiguous and size <= budget
+                   for call in operands for contiguous, size in call)
         for i in (0, 150, 299):
-            c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i])
+            c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i], rows_per_chunk)
             assert (_bits([rows.C[i], rows.K_LG[i], rows.F[i]])
-                    == _bits([c, _direct_klg(sys, meas, grid[i]), _point_fisher(c, c1, c2)]))
+                    == _bits([c, _direct_klg(sys, meas, grid[i], rows_per_chunk),
+                              _point_fisher(c, c1, c2)]))
+            single = direct_correlation_derivatives(sys, meas, grid[i])
+            assert abs(rows.C[i] - single[0]) <= 1e-15
+            assert abs(rows.K_LG[i] - _direct_klg(sys, meas, grid[i])) <= 1e-15
 
 
 def test_second_derivative_only_for_singular_columns(spin52, monkeypatch):
