@@ -6,21 +6,16 @@ through its Fourier form over the J_x spectrum:
     C(theta) = (1/d) sum_{k,l} |A~_{kl}|^2 cos((lam_k - lam_l) theta),
 
 with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
-(meas.weights).  Each gap lam_k - lam_l is the integer k - l, one of the
-2d - 1 frequencies -(d - 1), ..., d - 1, so a point costs O(d) trig plus an
-O(d^2) Toeplitz copy and dot product.  One primitive, _series, sums
-sum_kl w_kl trig((k - l) theta) / d over a theta grid for a whole stack of
-weights (one per b) at once, in Toeplitz tables of at most BLOCK_ELEMENTS
-values at every spin: a table holds several thetas while d^2 fits the budget,
-and a chunk of rows k of one theta above it, with one np.vecdot per table.
-With g the d^2 gap table k - l, each quantity is one call: C and C(3 theta)
-are cos series of w, C' = -(sin series of w g) and C'' = -(cos series of
-(w g) g).  _correlation_klg returns C and K_LG = 3 C(theta) - C(3 theta) for
-the sweep rows, klg_equal_interval and max_violation.  Each sum runs over
-(k, l) in the order of a direct d^2 evaluation, chunk by chunk, and equals it
-bit for bit.  A non-finite theta, or one whose
-largest phase 3 |theta| (d - 1) overflows or reaches 2**54 (where a phase's
-float spacing passes pi), is a ValueError.
+(meas.weights).  Each gap lam_k - lam_l is the integer n = k - l, one of the
+2d - 1 frequencies -(d - 1), ..., d - 1.  One primitive, _series, sums C or its
+first or second theta-derivative (the terms cos, -n sin and -n^2 cos of n theta)
+over a theta grid for a whole stack of weights (one per b) at once, in Toeplitz
+tables of at most BLOCK_ELEMENTS values with one np.vecdot per table, so a point
+costs O(d) trig plus an O(d^2) copy and dot product.  _correlation_klg returns C
+and K_LG = 3 C(theta) - C(3 theta) for the sweep rows and max_violation, whose
+Newton steps read K_LG' and K_LG'' from the series of order 1 and 2.  A
+non-finite theta, or one whose largest phase 3 |theta| (d - 1) overflows or
+reaches 2**54 (where a phase's float spacing passes pi), is a ValueError.
 """
 
 from __future__ import annotations
@@ -32,9 +27,6 @@ import numpy as np
 from .measurement import NoisyDichotomicMeasurement, _squared_transform
 from .spin import SpinSystem
 
-# Brent's golden-section step: this fraction of the larger part of the bracket.
-GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-
 # Largest number of values in a Toeplitz table, and in a b block's weight stack:
 # 512 KiB at every spin, so a table and the weight slice it is dotted with stay in
 # L2 together.  While d^2 fits (two_j <= 255) a table holds BLOCK_ELEMENTS // d^2
@@ -44,6 +36,10 @@ BLOCK_ELEMENTS = 2 ** 16
 # Largest grid count, for every "lo:hi:count" sweep grid and every
 # max_violation grid; about 2000x the largest figure grid (512).
 MAX_GRID_COUNT = 10 ** 6
+
+# Most refinement steps of one max_violation search.  A step that bisects halves the
+# bracket, and no bracket needs more than about 50 halvings to reach four float spacings.
+MAX_NEWTON_STEPS = 64
 
 # Bound on the largest phase 3 |theta| (d - 1): from 2**54 on, the float spacing
 # of a phase is 4 or more, past pi, so its cos and sin are rounding noise.
@@ -73,9 +69,9 @@ def _check_phases(dim: int, thetas) -> None:
                          "float spacing of a phase passes pi" % (float(thetas[bad][0]), dim - 1))
 
 
-def _toeplitz(table: np.ndarray, first: int = 0, rows: int | None = None) -> np.ndarray:
-    """C-contiguous (T, rows d) Toeplitz copy of rows k = first, ..., first + rows - 1 (all d
-    by default) of a (T, 2d - 1) table over the descending frequencies d - 1, ..., -(d - 1):
+def _toeplitz(table: np.ndarray, first: int, rows: int) -> np.ndarray:
+    """C-contiguous (T, rows d) Toeplitz copy of rows k = first, ..., first + rows - 1 (up to
+    d - 1) of a (T, 2d - 1) table over the descending frequencies d - 1, ..., -(d - 1):
     [t, (k - first) d + l] = table[t, d - 1 - k + l], the value at frequency k - l.
 
     One reshape copies the view [t, k, l] = table[t, d - 1 - k + l], offsets checked.  With
@@ -86,32 +82,34 @@ def _toeplitz(table: np.ndarray, first: int = 0, rows: int | None = None) -> np.
     """
     table = np.ascontiguousarray(table)
     t, d, step = len(table), (table.shape[1] + 1) // 2, table.itemsize
-    rows = min(d - first, d if rows is None else rows)
+    rows = min(d - first, rows)
     view = np.ndarray((t, rows, d), table.dtype, table, (d - 1 - first) * step,
                       (table.strides[0], -step, step))
     # one row k of several thetas reshapes to a strided view, not a copy
     return np.ascontiguousarray(view.reshape(t, rows * d))
 
 
-def _series(sys: SpinSystem, weights: np.ndarray, thetas: np.ndarray, trig) -> np.ndarray:
-    """(B, T) sums sum_kl weights[:, k d + l] trig((k - l) theta) / d of a (B, d^2) stack.
+def _series(sys: SpinSystem, weights: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
+    """(B, T) order-th theta-derivatives (order 0, 1 or 2) of the sums
+    sum_kl weights[:, k d + l] cos((k - l) theta) / d of a (B, d^2) stack.
 
-    trig is np.cos or np.sin.  The raveled (k, l) axis is cut into chunks of
-    min(d, BLOCK_ELEMENTS // d) rows k, and the thetas into blocks that keep a chunk's
-    table within BLOCK_ELEMENTS values.  Chunks run outside and theta blocks inside, so a
-    chunk's weight slice stays in cache across the grid.  Per (chunk, block), trig is taken
-    on the d frequencies n >= 0 and mirrored to -n (cos(-x) = cos(x), sin(-x) = -sin(x) and
-    (-n) theta = -(n theta), bit for bit), and _toeplitz copies the chunk's rows of that
-    table for all B weight rows.  np.vecdot then calls, per (b, theta), the ddot that np.dot
-    calls on two 1-D arrays; a matrix product (gemv, gemm, einsum) sums in another order.
-    So up to two_j = 255, where one chunk holds every row, each sum equals the direct d^2
-    sum bit for bit; above, the row-chunk dot products added in row order.
+    The raveled (k, l) axis is cut into chunks of min(d, BLOCK_ELEMENTS // d) rows k, and
+    the thetas into blocks that keep a chunk's table within BLOCK_ELEMENTS values; chunks
+    run outside, so a chunk's weight slice stays in cache across the grid.  Per (chunk,
+    block), the term cos(n theta), -n sin(n theta) or -n^2 cos(n theta), even in n, is
+    taken on the d frequencies n >= 0 (trig, then an O(d) scale) and mirrored to -n
+    (cos and sin are even and odd and (-n) theta = -(n theta), bit for bit); _toeplitz
+    copies the chunk's rows.  np.vecdot then calls, per (b, theta), the ddot np.dot calls
+    on two 1-D arrays; a matrix product (gemv, gemm, einsum) sums in another order.  So up to
+    two_j = 255, where one chunk holds every row, each sum equals the direct d^2 sum of the
+    terms bit for bit; above, the row-chunk dot products added in row order.
     _correlation_klg checks the thetas first.
     """
     d = sys.dim
     rows = min(d, BLOCK_ELEMENTS // d)
     step = max(1, BLOCK_ELEMENTS // (rows * d))
     descending = np.arange(d - 1.0, -1.0, -1.0)
+    trig, scale = (np.sin, -descending) if order == 1 else (np.cos, -descending ** 2)
     out = np.empty((len(weights), len(thetas)))
     for first in range(0, d, rows):
         w = weights[:, None, first * d:(first + rows) * d]
@@ -120,10 +118,9 @@ def _series(sys: SpinSystem, weights: np.ndarray, thetas: np.ndarray, trig) -> n
             table = np.empty((len(block), 2 * d - 1))
             # frequencies d - 1, ..., 0, then their mirror -1, ..., -(d - 1)
             half = trig(np.multiply.outer(block, descending), out=table[:, :d])
-            if trig is np.sin:
-                np.negative(half[:, -2::-1], out=table[:, d:])
-            else:
-                table[:, d:] = half[:, -2::-1]
+            if order:
+                half *= scale
+            table[:, d:] = half[:, -2::-1]
             sums = np.vecdot(_toeplitz(table, first, rows), w)
             if first:
                 out[:, start:start + step] += sums
@@ -144,14 +141,8 @@ def _correlation_klg(sys: SpinSystem, weights: np.ndarray, thetas) -> tuple[np.n
                          % (weights.shape[-1], sys.dim, sys.dim ** 2))
     thetas = np.asarray(thetas, float)
     _check_phases(sys.dim, thetas)
-    c = _series(sys, weights, thetas, np.cos)
-    return c, 3.0 * c - _series(sys, weights, 3.0 * thetas, np.cos)
-
-
-def klg_equal_interval(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                       theta: float) -> float:
-    """Equal-interval Leggett-Garg parameter 3 C(theta) - C(3 theta)."""
-    return float(_correlation_klg(sys, meas.weights[None], [theta])[1][0, 0])
+    c = _series(sys, weights, thetas, 0)
+    return c, 3.0 * c - _series(sys, weights, 3.0 * thetas, 0)
 
 
 def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:
@@ -176,11 +167,10 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                   grid_points: int = 512) -> tuple[float, float]:
     """Locate the maximum of |K_LG| on [theta_lo, theta_hi].
 
-    Dense-grid argmax, then Brent's method (golden-section and safeguarded
-    parabolic steps; Brent 1973, ch. 5) on the bracketing grid interval,
-    started at the grid argmax, down to a theta error of 1e-8 (a few float
-    spacings for |theta| beyond about 3e7).  Returns (theta_star, k_max), the
-    best point evaluated, so k_max is never below the grid maximum.
+    Dense-grid argmax, then safeguarded Newton steps on the slope of |K_LG| inside the
+    bracketing grid interval, from the grid argmax down to a step or bracket of 1e-8 (a few
+    float spacings for |theta| beyond about 3e7).  Returns (theta_star, k_max), the better
+    of the grid argmax and the last step, so k_max is never below the grid maximum.
     """
     # every grid and refinement phase lies between the bound phases 3 theta (d - 1);
     # with d >= 2, finite bound phases also keep the width theta_hi - theta_lo finite
@@ -194,54 +184,35 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     if grid_points > MAX_GRID_COUNT:
         raise ValueError("grid_points %d exceeds the limit of %d" % (grid_points, MAX_GRID_COUNT))
 
-    def f(theta: float) -> float:
-        return -abs(klg_equal_interval(sys, meas, theta))
-
+    weights = meas.weights[None]
     grid = np.linspace(theta_lo, theta_hi, grid_points)
-    values = np.abs(_correlation_klg(sys, meas.weights[None], grid)[1][0])
-    i = int(np.argmax(values))
-    a = float(grid[max(i - 1, 0)])
-    b = float(grid[min(i + 1, grid_points - 1)])
+    klg = _correlation_klg(sys, weights, grid)[1][0]
+    i = int(np.argmax(np.abs(klg)))
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid_points - 1)])
+    start, best = float(grid[i]), abs(float(klg[i]))
 
-    # Brent's minimization of f = -|K_LG| on [a, b] from x = grid[i], whose value the
-    # grid holds.  x is the best point so far, w the second best, v the previous w.
-    # tol is 1e-8 or, for |theta| beyond about 3e7, 4 float spacings.  Steps are at
-    # least tol1 = tol / 4 long, and the loop ends once x is within 2 tol1 of both ends.
-    tol1 = 0.25 * max(1e-8, 4.0 * math.ulp(max(abs(a), abs(b))))
-    x = w = v = float(grid[i])
-    fx = fw = fv = -float(values[i])
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
-            return x, -fx
-        p = q = r = 0.0
-        if abs(e) > tol1:
-            # the parabola through (v, fv), (w, fw), (x, fx) has its vertex at x + p / q
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            # the vertex lies inside (a, b) and the step is under half the one before last
-            d = p / q
-            if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
-                d = tol1 if x < m else -tol1
-        else:
-            e = (a if x >= m else b) - x
-            d = GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu <= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
+    # s K, s the sign of K at the grid argmax, has slope 3 s (C'(theta) - C'(3 theta)) and
+    # curvature s (3 C''(theta) - 9 C''(3 theta)).  A step moves the bracket end downhill of
+    # theta to theta, then takes the Newton step, or bisects where that step leaves the
+    # bracket or the curvature is not negative (the step would head for a minimum).
+    sign = -1.0 if klg[i] < 0.0 else 1.0
+    tol = max(1e-8, 4.0 * math.ulp(max(abs(a), abs(b))))
+    theta = start
+    for _ in range(MAX_NEWTON_STEPS):
+        if b - a <= tol:
+            break
+        pair = np.array([theta, 3.0 * theta])
+        c1, c1_3 = _series(sys, weights, pair, 1)[0].tolist()
+        c2, c2_3 = _series(sys, weights, pair, 2)[0].tolist()
+        slope, curvature = sign * (3.0 * c1 - 3.0 * c1_3), sign * (3.0 * c2 - 9.0 * c2_3)
+        if slope == 0.0:
+            break
+        a, b = (theta, b) if slope > 0.0 else (a, theta)
+        new = theta - slope / curvature if curvature < 0.0 else math.nan
+        if not a < new < b:
+            new = 0.5 * (a + b)
+        step, theta = abs(new - theta), new
+        if step <= tol:
+            break
+    k = abs(float(_correlation_klg(sys, weights, [theta])[1][0, 0])) if theta != start else best
+    return (theta, k) if k >= best else (start, best)

@@ -1,19 +1,20 @@
 """Classical and quantum Fisher information for the dichotomic parity probe.
 
 The classical Fisher information comes from the correlation function,
-F = (dC/dtheta)^2 / (1 - C^2), with the limit |d2C/dtheta2| where C^2 -> 1,
-the only place C'' is evaluated.  The quantum Fisher information of the
-unitary family U(theta) rho U(-theta) with generator J_x is theta-independent;
-_qfi evaluates the spectral formula for the state that the + outcome prepares
-as an O(d) tridiagonal sum.  A sweep row holds the COLUMNS values of one
-(theta, b) point; rows are float64 record arrays of ROW_DTYPE.
+F = (dC/dtheta)^2 / (1 - C^2), with C' the order-1 correlations._series and the
+limit |d2C/dtheta2| where C^2 -> 1, the only place the order-2 series (C'') is
+evaluated.  The quantum Fisher information of the unitary family
+U(theta) rho U(-theta) with generator J_x is theta-independent; _qfi evaluates
+the spectral formula for the state that the + outcome prepares as an O(d)
+tridiagonal sum.  A sweep row holds the COLUMNS values of one (theta, b) point;
+rows are float64 record arrays of ROW_DTYPE.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .correlations import _correlation_klg, _series, _toeplitz
+from .correlations import _correlation_klg, _series
 from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
@@ -61,18 +62,15 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
           thetas) -> np.recarray:
     """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
 
-    C, C(3 theta) and C' are one correlations._series call each (three d^2 dot products
-    per theta), C'' = -(w g) g . cos(g theta) / d over the d^2 gap table g = k - l one
-    more, only for the theta columns of F's C^2 -> 1 limit, and one _qfi call gives the
-    F_Q column; every value is bit-identical to a call for its (b, theta) point alone.
+    C, C(3 theta) and C' are one correlations._series call each (three d^2 dot products per
+    theta), C'' one more, only for the theta columns of F's C^2 -> 1 limit, and one _qfi
+    call gives F_Q; every value is bit-identical to a call for its (b, theta) alone.
     """
     thetas = np.asarray(thetas, float)
     c, k_lg = _correlation_klg(sys, weights, thetas)
-    g = _toeplitz(np.arange(sys.dim - 1.0, -sys.dim, -1.0)[None])[0]
-    wg = weights * g
-    c1 = -_series(sys, wg, thetas, np.sin)
     f_q = _qfi(sys, a_diags)[:, None]
-    f = _fisher(c, c1, lambda columns: -_series(sys, wg * g, thetas[columns], np.cos))
+    f = _fisher(c, _series(sys, weights, thetas, 1),
+                lambda columns: _series(sys, weights, thetas[columns], 2))
     ratio = np.divide(f, f_q, out=np.zeros(f.shape), where=f_q > 0.0)
     columns = (thetas, np.asarray(b_values, float)[:, None], c, k_lg, f, f_q, ratio)
     rows = np.empty(c.shape, ROW_DTYPE)

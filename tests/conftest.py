@@ -59,9 +59,8 @@ def rows_at(sys, meas, thetas):
 
 def derivative_columns(sys, meas, thetas):
     """(C', C'') of one measurement at thetas (a scalar is one theta), as _rows sums them."""
-    g, thetas = oracles.gaps(sys), np.atleast_1d(np.asarray(thetas, float))
-    wg = meas.weights[None] * g
-    return -_series(sys, wg, thetas, np.sin)[0], -_series(sys, wg * g, thetas, np.cos)[0]
+    thetas = np.atleast_1d(np.asarray(thetas, float))
+    return tuple(_series(sys, meas.weights[None], thetas, order)[0] for order in (1, 2))
 
 
 def parity_correlation_closed_form(d, theta):

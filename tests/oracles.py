@@ -10,18 +10,20 @@ threshold bisection builds a full measurement at every step.  The
 direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps,
 in the summation order lgmet uses, so lgmet must match them bit for bit:
 one np.dot over the d^2 values, or, given a chunk of rows k, one np.dot
-per chunk of the raveled (k, l) axis, added in row order.
+per chunk of the raveled (k, l) axis, added in row order.  The derivative
+sums take the terms -g sin(g theta) and -g^2 cos(g theta) of each gap g.
 
 From lgmet this module takes only the spin and measurement builders and
-their types, and klg_equal_interval for threshold_b's Fourier-weight route;
-it evaluates nothing else through the code it checks, and raises its own errors.
+their types, and _correlation_klg for point_klg, the one-theta K_LG that
+threshold_b's Fourier-weight route and the tests read; it evaluates nothing
+else through the code it checks, and raises its own errors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lgmet.correlations import klg_equal_interval
+from lgmet.correlations import _correlation_klg
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, build_measurement
 from lgmet.spin import SpinSystem, make_spin_system
 
@@ -80,6 +82,13 @@ def direct_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     return chunked_dot(sys, meas.weights, np.cos(gaps(sys) * theta), rows) / sys.dim
 
 
+def direct_klg(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float,
+               rows: int | None = None) -> float:
+    """K_LG = 3 C(theta) - C(3 theta) from direct_correlation."""
+    return (3.0 * direct_correlation(sys, meas, theta, rows)
+            - direct_correlation(sys, meas, 3.0 * theta, rows))
+
+
 def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
                                    theta: float, rows: int | None = None
                                    ) -> tuple[float, float, float]:
@@ -88,10 +97,14 @@ def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasure
     w, g = meas.weights, gaps(sys)
     gt = g * theta
     cos_gt = np.cos(gt)
-    wg = w * g
-    return (chunked_dot(sys, w, cos_gt, rows) / sys.dim,
-            -chunked_dot(sys, wg, np.sin(gt), rows) / sys.dim,
-            -chunked_dot(sys, wg * g, cos_gt, rows) / sys.dim)
+    return tuple(chunked_dot(sys, w, terms, rows) / sys.dim
+                 for terms in (cos_gt, -g * np.sin(gt), -(g * g) * cos_gt))
+
+
+def point_klg(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
+    """K_LG(theta) = 3 C(theta) - C(3 theta) of one measurement, read from lgmet's
+    _correlation_klg."""
+    return float(_correlation_klg(sys, meas.weights[None], [theta])[1][0, 0])
 
 
 def propagator(sys: SpinSystem, theta: float) -> np.ndarray:
@@ -195,12 +208,12 @@ def threshold_b(two_j: int, theta: float, b_lo: float = 0.0, b_hi: float = 1.0,
     """Smallest b in (b_lo, b_hi] with |K_LG(theta)| > 2, by bisection.
 
     Every step builds the measurement and reads K_LG from its Fourier weights
-    (klg_equal_interval), not from a fixed-theta kernel.
+    (point_klg), not from a fixed-theta kernel.
     """
     sys = make_spin_system(two_j)
 
     def violates(b: float) -> bool:
-        return abs(klg_equal_interval(sys, build_measurement(sys, b, partition), theta)) > 2.0
+        return abs(point_klg(sys, build_measurement(sys, b, partition), theta)) > 2.0
 
     if violates(b_lo) or not violates(b_hi):
         raise ValueError("[b_lo, b_hi] does not bracket the violation threshold")

@@ -4,16 +4,55 @@ import struct
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lgmet import build_measurement, klg_equal_interval, make_spin_system, max_violation
+from lgmet import build_measurement, make_spin_system, max_violation
 import lgmet.correlations
-from lgmet.correlations import MAX_GRID_COUNT, _correlation_klg, _klg_kernel, _series
+from lgmet.correlations import (MAX_GRID_COUNT, MAX_NEWTON_STEPS, _correlation_klg, _klg_kernel,
+                                _series)
 from conftest import (brute_force_correlation, count_calls, derivative_columns,
                       parity_correlation_closed_form, random_partition, rows_at)
-from oracles import direct_correlation, two_time_correlation
+from oracles import (direct_correlation_derivatives, direct_klg, gaps, point_klg,
+                     two_time_correlation)
+
+
+def _refine(sys, meas, lo, hi, grid_points):
+    """max_violation checked against the direct sums; returns (grid, argmax i, the theta of
+    each refinement step, read from its _series call of order 1).
+
+    theta* lies in the bracketing grid interval, takes fewer than MAX_NEWTON_STEPS steps,
+    and k_max is |K_LG(theta*)|, at least the grid maximum, and, unless theta* is the grid
+    argmax itself, a local maximum.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, lgmet.correlations._series)
+        theta_star, k_max = max_violation(sys, meas, lo, hi, grid_points)
+    steps = [float(args[2][0]) for args in calls if args[3] == 1]
+    grid = np.linspace(lo, hi, grid_points)
+    values = [abs(direct_klg(sys, meas, theta)) for theta in grid]
+    i = int(np.argmax(values))
+    assert len(steps) < MAX_NEWTON_STEPS
+    assert grid[max(i - 1, 0)] <= theta_star <= grid[min(i + 1, grid_points - 1)]
+    assert k_max == abs(direct_klg(sys, meas, theta_star)) >= values[i]
+    if theta_star != grid[i]:
+        for eps in (1e-6, -1e-6):
+            assert abs(direct_klg(sys, meas, theta_star + eps)) <= k_max + 1e-9
+    return grid, i, steps
+
+
+# (two_j, partition seed, b, lo, span, grid points) where the refinement bisects: the grid
+# argmax at the low and at the high window edge, its slope pointing out of the window, and an
+# interior argmax where sign(K_LG) K_LG'' > 0, so that the Newton step heads for a minimum
+FALLBACK_CASES = {"low edge": (3, 0, 0.95, 0.5, 1.0, 16), "high edge": (3, 0, 0.95, 1.0, 8.0, 16),
+                  "convex start": (6, 0, 0.95, 0.0, 6.0, 16)}
+
+
+def _random_measurement(two_j, seed, b):
+    sys = make_spin_system(two_j)
+    return sys, build_measurement(sys, b, random_partition(np.random.default_rng(seed), two_j))
 
 
 def _dense_klg_four_time(sys, meas, t1, t2, t3, t4):
@@ -52,7 +91,7 @@ class TestCorrelation:
     def test_even_and_periodic(self, spin52, theta, b):
         meas = build_measurement(spin52, b)
         thetas = np.array([theta, -theta, theta + 2 * math.pi])
-        c, c_neg, c_shift = _series(spin52, meas.weights[None], thetas, np.cos)[0]
+        c, c_neg, c_shift = _series(spin52, meas.weights[None], thetas, 0)[0]
         assert c_neg == pytest.approx(c, abs=1e-12)
         assert c_shift == pytest.approx(c, abs=1e-10)
 
@@ -92,6 +131,29 @@ class TestDerivatives:
         (c1,), _ = derivative_columns(spin52, parity52, math.pi / 2)
         assert c1 == pytest.approx(-1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("two_j", [5, 12, 51])
+    def test_against_mpmath(self, two_j):
+        """C' and C'' within 4e-15 sum_kl |w_kl| |k - l|^p / d (p = 1, 2) of 50-digit sums
+        over the weights grouped by gap, at random partitions, b and theta."""
+        rng = np.random.default_rng(two_j)
+        sys = make_spin_system(two_j)
+        g = gaps(sys)
+        for _ in range(8):
+            meas = build_measurement(sys, rng.uniform(0.0, 1.0), random_partition(rng, two_j))
+            theta = rng.uniform(-4.0, 4.0)
+            with mpmath.workdps(50):
+                grouped = {}
+                for w, n in zip(meas.weights.tolist(), np.rint(g).astype(int).tolist()):
+                    grouped[n] = grouped.get(n, 0) + mpmath.mpf(w)
+                x = mpmath.mpf(theta)
+                truth = [-mpmath.fsum(w * n * mpmath.sin(n * x) for n, w in grouped.items()),
+                         -mpmath.fsum(w * n * n * mpmath.cos(n * x) for n, w in grouped.items())]
+                truth = [float(t / sys.dim) for t in truth]
+            columns = derivative_columns(sys, meas, theta)
+            for p, ((value,), want) in enumerate(zip(columns, truth), 1):
+                bound = 4e-15 * float(np.sum(meas.weights * np.abs(g) ** p)) / sys.dim
+                assert abs(value - want) <= bound, (p, theta, value, want)
+
     def test_against_finite_differences(self, spin52):
         rng = np.random.default_rng(31)
         h = 1e-4
@@ -100,7 +162,7 @@ class TestDerivatives:
             theta = rng.uniform(-3, 3)
             meas = build_measurement(spin52, b)
             c, cp, cm = _series(spin52, meas.weights[None], np.array([theta, theta + h, theta - h]),
-                                np.cos)[0]
+                                0)[0]
             (c1,), (c2,) = derivative_columns(spin52, meas, theta)
             assert c1 == pytest.approx((cp - cm) / (2 * h), abs=1e-6)
             assert c2 == pytest.approx((cp - 2 * c + cm) / h ** 2, abs=1e-6)
@@ -108,25 +170,25 @@ class TestDerivatives:
 
 class TestLeggettGargParameter:
     def test_boundary_at_zero(self, spin52, parity52):
-        assert klg_equal_interval(spin52, parity52, 0.0) == pytest.approx(2.0, abs=1e-12)
+        assert point_klg(spin52, parity52, 0.0) == pytest.approx(2.0, abs=1e-12)
 
     def test_boundary_at_pi(self, spin52, parity52):
-        assert klg_equal_interval(spin52, parity52, math.pi) == pytest.approx(-2.0, abs=1e-10)
+        assert point_klg(spin52, parity52, math.pi) == pytest.approx(-2.0, abs=1e-10)
 
     def test_violation_near_pi(self, spin52, parity52):
-        assert abs(klg_equal_interval(spin52, parity52, 0.95 * math.pi)) > 2.0
+        assert abs(point_klg(spin52, parity52, 0.95 * math.pi)) > 2.0
 
     def test_bound_by_four_c_zero(self, spin52):
         for b in (0.3, 0.7, 1.0):
             meas = build_measurement(spin52, b)
             c0 = rows_at(spin52, meas, 0.0).C[0]
             for theta in np.linspace(0, math.pi, 101):
-                assert abs(klg_equal_interval(spin52, meas, theta)) <= 4 * c0 + 1e-12
+                assert abs(point_klg(spin52, meas, theta)) <= 4 * c0 + 1e-12
 
     def test_four_time_reduces_to_equal_interval(self, spin52, parity52):
         theta = 0.41
         assert _dense_klg_four_time(spin52, parity52, 0, theta, 2 * theta, 3 * theta) == \
-            pytest.approx(klg_equal_interval(spin52, parity52, theta), abs=1e-10)
+            pytest.approx(point_klg(spin52, parity52, theta), abs=1e-10)
 
     def test_four_time_degenerate(self, spin52, parity52):
         assert _dense_klg_four_time(spin52, parity52, 0, 0, 0, 0) == pytest.approx(2.0, abs=1e-12)
@@ -149,23 +211,23 @@ class TestMaxViolation:
         assert k_max <= 2.0
 
     def test_collapsed_range(self, spin52, parity52):
-        # the general path: a grid of one repeated theta, and Brent stops at once
+        # the general path: a grid of one repeated theta, and no refinement step
         theta_star, k_max = max_violation(spin52, parity52, math.pi, math.pi)
         assert theta_star == math.pi
         assert k_max == pytest.approx(2.0, abs=1e-10)
         assert struct.pack("<d", k_max) == struct.pack(
-            "<d", abs(klg_equal_interval(spin52, parity52, math.pi)))
+            "<d", abs(point_klg(spin52, parity52, math.pi)))
         for bound in (1, np.float32(1.0), np.float64(1.0)):
             theta_star, k_max = max_violation(spin52, parity52, bound, bound)
             assert type(theta_star) is float and type(k_max) is float
             assert theta_star == 1.0
             assert struct.pack("<d", k_max) == struct.pack(
-                "<d", abs(klg_equal_interval(spin52, parity52, 1.0)))
+                "<d", abs(point_klg(spin52, parity52, 1.0)))
 
     def test_refinement_is_local_maximum(self, spin52, parity52):
         theta_star, k_max = max_violation(spin52, parity52, 0.0, math.pi)
         for eps in (1e-4, -1e-4):
-            assert abs(klg_equal_interval(spin52, parity52, theta_star + eps)) <= k_max + 1e-10
+            assert abs(point_klg(spin52, parity52, theta_star + eps)) <= k_max + 1e-10
 
     def test_monotone_in_measurability(self, spin52):
         maxima = []
@@ -226,32 +288,35 @@ class TestMaxViolation:
 
     @pytest.mark.parametrize("lo", [1e9, -1e12])
     def test_terminates_at_large_theta(self, spin52, parity52, monkeypatch, lo):
-        # 1e-8 is below the float spacing there; count evaluations so that a
+        # 1e-8 is below the float spacing there; count the series sums so that a
         # regression fails here instead of hanging the suite
         calls = []
-        klg = klg_equal_interval
+        series = lgmet.correlations._series
 
         def counted(*args):
-            calls.append(1)
-            if len(calls) > 500:
-                raise AssertionError("golden section did not terminate")
-            return klg(*args)
+            calls.append(args[3])
+            if len(calls) > 2 * MAX_NEWTON_STEPS + 4:
+                raise AssertionError("the refinement did not terminate")
+            return series(*args)
 
-        monkeypatch.setattr(lgmet.correlations, "klg_equal_interval", counted)
+        monkeypatch.setattr(lgmet.correlations, "_series", counted)
         hi = lo + 1e6 * math.ulp(lo)
         theta_star, k_max = max_violation(spin52, parity52, lo, hi)
+        assert calls.count(1) >= 1
         assert lo <= theta_star <= hi
-        assert k_max == abs(klg(spin52, parity52, theta_star))
+        assert k_max == abs(point_klg(spin52, parity52, theta_star))
 
     @pytest.mark.parametrize("two_j", [5, 51, 201, 401])
     def test_refinement_evaluations(self, monkeypatch, two_j):
-        # the violation-search window [0, 3 pi / d] on a 32-point grid
+        # the violation-search window [0, 3 pi / d] on a 32-point grid; each Newton step is
+        # one _series call of order 1 and one of order 2
         sys = make_spin_system(two_j)
-        calls = count_calls(monkeypatch, lgmet.correlations.klg_equal_interval)
+        calls = count_calls(monkeypatch, lgmet.correlations._series)
         for b in (1.0, 0.95):
-            before = len(calls)
+            del calls[:]
             max_violation(sys, build_measurement(sys, b), 0.0, 3 * math.pi / sys.dim, 32)
-            assert 1 <= len(calls) - before <= 12
+            orders = [args[3] for args in calls]
+            assert 1 <= orders.count(1) == orders.count(2) <= 6
 
     @pytest.mark.parametrize("two_j", [5, 51, 201])
     @pytest.mark.parametrize("b", [1.0, 0.95])
@@ -261,16 +326,63 @@ class TestMaxViolation:
         sys = make_spin_system(two_j)
         meas = build_measurement(sys, b)
         grid = np.linspace(0.0, 3 * math.pi / sys.dim, 32)
-
-        def oracle_klg(theta):
-            return abs(3.0 * direct_correlation(sys, meas, theta)
-                       - direct_correlation(sys, meas, 3.0 * theta))
-
-        i = int(np.argmax([oracle_klg(theta) for theta in grid]))
+        i = int(np.argmax([abs(direct_klg(sys, meas, theta)) for theta in grid]))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
         theta_star, k_max = max_violation(sys, meas, grid[0], grid[-1], grid.size)
         assert lo <= theta_star <= hi
-        assert k_max >= max(oracle_klg(theta) for theta in np.linspace(lo, hi, 401)) - 1e-12
+        assert k_max >= max(abs(direct_klg(sys, meas, t)) for t in np.linspace(lo, hi, 401)) - 1e-12
+
+    @pytest.mark.parametrize("two_j", [51, 201, 401])
+    def test_parity_closed_form_optimum(self, two_j):
+        """At b = 1 on the [0, 3 pi / d] window, against scipy's bounded minimize_scalar of
+        -|K_LG| from the closed form C = sin(d theta) / (d sin theta) on the bracketing grid
+        interval."""
+        from scipy.optimize import minimize_scalar
+
+        sys = make_spin_system(two_j)
+
+        def k_closed_form(theta):
+            return abs(3.0 * parity_correlation_closed_form(sys.dim, theta)
+                       - parity_correlation_closed_form(sys.dim, 3.0 * theta))
+
+        grid = np.linspace(0.0, 3 * math.pi / sys.dim, 32)
+        i = int(np.argmax([k_closed_form(theta) for theta in grid]))
+        optimum = minimize_scalar(lambda theta: -k_closed_form(theta), method="bounded",
+                                  bounds=(grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]),
+                                  options={"xatol": 1e-12})
+        theta_star, k_max = max_violation(sys, build_measurement(sys, 1.0), 0.0, grid[-1], 32)
+        assert k_max >= -optimum.fun - 1e-12
+        assert abs(theta_star - optimum.x) <= 1e-7
+
+    @settings(max_examples=60, deadline=None)
+    @given(two_j=st.integers(1, 15), seed=st.integers(0, 2 ** 32 - 1),
+           b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           lo=st.floats(-50.0, 50.0), span=st.floats(0.0, 20.0, exclude_min=True),
+           grid_points=st.integers(16, 64))
+    @example(*FALLBACK_CASES["low edge"])
+    @example(*FALLBACK_CASES["high edge"])
+    @example(*FALLBACK_CASES["convex start"])
+    def test_refinement_against_direct_sums(self, two_j, seed, b, lo, span, grid_points):
+        sys, meas = _random_measurement(two_j, seed, b)
+        _refine(sys, meas, lo, lo + span, grid_points)
+
+    @pytest.mark.parametrize("case", FALLBACK_CASES)
+    def test_fallback_bisects(self, case):
+        """FALLBACK_CASES reach the bisection: at a window edge the bracket closes on the
+        edge after one step; from a convex start the second step is a half-bracket midpoint."""
+        two_j, seed, b, lo, span, grid_points = FALLBACK_CASES[case]
+        sys, meas = _random_measurement(two_j, seed, b)
+        grid, i, steps = _refine(sys, meas, lo, lo + span, grid_points)
+        if case == "convex start":
+            _, _, c2 = direct_correlation_derivatives(sys, meas, grid[i])
+            _, _, c2_3 = direct_correlation_derivatives(sys, meas, 3.0 * grid[i])
+            assert 0 < i < grid.size - 1
+            assert direct_klg(sys, meas, grid[i]) * (3.0 * c2 - 9.0 * c2_3) > 0.0
+            assert steps[0] == grid[i]
+            assert steps[1] in (0.5 * (grid[i - 1] + grid[i]), 0.5 * (grid[i] + grid[i + 1]))
+        else:
+            assert i == (0 if case == "low edge" else grid.size - 1)
+            assert steps == [grid[i]]
 
     def test_huge_range_cannot_exceed_true_maximum(self):
         # K_LG is 2 pi periodic, so no range holds a larger |K_LG| than [0, 2 pi] does
@@ -293,9 +405,9 @@ class TestMaxViolation:
 
 
 def _kernel_klg_error(sys, meas, theta):
-    """|a^T Q a - klg_equal_interval| and its bound max(1e-13, 1e-15 d |theta|)."""
+    """|a^T Q a - point_klg| and its bound max(1e-13, 1e-15 d |theta|)."""
     got = float(meas.a_diag @ _klg_kernel(sys, theta) @ meas.a_diag)
-    return abs(got - klg_equal_interval(sys, meas, theta)), max(1e-13, 1e-15 * sys.dim * abs(theta))
+    return abs(got - point_klg(sys, meas, theta)), max(1e-13, 1e-15 * sys.dim * abs(theta))
 
 
 class TestKlgKernel:
@@ -348,7 +460,7 @@ def test_measurement_freed_after_use(spin52):
     """Evaluations keep no reference to the measurement they were given."""
     meas = build_measurement(spin52, 0.9)
     rows_at(spin52, meas, 0.4)
-    klg_equal_interval(spin52, meas, 0.4)
+    point_klg(spin52, meas, 0.4)
     max_violation(spin52, meas, 0.0, 1.0)
     ref = weakref.ref(meas)
     del meas

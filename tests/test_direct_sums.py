@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lgmet import (InconsistentCorrelationError, build_measurement, klg_equal_interval,
-                   make_spin_system, max_violation)
+from lgmet import InconsistentCorrelationError, build_measurement, make_spin_system, max_violation
 import lgmet.correlations
 import lgmet.estimation
 from lgmet.correlations import _correlation_klg, _series
 from lgmet.estimation import _fisher, _qfi, _rows
 from conftest import narrow_blocks, random_partition
-from oracles import direct_correlation, direct_correlation_derivatives, gaps
+from oracles import direct_correlation, direct_correlation_derivatives, direct_klg, point_klg
 
 SPECIAL = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e3, -1e3]
 thetas = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
@@ -39,11 +38,6 @@ def _bits(values) -> list[bytes]:
     return [struct.pack("<d", x) for x in values]
 
 
-def _direct_klg(sys, meas, theta, rows=None):
-    return (3.0 * direct_correlation(sys, meas, theta, rows)
-            - direct_correlation(sys, meas, 3.0 * theta, rows))
-
-
 def _record_operands(mp) -> list:
     """Patch np.vecdot to record, per call, (C-contiguous, size) of its Toeplitz table and of
     its weight slice."""
@@ -62,23 +56,23 @@ def _point_fisher(c, c1, c2):
 @settings(max_examples=150, deadline=None)
 @given(setup=setups, theta=thetas, rows=chunk_rows)
 def test_point_functions(setup, theta, rows):
-    """One theta: C, C(3 theta), C' and C'' as _series calls, K_LG and klg_equal_interval,
-    each Toeplitz table C-contiguous and within the patched budget."""
+    """One theta: C, C(3 theta), C' and C'' as _series calls of order 0, 0, 1 and 2, and K_LG
+    of a stack and of one measurement, each Toeplitz table C-contiguous and within the
+    patched budget."""
     sys, meas = _measurement(setup)
-    w, g, t = meas.weights[None], gaps(sys), np.array([theta])
+    w, t = meas.weights[None], np.array([theta])
     with narrow_blocks(sys, rows=rows) as mp:
         budget = lgmet.correlations.BLOCK_ELEMENTS
         operands = _record_operands(mp)
-        (c,), (c3,) = _series(sys, w, t, np.cos)[0], _series(sys, w, 3.0 * t, np.cos)[0]
-        (c1,) = -_series(sys, w * g, t, np.sin)[0]
-        (c2,) = -_series(sys, w * g * g, t, np.cos)[0]
+        (c,), (c3,) = _series(sys, w, t, 0)[0], _series(sys, w, 3.0 * t, 0)[0]
+        (c1,), (c2,) = _series(sys, w, t, 1)[0], _series(sys, w, t, 2)[0]
         (c_k,), (k_lg,) = (column[0] for column in _correlation_klg(sys, w, [theta]))
-        k_point = klg_equal_interval(sys, meas, theta)
+        k_point = point_klg(sys, meas, theta)
     assert all(contiguous and size <= budget for call in operands for contiguous, size in call)
     assert _bits([c, c3]) == _bits([direct_correlation(sys, meas, x, rows)
                                     for x in (theta, 3.0 * theta)])
     assert _bits([c_k, c1, c2]) == _bits(direct_correlation_derivatives(sys, meas, theta, rows))
-    assert _bits([k_lg, k_point]) == _bits([_direct_klg(sys, meas, theta, rows)] * 2)
+    assert _bits([k_lg, k_point]) == _bits([direct_klg(sys, meas, theta, rows)] * 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,7 +88,7 @@ def test_rows(setup, points, lo, hi, count, rows):
         for theta in grid:
             c, c1, c2 = direct_correlation_derivatives(sys, meas, theta, rows)
             f = _point_fisher(c, c1, c2)
-            expected.append((theta, meas.b, c, _direct_klg(sys, meas, theta, rows), f, f_q,
+            expected.append((theta, meas.b, c, direct_klg(sys, meas, theta, rows), f, f_q,
                              f / f_q if f_q > 0.0 else 0.0))
     except InconsistentCorrelationError:
         with narrow_blocks(sys, rows=rows), pytest.raises(InconsistentCorrelationError):
@@ -121,7 +115,7 @@ def test_max_violation_grid(setup, lo, span, grid_points, rows):
         mp.setattr(np, "argmax", lambda a, *args, **kw: seen.append(np.array(a)) or argmax(a, *args, **kw))
         result = max_violation(sys, meas, lo, hi, grid_points)
     grid = np.linspace(lo, hi, grid_points)
-    values = [abs(_direct_klg(sys, meas, theta, rows)) for theta in grid]
+    values = [abs(direct_klg(sys, meas, theta, rows)) for theta in grid]
     assert len(seen) == 1
     assert _bits(seen[0]) == _bits(values)
     assert lo <= result[0] <= hi
@@ -154,24 +148,24 @@ def test_blocks_bounded_and_contiguous_at_large_spin():
         for i in (0, 150, 299):
             c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i], rows_per_chunk)
             assert (_bits([rows.C[i], rows.K_LG[i], rows.F[i]])
-                    == _bits([c, _direct_klg(sys, meas, grid[i], rows_per_chunk),
+                    == _bits([c, direct_klg(sys, meas, grid[i], rows_per_chunk),
                               _point_fisher(c, c1, c2)]))
             single = direct_correlation_derivatives(sys, meas, grid[i])
             assert abs(rows.C[i] - single[0]) <= 1e-15
-            assert abs(rows.K_LG[i] - _direct_klg(sys, meas, grid[i])) <= 1e-15
+            assert abs(rows.K_LG[i] - direct_klg(sys, meas, grid[i])) <= 1e-15
 
 
 def test_second_derivative_only_for_singular_columns(spin52, monkeypatch):
     """One b block where C'' is evaluated for a theta column but read only by its C^2 = 1 rows.
 
-    _rows sums C and C(3 theta) through _correlation_klg, so its own cos series is C''.
+    C'' is the one _series call of order 2.
     """
     measurements = [build_measurement(spin52, b) for b in (0.5, 0.99, 1.0)]
     grid = np.array([0.0, math.pi, math.pi + 1e-9, math.pi - 1e-9, 0.3])
     asked = []
     series = lgmet.estimation._series
-    monkeypatch.setattr(lgmet.estimation, "_series", lambda sys, weights, thetas, trig: (
-        trig is np.cos and asked.append(thetas.tolist())) or series(sys, weights, thetas, trig))
+    monkeypatch.setattr(lgmet.estimation, "_series", lambda sys, weights, thetas, order: (
+        order == 2 and asked.append(thetas.tolist())) or series(sys, weights, thetas, order))
     rows = _rows(spin52, [m.b for m in measurements], np.array([m.a_diag for m in measurements]),
                  np.array([m.weights for m in measurements]), grid)
     assert asked == [grid[:4].tolist()]
@@ -181,7 +175,7 @@ def test_second_derivative_only_for_singular_columns(spin52, monkeypatch):
         singular += 1.0 - c * c <= lgmet.estimation.SINGULAR_DENOMINATOR
         f_q = _qfi(spin52, meas.a_diag[None])[0]
         f = _point_fisher(c, c1, c2)
-        assert _bits(row.tolist()) == _bits([theta, meas.b, c, _direct_klg(spin52, meas, theta),
+        assert _bits(row.tolist()) == _bits([theta, meas.b, c, direct_klg(spin52, meas, theta),
                                               f, f_q, f / f_q if f_q > 0.0 else 0.0])
     assert singular == 4  # the b = 1 row of each of the first four columns
 
@@ -190,9 +184,9 @@ def test_inconsistent_row_raises_before_second_derivative(spin52, monkeypatch):
     """theta = 1e-6, b = 1 - 5e-12: 1 - C^2 is singular with |C'| = 1.2e-5, and no C'' is formed."""
     meas = build_measurement(spin52, 0.9999999999949978)
     series = lgmet.estimation._series
-    monkeypatch.setattr(lgmet.estimation, "_series", lambda sys, weights, thetas, trig: (
-        trig is np.cos and pytest.fail("C'' evaluated for an inconsistent row")
-        or series(sys, weights, thetas, trig)))
+    monkeypatch.setattr(lgmet.estimation, "_series", lambda sys, weights, thetas, order: (
+        order == 2 and pytest.fail("C'' evaluated for an inconsistent row")
+        or series(sys, weights, thetas, order)))
     with pytest.raises(InconsistentCorrelationError):
         _rows(spin52, [meas.b], meas.a_diag[None], meas.weights[None], [1e-6])
 

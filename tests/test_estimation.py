@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lgmet import build_measurement, klg_equal_interval, make_spin_system, max_violation
+from lgmet import build_measurement, make_spin_system, max_violation
 import lgmet.estimation
 from lgmet.correlations import _block_size, _correlation_klg
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
@@ -14,7 +14,8 @@ from lgmet.scan import RunConfig, sweep, violation_threshold_b
 from conftest import (count_calls, parity_correlation_closed_form, random_partition, rows_at,
                       sign_partition)
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
-                     outcome_probabilities, prepared_state, propagator, qfi_of_state)
+                     outcome_probabilities, point_klg, prepared_state, propagator,
+                     qfi_of_state)
 
 
 def _null_measurement():
@@ -276,7 +277,7 @@ def _violation_threshold_b(sys, meas, theta):
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307, 1e16])
 @pytest.mark.parametrize("fn", [
     pytest.param(lambda s, m, t: _correlation_klg(s, m.weights[None], [t]), id="correlation"),
-    klg_equal_interval,
+    pytest.param(point_klg, id="klg_equal_interval"),
     pytest.param(rows_at, id="fisher_from_correlation"),
     pytest.param(lambda s, m, t: _rows(s, [m.b] * 2, np.stack([m.a_diag] * 2),
                                        np.stack([m.weights] * 2), [t]), id="estimation_report"),
@@ -300,7 +301,7 @@ def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
 
 @pytest.mark.parametrize("fn", [
     lambda s, m: _correlation_klg(s, m.weights[None], [0.3]),
-    lambda s, m: klg_equal_interval(s, m, 0.3),
+    lambda s, m: point_klg(s, m, 0.3),
     lambda s, m: rows_at(s, m, 0.3),
     lambda s, m: max_violation(s, m, 0.0, 1.0),
 ], ids=["correlation", "klg_equal_interval", "fisher_from_correlation", "max_violation"])

@@ -242,7 +242,7 @@ class TestViolationThreshold:
         *[(two_j, None, 1e-6) for two_j in (5, 51, 201, 401)],
     ])
     def test_matches_measurement_bisection(self, two_j, theta, tol):
-        """Against a bisection that builds a measurement and reads klg_equal_interval per step."""
+        """Against a bisection that builds a measurement and reads oracles.point_klg per step."""
         if theta is None:
             theta = _bench_theta_star(two_j)
         b_star = violation_threshold_b(two_j, theta, tol=tol)

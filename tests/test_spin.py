@@ -58,14 +58,14 @@ class TestMakeSpinSystem:
         expected = np.sin(np.multiply.outer(thetas, gaps(sys)))
         for rows in (slice(0, 1), slice(0, 3), slice(None, None, 2)):
             assert table[rows].flags.c_contiguous == (rows.step is None)
-            out = _toeplitz(table[rows])
+            out = _toeplitz(table[rows], 0, d)
             assert out.flags.c_contiguous
             assert np.array_equal(out, expected[rows])
         for first, count in ((0, 1), (1, 2), (d - 1, 1), (d // 2, d)):
             out = _toeplitz(table, first, count)
             assert out.flags.c_contiguous
             assert np.array_equal(out, expected[:, first * d:(first + count) * d])
-        assert np.array_equal(_toeplitz(frequencies[None])[0], gaps(sys))
+        assert np.array_equal(_toeplitz(frequencies[None], 0, d)[0], gaps(sys))
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_rejects_bad_two_j(self, bad):
