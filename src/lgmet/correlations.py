@@ -9,9 +9,10 @@ with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
 (meas.weights).  Each gap lam_k - lam_l is the integer n = k - l, one of the
 2d - 1 frequencies -(d - 1), ..., d - 1.  One primitive, _series, sums C or its
 first or second theta-derivative (the terms cos, -n sin and -n^2 cos of n theta)
-over a theta grid for a whole stack of weights (one per b) at once, in Toeplitz
-tables of at most BLOCK_ELEMENTS values with one np.vecdot per table, so a point
-costs O(d) trig plus an O(d^2) copy and dot product.  _correlation_klg returns C
+over a theta grid for a whole stack of weights (one per b) at once.  While d^2 fits
+BLOCK_ELEMENTS (two_j <= 255), Toeplitz tables and np.vecdot give the direct d^2 sums
+bit for bit, at O(d^2) per point; above, the weights fold once per call into d
+harmonic coefficients, and a point costs O(d).  _correlation_klg returns C
 and K_LG = 3 C(theta) - C(3 theta) for the sweep rows and max_violation, whose
 Newton steps read K_LG' and K_LG'' from the series of order 1 and 2.  A
 non-finite theta, or one whose largest phase 3 |theta| (d - 1) overflows or
@@ -27,10 +28,9 @@ import numpy as np
 from .measurement import NoisyDichotomicMeasurement, _squared_transform
 from .spin import SpinSystem
 
-# Largest number of values in a Toeplitz table, and in a b block's weight stack:
-# 512 KiB at every spin, so a table and the weight slice it is dotted with stay in
-# L2 together.  While d^2 fits (two_j <= 255) a table holds BLOCK_ELEMENTS // d^2
-# thetas of all d rows k, and above that BLOCK_ELEMENTS // d rows k of one theta.
+# Largest number of values in a _series table or buffer, and in a b block's weight
+# stack: 512 KiB at every spin, so that a table and the weights it meets stay in L2.
+# A Toeplitz table holds BLOCK_ELEMENTS // d^2 thetas, a trig table BLOCK_ELEMENTS // d.
 BLOCK_ELEMENTS = 2 ** 16
 
 # Largest grid count, for every "lo:hi:count" sweep grid and every
@@ -47,8 +47,8 @@ MAX_PHASE = 2.0 ** 54
 
 
 def _block_size(sys: SpinSystem) -> int:
-    """Rows of d^2 values per block: b values per weight stack in scan.sweep, and, while
-    d^2 fits the budget, the thetas per _series table."""
+    """Rows of d^2 values per block: b values per weight stack in scan.sweep (one from
+    two_j = 255 on), and, while d^2 fits the budget, the thetas per Toeplitz table."""
     return max(1, BLOCK_ELEMENTS // sys.dim ** 2)
 
 
@@ -69,63 +69,77 @@ def _check_phases(dim: int, thetas) -> None:
                          "float spacing of a phase passes pi" % (float(thetas[bad][0]), dim - 1))
 
 
-def _toeplitz(table: np.ndarray, first: int, rows: int) -> np.ndarray:
-    """C-contiguous (T, rows d) Toeplitz copy of rows k = first, ..., first + rows - 1 (up to
-    d - 1) of a (T, 2d - 1) table over the descending frequencies d - 1, ..., -(d - 1):
-    [t, (k - first) d + l] = table[t, d - 1 - k + l], the value at frequency k - l.
-
-    One reshape copies the view [t, k, l] = table[t, d - 1 - k + l], offsets checked.  With
-    the frequencies descending, the inner (l) axis of that view reads forward, so the
-    reshape copies contiguous runs.  A sliding_window_view of an ascending table reads it
-    backwards: at two_j = 401 it took 104 us per one-theta table against 45 us for this
-    copy (Intel Xeon, best of 7 x 200 calls).
+def _toeplitz(table: np.ndarray) -> np.ndarray:
+    """C-contiguous (T, d^2) Toeplitz copy of a (T, 2d - 1) table over the descending
+    frequencies d - 1, ..., -(d - 1): [t, k d + l] = table[t, d - 1 - k + l], the value at
+    frequency k - l.  One reshape copies that strided view, offsets checked; with the
+    frequencies descending its inner (l) axis reads forward, in contiguous runs.
     """
     table = np.ascontiguousarray(table)
     t, d, step = len(table), (table.shape[1] + 1) // 2, table.itemsize
-    rows = min(d - first, rows)
-    view = np.ndarray((t, rows, d), table.dtype, table, (d - 1 - first) * step,
+    view = np.ndarray((t, d, d), table.dtype, table, (d - 1) * step,
                       (table.strides[0], -step, step))
-    # one row k of several thetas reshapes to a strided view, not a copy
-    return np.ascontiguousarray(view.reshape(t, rows * d))
+    return view.reshape(t, d * d)
+
+
+def _harmonics(weights: np.ndarray, d: int) -> np.ndarray:
+    """(B, d) coefficients c_n + c_-n (n = d - 1, ..., 1) and c_0 of a (B, d^2) stack, with
+    c_n = sum_{k - l = n} w_kl: rows k go, BLOCK_ELEMENTS // (2d - 1) at a time, into a
+    zeroed buffer at [k, d - 1 - k + l], one frequency per column, and the chunks' column
+    sums over the band they fill are added in row order."""
+    rows = max(1, BLOCK_ELEMENTS // (2 * d - 1))
+    buffer = np.zeros((rows, 2 * d - 1))
+    view = np.ndarray((rows, d), float, buffer, (d - 1) * 8, ((2 * d - 2) * 8, 8))
+    sums = np.zeros((len(weights), 2 * d - 1))
+    for w, c in zip(weights.reshape(len(weights), d, d), sums):
+        for first in range(0, d, rows):
+            count = min(rows, d - first)
+            view[:count] = w[first:first + count]
+            # buffer column j holds frequency d - 1 + first - j
+            c[d - count - first:2 * d - 1 - first] += buffer[:count, d - count:].sum(axis=0)
+    sums[:, :d - 1] += sums[:, :d - 1:-1]
+    return sums[:, :d]
 
 
 def _series(sys: SpinSystem, weights: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
     """(B, T) order-th theta-derivatives (order 0, 1 or 2) of the sums
     sum_kl weights[:, k d + l] cos((k - l) theta) / d of a (B, d^2) stack.
 
-    The raveled (k, l) axis is cut into chunks of min(d, BLOCK_ELEMENTS // d) rows k, and
-    the thetas into blocks that keep a chunk's table within BLOCK_ELEMENTS values; chunks
-    run outside, so a chunk's weight slice stays in cache across the grid.  Per (chunk,
-    block), the term cos(n theta), -n sin(n theta) or -n^2 cos(n theta), even in n, is
-    taken on the d frequencies n >= 0 (trig, then an O(d) scale) and mirrored to -n
-    (cos and sin are even and odd and (-n) theta = -(n theta), bit for bit); _toeplitz
-    copies the chunk's rows.  np.vecdot then calls, per (b, theta), the ddot np.dot calls
-    on two 1-D arrays; a matrix product (gemv, gemm, einsum) sums in another order.  So up to
-    two_j = 255, where one chunk holds every row, each sum equals the direct d^2 sum of the
-    terms bit for bit; above, the row-chunk dot products added in row order.
-    _correlation_klg checks the thetas first.
+    The term cos(n theta), -n sin(n theta) or -n^2 cos(n theta) is even in n, so the trig
+    is taken per theta block on the d frequencies n >= 0 alone.  Two routes:
+    - While d^2 fits BLOCK_ELEMENTS (two_j <= 255), the terms are mirrored to -n (cos and
+      sin are even and odd and (-n) theta = -(n theta), bit for bit) and copied by
+      _toeplitz, so each sum is the direct d^2 sum bit for bit, as the figures' sha256
+      digests pin.  This route stays only until a truth gate lets those digests be
+      re-based; then the coefficients serve every spin.
+    - Above, _harmonics folds each b's weights once per call, scaled by -n or -n^2, and
+      the table holds the d terms n >= 0: O(d) per (b, theta).
+    np.vecdot runs, per (b, theta), the ddot of np.dot on two 1-D arrays, so a value does
+    not depend on the grid it is summed with (a gemv or gemm sums in an order that does).
+    Tables and buffers hold at most BLOCK_ELEMENTS values; _correlation_klg checks thetas.
     """
     d = sys.dim
-    rows = min(d, BLOCK_ELEMENTS // d)
-    step = max(1, BLOCK_ELEMENTS // (rows * d))
     descending = np.arange(d - 1.0, -1.0, -1.0)
     trig, scale = (np.sin, -descending) if order == 1 else (np.cos, -descending ** 2)
+    harmonics = None if d * d <= BLOCK_ELEMENTS else _harmonics(weights, d)
+    if harmonics is not None and order:
+        harmonics *= scale
+    step = max(1, BLOCK_ELEMENTS // (d * d if harmonics is None else d))
     out = np.empty((len(weights), len(thetas)))
-    for first in range(0, d, rows):
-        w = weights[:, None, first * d:(first + rows) * d]
-        for start in range(0, len(thetas), step):
-            block = thetas[start:start + step]
-            table = np.empty((len(block), 2 * d - 1))
+    buffer = np.empty((min(step, len(thetas)), 2 * d - 1 if harmonics is None else d))
+    for start in range(0, len(thetas), step):
+        block = thetas[start:start + step]
+        table = buffer[:len(block)]
+        if harmonics is None:
             # frequencies d - 1, ..., 0, then their mirror -1, ..., -(d - 1)
             half = trig(np.multiply.outer(block, descending), out=table[:, :d])
             if order:
                 half *= scale
             table[:, d:] = half[:, -2::-1]
-            sums = np.vecdot(_toeplitz(table, first, rows), w)
-            if first:
-                out[:, start:start + step] += sums
-            else:
-                out[:, start:start + step] = sums
+            out[:, start:start + step] = np.vecdot(_toeplitz(table), weights[:, None])
+        else:
+            trig(np.multiply.outer(block, descending, out=table), out=table)
+            out[:, start:start + step] = np.vecdot(table, harmonics[:, None])
     out /= d
     return out
 
@@ -133,7 +147,8 @@ def _series(sys: SpinSystem, weights: np.ndarray, thetas: np.ndarray, order: int
 def _correlation_klg(sys: SpinSystem, weights: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
     """(B, T) arrays C and K_LG = 3 C(theta) - C(3 theta) of a (B, d^2) weight stack.
 
-    The weight shape and _check_phases are checked first, so no trig sees inf or nan.
+    The weight shape and _check_phases are checked first, so no trig sees inf or nan.  Both
+    grids go through one _series call, so that the coefficient route folds the weights once.
     """
     if weights.shape[-1] != sys.dim ** 2:
         raise ValueError("measurement weights have %d columns, but a spin of dimension %d needs "
@@ -141,8 +156,8 @@ def _correlation_klg(sys: SpinSystem, weights: np.ndarray, thetas) -> tuple[np.n
                          % (weights.shape[-1], sys.dim, sys.dim ** 2))
     thetas = np.asarray(thetas, float)
     _check_phases(sys.dim, thetas)
-    c = _series(sys, weights, thetas, 0)
-    return c, 3.0 * c - _series(sys, weights, 3.0 * thetas, 0)
+    c, c3 = np.split(_series(sys, weights, np.concatenate([thetas, 3.0 * thetas]), 0), 2, axis=1)
+    return c, 3.0 * c - c3
 
 
 def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:

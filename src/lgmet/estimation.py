@@ -62,7 +62,7 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
           thetas) -> np.recarray:
     """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
 
-    C, C(3 theta) and C' are one correlations._series call each (three d^2 dot products per
+    C with C(3 theta), and C', are one correlations._series call each (three terms per
     theta), C'' one more, only for the theta columns of F's C^2 -> 1 limit, and one _qfi
     call gives F_Q; every value is bit-identical to a call for its (b, theta) alone.
     """

@@ -28,8 +28,8 @@ def parity52(spin52):
 @contextlib.contextmanager
 def narrow_blocks(sys, per_block=3, rows=None):
     """Patch the element budget at this spin: per_block thetas per Toeplitz table, or b values
-    per weight stack; or, given rows, rows * d values, so that while rows < d a table holds
-    one theta of rows rows k and each sum adds ceil(d / rows) chunk dot products."""
+    per weight stack; or, given rows, rows * d values, so that while rows < d every sum takes
+    the harmonic-coefficient route of large spin, with rows thetas per trig table."""
     budget = per_block * sys.dim ** 2 if rows is None else rows * sys.dim
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lgmet.correlations, "BLOCK_ELEMENTS", budget)

@@ -7,11 +7,12 @@ the states E^{1/2} (I/d) E^{1/2} / p that each outcome prepares,
 outcome probabilities Tr(E_pm rho(theta)) with their finite-difference
 Fisher information, and the general eigh-based QFI of any state.  The
 threshold bisection builds a full measurement at every step.  The
-direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps,
-in the summation order lgmet uses, so lgmet must match them bit for bit:
-one np.dot over the d^2 values, or, given a chunk of rows k, one np.dot
-per chunk of the raveled (k, l) axis, added in row order.  The derivative
-sums take the terms -g sin(g theta) and -g^2 cos(g theta) of each gap g.
+direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps
+and add them in one np.dot over the d^2 values, the summation order of
+lgmet's Toeplitz route, which must match them bit for bit (its harmonic
+coefficient route, above the table budget, within a rounding bound).  The
+derivative sums take the terms -g sin(g theta) and -g^2 cos(g theta) of
+each gap g.
 
 From lgmet this module takes only the spin and measurement builders and
 their types, and _correlation_klg for point_klg, the one-theta K_LG that
@@ -65,39 +66,24 @@ def gaps(sys: SpinSystem) -> np.ndarray:
     return (lam[:, None] - lam[None, :]).ravel()
 
 
-def chunked_dot(sys: SpinSystem, w: np.ndarray, x: np.ndarray, rows: int | None = None) -> float:
-    """w . x over the raveled (k, l) axis: np.dot over each chunk of rows k (all d rows by
-    default, so one np.dot), the chunk values added in row order."""
-    size = sys.dim * (sys.dim if rows is None else rows)
-    total = float(np.dot(w[:size], x[:size]))
-    for start in range(size, w.size, size):
-        total += float(np.dot(w[start:start + size], x[start:start + size]))
-    return total
+def direct_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
+    """C(theta) = weights . cos(gaps theta) / d, with cos taken on every gap, one np.dot."""
+    return float(np.dot(meas.weights, np.cos(gaps(sys) * theta))) / sys.dim
 
 
-def direct_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                       theta: float, rows: int | None = None) -> float:
-    """C(theta) = weights . cos(gaps theta) / d, with cos taken on every gap, summed in
-    chunks of rows k (chunked_dot)."""
-    return chunked_dot(sys, meas.weights, np.cos(gaps(sys) * theta), rows) / sys.dim
-
-
-def direct_klg(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float,
-               rows: int | None = None) -> float:
+def direct_klg(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """K_LG = 3 C(theta) - C(3 theta) from direct_correlation."""
-    return (3.0 * direct_correlation(sys, meas, theta, rows)
-            - direct_correlation(sys, meas, 3.0 * theta, rows))
+    return 3.0 * direct_correlation(sys, meas, theta) - direct_correlation(sys, meas, 3.0 * theta)
 
 
 def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
-                                   theta: float, rows: int | None = None
-                                   ) -> tuple[float, float, float]:
-    """(C, C', C'') as weights . (cos, -g sin, -g^2 cos)(g theta) / d over the gaps g, summed
-    in chunks of rows k (chunked_dot)."""
+                                   theta: float) -> tuple[float, float, float]:
+    """(C, C', C'') as weights . (cos, -g sin, -g^2 cos)(g theta) / d over the gaps g, one
+    np.dot each."""
     w, g = meas.weights, gaps(sys)
     gt = g * theta
     cos_gt = np.cos(gt)
-    return tuple(chunked_dot(sys, w, terms, rows) / sys.dim
+    return tuple(float(np.dot(w, terms)) / sys.dim
                  for terms in (cos_gt, -g * np.sin(gt), -(g * g) * cos_gt))
 
 

@@ -13,7 +13,7 @@ from lgmet import build_measurement, make_spin_system, max_violation
 import lgmet.correlations
 from lgmet.correlations import (MAX_GRID_COUNT, MAX_NEWTON_STEPS, _correlation_klg, _klg_kernel,
                                 _series)
-from conftest import (brute_force_correlation, count_calls, derivative_columns,
+from conftest import (brute_force_correlation, count_calls, derivative_columns, narrow_blocks,
                       parity_correlation_closed_form, random_partition, rows_at)
 from oracles import (direct_correlation_derivatives, direct_klg, gaps, point_klg,
                      two_time_correlation)
@@ -113,6 +113,47 @@ class TestStationarity:
             rows_at(spin52, parity52, 0.8).C[0], abs=1e-12)
 
 
+def _check_against_mpmath(two_j):
+    """C, C' and C'' of derivative_columns' series against 50-digit sums over the weights
+    grouped by gap (see TestDerivatives.test_against_mpmath).
+
+    The series takes each phase as the float n theta, which is within 2**-53 |n theta| of
+    the exact one.  So against the terms at the float phases each value is within the
+    rounding bound 4e-15 S_p, S_p = sum_kl |w_kl| |k - l|^p / d, and against the terms at
+    the exact phases within 4e-15 S_p + 2**-53 |theta| S_(p+1) (at two_j = 257 the phases
+    alone take C'' past 4e-15 S_2, on every route).
+    """
+    rng = np.random.default_rng(two_j)
+    sys = make_spin_system(two_j)
+    d, g = sys.dim, np.abs(gaps(sys))
+    for _ in range(8):
+        meas = build_measurement(sys, rng.uniform(0.0, 1.0), random_partition(rng, two_j))
+        theta = rng.uniform(-4.0, 4.0)
+        weights = meas.weights.reshape(d, d)
+        with mpmath.workdps(50):
+            grouped = {}
+            for n in range(1 - d, d):
+                diagonal = np.diagonal(weights, -n).tolist()
+                total = math.fsum(diagonal)
+                # plus the rounded residual: within 2**-106 of the exact sum
+                grouped[n] = mpmath.mpf(total) + math.fsum(diagonal + [-total])
+            truths = []
+            for phase in (lambda n: mpmath.mpf(theta) * n, lambda n: mpmath.mpf(float(n) * theta)):
+                terms = [(n, w, *mpmath.cos_sin(phase(n))) for n, w in grouped.items()]
+                truths.append([float(t / d) for t in (
+                    mpmath.fsum(w * cos for n, w, cos, sin in terms),
+                    -mpmath.fsum(w * n * sin for n, w, cos, sin in terms),
+                    -mpmath.fsum(w * n * n * cos for n, w, cos, sin in terms))])
+        columns = [_series(sys, meas.weights[None], np.array([theta]), 0)[0],
+                   *derivative_columns(sys, meas, theta)]
+        sums = [float(np.sum(meas.weights * g ** p)) / d for p in range(4)]
+        for p, ((value,), exact, float_phases) in enumerate(zip(columns, *truths)):
+            bound = 4e-15 * sums[p]
+            assert abs(value - float_phases) <= bound, (p, theta, value, float_phases)
+            assert abs(value - exact) <= bound + 2.0 ** -53 * abs(theta) * sums[p + 1], (
+                p, theta, value, exact)
+
+
 class TestDerivatives:
     """C' and C'' from correlations._series, as _rows forms them."""
 
@@ -131,28 +172,19 @@ class TestDerivatives:
         (c1,), _ = derivative_columns(spin52, parity52, math.pi / 2)
         assert c1 == pytest.approx(-1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("two_j", [5, 12, 51])
+    @pytest.mark.parametrize("two_j", [5, 12, 51, 257])
     def test_against_mpmath(self, two_j):
-        """C' and C'' within 4e-15 sum_kl |w_kl| |k - l|^p / d (p = 1, 2) of 50-digit sums
-        over the weights grouped by gap, at random partitions, b and theta."""
-        rng = np.random.default_rng(two_j)
-        sys = make_spin_system(two_j)
-        g = gaps(sys)
-        for _ in range(8):
-            meas = build_measurement(sys, rng.uniform(0.0, 1.0), random_partition(rng, two_j))
-            theta = rng.uniform(-4.0, 4.0)
-            with mpmath.workdps(50):
-                grouped = {}
-                for w, n in zip(meas.weights.tolist(), np.rint(g).astype(int).tolist()):
-                    grouped[n] = grouped.get(n, 0) + mpmath.mpf(w)
-                x = mpmath.mpf(theta)
-                truth = [-mpmath.fsum(w * n * mpmath.sin(n * x) for n, w in grouped.items()),
-                         -mpmath.fsum(w * n * n * mpmath.cos(n * x) for n, w in grouped.items())]
-                truth = [float(t / sys.dim) for t in truth]
-            columns = derivative_columns(sys, meas, theta)
-            for p, ((value,), want) in enumerate(zip(columns, truth), 1):
-                bound = 4e-15 * float(np.sum(meas.weights * np.abs(g) ** p)) / sys.dim
-                assert abs(value - want) <= bound, (p, theta, value, want)
+        """C, C' and C'' against 50-digit sums at random partitions, b and theta, within the
+        bounds of _check_against_mpmath; two_j = 257 is past the Toeplitz budget, so its
+        sums take the harmonic-coefficient route."""
+        _check_against_mpmath(two_j)
+
+    @pytest.mark.parametrize("two_j", [5, 12, 51])
+    def test_coefficient_route_against_mpmath(self, two_j):
+        """The same sums with the budget narrowed to d // 3 rows of d values, below d^2, so
+        that small spins take the harmonic-coefficient route, in several row chunks."""
+        with narrow_blocks(make_spin_system(two_j), rows=(two_j + 1) // 3):
+            _check_against_mpmath(two_j)
 
     def test_against_finite_differences(self, spin52):
         rng = np.random.default_rng(31)

@@ -1,11 +1,14 @@
-"""The block evaluator of the Fourier sums against the direct d^2 sums, bit for bit.
+"""The block evaluator of the Fourier sums against the direct d^2 sums.
 
-The Hypothesis tests also patch the element budget below d^2 (rows of a chunk drawn), so that
-small spins run the row-chunked tables of large spin against the chunked direct sums.
+While d^2 fits the element budget (the Toeplitz route) every value is the direct sum bit for
+bit.  The Hypothesis tests also patch the budget below d^2 (rows * d values, rows drawn), so
+that small spins run the harmonic-coefficient route of large spin; there each value is within
+the rounding bound _bounds of the direct sum.
 """
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,14 +20,15 @@ import lgmet.estimation
 from lgmet.correlations import _correlation_klg, _series
 from lgmet.estimation import _fisher, _qfi, _rows
 from conftest import narrow_blocks, random_partition
-from oracles import direct_correlation, direct_correlation_derivatives, direct_klg, point_klg
+from oracles import (direct_correlation, direct_correlation_derivatives, direct_klg, gaps,
+                     point_klg)
 
 SPECIAL = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e3, -1e3]
 thetas = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
 b_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 setups = st.tuples(st.integers(1, 15), st.integers(0, 2 ** 32 - 1), b_values)
-# rows k per chunk for narrow_blocks: None keeps all d rows (three thetas per table); an
-# integer below d splits each sum into chunks, one theta per table
+# rows for narrow_blocks: None keeps the Toeplitz route (three thetas per table), as does an
+# integer of at least d; one below d takes the coefficient route (that many thetas per table)
 chunk_rows = st.one_of(st.none(), st.integers(1, 16))
 
 
@@ -48,6 +52,35 @@ def _record_operands(mp) -> list:
     return operands
 
 
+def _toeplitz_route(sys, rows) -> bool:
+    """Whether narrow_blocks(sys, rows=rows) leaves d^2 within the budget."""
+    return rows is None or rows >= sys.dim
+
+
+def _bounds(sys, meas) -> list[float]:
+    """4e-15 sum_kl |w_kl| |k - l|^p / d for p = 0, 1, 2: the rounding bounds of C, C', C''
+    on the coefficient route."""
+    g = np.abs(gaps(sys))
+    return [4e-15 * float(np.sum(np.abs(meas.weights) * g ** p)) / sys.dim for p in (0, 1, 2)]
+
+
+def _assert_close(got, want, bounds):
+    for x, y, bound in zip(got, want, bounds, strict=True):
+        assert abs(x - y) <= bound, (x, y, bound)
+
+
+def _fisher_bound(c, c1, c2, t0, t1, t2):
+    """Bound on |F - F(c, c1, c2)| for an F formed from values within t0, t1, t2 of c, c1, c2,
+    or None where 1 - C^2 is within reach of the singular threshold, so either branch may run."""
+    den, reach = 1.0 - c * c, t0 * (2.0 * abs(c) + t0)
+    if abs(den - lgmet.estimation.SINGULAR_DENOMINATOR) <= reach:
+        return None
+    if den <= lgmet.estimation.SINGULAR_DENOMINATOR:
+        return t2
+    f = c1 * c1 / den
+    return (t1 * (2.0 * abs(c1) + t1) + f * reach) / (den - reach) + 8.0 * math.ulp(f)
+
+
 def _point_fisher(c, c1, c2):
     """_fisher of one (C, C', C'') point."""
     return float(_fisher(np.array([[c]]), np.array([[c1]]), lambda columns: np.array([[c2]]))[0, 0])
@@ -57,8 +90,9 @@ def _point_fisher(c, c1, c2):
 @given(setup=setups, theta=thetas, rows=chunk_rows)
 def test_point_functions(setup, theta, rows):
     """One theta: C, C(3 theta), C' and C'' as _series calls of order 0, 0, 1 and 2, and K_LG
-    of a stack and of one measurement, each Toeplitz table C-contiguous and within the
-    patched budget."""
+    of a stack and of one measurement, each np.vecdot operand C-contiguous and within the
+    patched budget.  Bit-equal to the direct sums on the Toeplitz route; on the coefficient
+    route (d coefficients per vecdot) within _bounds, five times the C bound for K_LG."""
     sys, meas = _measurement(setup)
     w, t = meas.weights[None], np.array([theta])
     with narrow_blocks(sys, rows=rows) as mp:
@@ -69,43 +103,63 @@ def test_point_functions(setup, theta, rows):
         (c_k,), (k_lg,) = (column[0] for column in _correlation_klg(sys, w, [theta]))
         k_point = point_klg(sys, meas, theta)
     assert all(contiguous and size <= budget for call in operands for contiguous, size in call)
-    assert _bits([c, c3]) == _bits([direct_correlation(sys, meas, x, rows)
-                                    for x in (theta, 3.0 * theta)])
-    assert _bits([c_k, c1, c2]) == _bits(direct_correlation_derivatives(sys, meas, theta, rows))
-    assert _bits([k_lg, k_point]) == _bits([direct_klg(sys, meas, theta, rows)] * 2)
+    assert _bits([c_k, k_point]) == _bits([c, k_lg])
+    got = [c, c3, c1, c2, k_lg]
+    want = [direct_correlation(sys, meas, theta), direct_correlation(sys, meas, 3.0 * theta),
+            *direct_correlation_derivatives(sys, meas, theta)[1:], direct_klg(sys, meas, theta)]
+    if _toeplitz_route(sys, rows):
+        assert _bits(got) == _bits(want)
+    else:
+        assert all(call[1][1] == sys.dim for call in operands)
+        t0, t1, t2 = _bounds(sys, meas)
+        _assert_close(got, want, [t0, t0, t1, t2, 5.0 * t0])
 
 
 @settings(max_examples=40, deadline=None)
 @given(setup=setups, points=st.lists(thetas, max_size=4), lo=thetas, hi=thetas,
        count=st.integers(0, 515), rows=chunk_rows)
 def test_rows(setup, points, lo, hi, count, rows):
-    """Every row over a grid that spans many evaluator blocks."""
+    """Every row over a grid that spans many evaluator blocks: bit-equal to the direct sums on
+    the Toeplitz route; on the coefficient route theta, b and F_Q bit-equal, C, K_LG and F
+    within the bounds that _bounds propagates to them, and F_ratio = F / F_Q."""
     sys, meas = _measurement(setup)
     grid = points + list(np.linspace(lo, hi, count))
     f_q = _qfi(sys, meas.a_diag[None])[0]
+    exact = _toeplitz_route(sys, rows)
     try:
         expected = []
         for theta in grid:
-            c, c1, c2 = direct_correlation_derivatives(sys, meas, theta, rows)
+            c, c1, c2 = direct_correlation_derivatives(sys, meas, theta)
             f = _point_fisher(c, c1, c2)
-            expected.append((theta, meas.b, c, direct_klg(sys, meas, theta, rows), f, f_q,
-                             f / f_q if f_q > 0.0 else 0.0))
+            expected.append((theta, meas.b, c, direct_klg(sys, meas, theta), f, f_q,
+                             f / f_q if f_q > 0.0 else 0.0, c1, c2))
     except InconsistentCorrelationError:
         with narrow_blocks(sys, rows=rows), pytest.raises(InconsistentCorrelationError):
             _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
         return
     with narrow_blocks(sys, rows=rows):
-        rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
-    assert len(rows) == len(expected)
-    for row, want in zip(rows, expected):
-        assert _bits(row.tolist()) == _bits(want)
+        table = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
+    assert len(table) == len(expected)
+    t0, t1, t2 = _bounds(sys, meas)
+    for row, (*want, c1, c2) in zip(table, expected):
+        if exact:
+            assert _bits(row.tolist()) == _bits(want)
+            continue
+        assert _bits([row.theta, row.b, row.F_Q, row.F_ratio]) == _bits(
+            [want[0], want[1], f_q, row.F / f_q if f_q > 0.0 else 0.0])
+        _assert_close([row.C, row.K_LG], want[2:4], [t0, 5.0 * t0])
+        bound = _fisher_bound(want[2], c1, c2, t0, t1, t2)
+        if bound is not None:
+            assert abs(row.F - want[4]) <= bound, (row.F, want[4], bound)
 
 
 @settings(max_examples=40, deadline=None)
 @given(setup=setups, lo=thetas, span=st.floats(0.0, 20.0, exclude_min=True),
        grid_points=st.integers(16, 296), rows=chunk_rows)
 def test_max_violation_grid(setup, lo, span, grid_points, rows):
-    """The |K_LG| values max_violation takes its argmax over, and its result."""
+    """The |K_LG| values max_violation takes its argmax over (bit-equal to the direct sums on
+    the Toeplitz route, within five times the C bound of _bounds on the coefficient route),
+    and its result, at least their maximum."""
     sys, meas = _measurement(setup)
     hi = lo + span
     assume(hi > lo)
@@ -115,44 +169,48 @@ def test_max_violation_grid(setup, lo, span, grid_points, rows):
         mp.setattr(np, "argmax", lambda a, *args, **kw: seen.append(np.array(a)) or argmax(a, *args, **kw))
         result = max_violation(sys, meas, lo, hi, grid_points)
     grid = np.linspace(lo, hi, grid_points)
-    values = [abs(direct_klg(sys, meas, theta, rows)) for theta in grid]
+    values = [abs(direct_klg(sys, meas, theta)) for theta in grid]
     assert len(seen) == 1
-    assert _bits(seen[0]) == _bits(values)
+    if _toeplitz_route(sys, rows):
+        assert _bits(seen[0]) == _bits(values)
+    else:
+        _assert_close(seen[0], values, [5.0 * _bounds(sys, meas)[0]] * grid_points)
     assert lo <= result[0] <= hi
-    assert result[1] >= max(values)
+    assert result[1] >= max(seen[0])
 
 
-def test_blocks_bounded_and_contiguous_at_large_spin():
-    """At two_j = 401 a sum is three row-chunk dot products: 163 + 163 + 76 rows k.
-
-    Each Toeplitz table is one theta of one chunk; it and its weight slice are C-contiguous
-    and within BLOCK_ELEMENTS.
-    C(theta), C(3 theta) and C' take one vecdot per (chunk, theta); C'' takes as many more
-    only for a theta column where C^2 = 1 (theta = 0 and pi at b = 1).  Rows are bit-equal to
-    the chunked direct sums, and within 1e-15 of the single d^2 dot product.
-    """
+def test_coefficient_route_bounded_at_large_spin():
+    """At two_j = 401, d^2 exceeds BLOCK_ELEMENTS: each np.vecdot pairs a trig table within
+    the budget with the d coefficients, each _series call's traced allocations peak below
+    two budgets (d^2 values are 2.47), rows are bit-equal to their theta summed alone, and
+    within 1e-15 (C), 4e-15 (K_LG = 3 C(theta) - C(3 theta)) and 1e-13 F_Q (F) of the
+    single d^2 np.dot of the direct sums."""
     sys = make_spin_system(401)
     d, budget = sys.dim, lgmet.correlations.BLOCK_ELEMENTS
-    rows_per_chunk = min(d, budget // d)
-    chunks = -(-d // rows_per_chunk)
-    assert (rows_per_chunk, chunks) == (163, 3)
+    assert 2 * budget < d * d < 3 * budget
     grid = np.linspace(0.0, math.pi, 300)
-    for measurability, singular_columns in ((0.99, 0), (1.0, 2)):
+    for measurability in (0.99, 1.0):
         meas = build_measurement(sys, measurability)
         with pytest.MonkeyPatch.context() as mp:
             operands = _record_operands(mp)
             rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
-        assert len(operands) == chunks * (3 * grid.size + singular_columns)
-        assert all(contiguous and size <= budget
-                   for call in operands for contiguous, size in call)
-        for i in (0, 150, 299):
-            c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i], rows_per_chunk)
-            assert (_bits([rows.C[i], rows.K_LG[i], rows.F[i]])
-                    == _bits([c, direct_klg(sys, meas, grid[i], rows_per_chunk),
-                              _point_fisher(c, c1, c2)]))
-            single = direct_correlation_derivatives(sys, meas, grid[i])
-            assert abs(rows.C[i] - single[0]) <= 1e-15
-            assert abs(rows.K_LG[i] - direct_klg(sys, meas, grid[i])) <= 1e-15
+        assert all(table <= budget and coefficients == d for (_, table), (_, coefficients)
+                   in operands)
+        for order in (0, 1, 2):
+            tracemalloc.start()
+            try:
+                out = _series(sys, meas.weights[None], grid, order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes <= 2 * budget * out.itemsize
+        for i in range(0, 300, 23):  # 14 thetas, the last pi
+            alone = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid[i:i + 1])
+            assert _bits(rows[i].tolist()) == _bits(alone[0].tolist())
+            c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i])
+            assert abs(rows.C[i] - c) <= 1e-15
+            assert abs(rows.K_LG[i] - direct_klg(sys, meas, grid[i])) <= 4e-15
+            assert abs(rows.F[i] - _point_fisher(c, c1, c2)) <= 1e-13 * rows.F_Q[i]
 
 
 def test_second_derivative_only_for_singular_columns(spin52, monkeypatch):

@@ -2,6 +2,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -191,6 +192,37 @@ def test_projective_closed_forms_at_every_spin(two_j):
     assert np.max(np.abs(rows.C - closed)) <= 1e-14
     if two_j % 2:
         assert np.max(np.abs(rows.F_Q / (4 * j * (j + 1) / 3) - 1)) <= 1e-14
+
+
+@pytest.mark.parametrize("two_j", [3, 5, 51, 255, 257, 401, 801])
+def test_sharp_closed_forms_at_every_spin(two_j):
+    """At b = 0 the default partition keeps a = +1 at m = j and -1 at m = -j, so with
+    c = cos(theta / 2) and s = sin(theta / 2), C = (2/d)(c^(4j) - s^(4j)),
+    C' = -(4j/d)(c^(4j-1) s + s^(4j-1) c) and F_Q = 8j / (3d), whence K_LG and
+    F = C'^2 / (1 - C^2).  Checked against 30-digit values on both routes of the Fourier
+    sums (Toeplitz up to two_j = 255), at random thetas and near 0 and pi.
+    """
+    d, four_j = two_j + 1, 2 * two_j
+    rng = np.random.default_rng(two_j)
+    thetas = np.concatenate([rng.uniform(0.0, math.pi, 8), [1e-8, 1e-3, 0.1],
+                             math.pi - np.array([0.1, 1e-3, 1e-8])])
+    rows = sweep("scan-theta", RunConfig(two_j, [0.0], thetas)).rows
+    with mpmath.workdps(30):
+        def correlation(theta):
+            c, s = mpmath.cos(theta / 2), mpmath.sin(theta / 2)
+            return 2 * (c ** four_j - s ** four_j) / d
+
+        for row, theta in zip(rows, thetas.tolist()):
+            x = mpmath.mpf(theta)
+            c, s = mpmath.cos(x / 2), mpmath.sin(x / 2)
+            slope = -four_j * (c ** (four_j - 1) * s + s ** (four_j - 1) * c) / d
+            f_q = mpmath.mpf(4 * two_j) / (3 * d)
+            truth = {"C": correlation(x), "K_LG": 3 * correlation(x) - correlation(3 * x),
+                     "F_Q": f_q}
+            for name, t in truth.items():
+                assert abs(row[name] - float(t)) <= 1e-14 * max(1.0, abs(float(t))), (name, theta)
+            f = slope ** 2 / (1 - correlation(x) ** 2)
+            assert abs(row.F - float(f)) <= 1e-13 * float(f_q), theta
 
 
 class TestQfiPerBlock:

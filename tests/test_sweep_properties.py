@@ -77,8 +77,8 @@ def test_sweep_rows_bit_equal_to_composed_values(setup, bs, thetas, per_block):
 
 
 def test_scan_b_evaluates_all_b_in_one_block(monkeypatch):
-    """201 b values at two_j = 5 are one block: no measurement, one partition walk, and one
-    vecdot for each of C, C(3 theta) and C' (no C'': no row has C^2 = 1)."""
+    """201 b values at two_j = 5 are one block: no measurement, one partition walk, one
+    vecdot for C and C(3 theta) together and one for C' (no C'': no row has C^2 = 1)."""
     builds = count_calls(monkeypatch, lgmet.measurement.build_measurement)
     walks = count_calls(monkeypatch, lgmet.measurement.resolve_partition)
     sums = []
@@ -86,7 +86,8 @@ def test_scan_b_evaluates_all_b_in_one_block(monkeypatch):
     monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: sums.append(a.shape) or vecdot(a, b, **kw))
     rows = sweep("scan-b", RunConfig(5, np.linspace(0.0, 1.0, 201), [0.95 * math.pi])).rows
     assert rows.size == 201
-    assert (len(builds), len(walks), sums) == (0, 1, [(1, 36)] * 3)  # one theta, d^2 = 36
+    # theta and 3 theta, then theta; d^2 = 36
+    assert (len(builds), len(walks), sums) == (0, 1, [(2, 36), (1, 36)])
 
 
 @pytest.mark.parametrize("two_j, partition", [(51, None), (4, "4:4,2,0;-4:-2,-4")])
