@@ -1,22 +1,13 @@
 """Two-time correlations, the Leggett-Garg parameter, and violation search.
 
-The correlation C(theta) = (1/d) Tr[A U(theta) A U(-theta)] is evaluated
-through its Fourier form over the J_x spectrum:
-
-    C(theta) = (1/d) sum_{k,l} |A~_{kl}|^2 cos((lam_k - lam_l) theta),
-
-with A~ = V^T A V.  The weights |A~_{kl}|^2 belong to the measurement
-(meas.weights).  Each gap lam_k - lam_l is the integer n = k - l, one of the
-2d - 1 frequencies -(d - 1), ..., d - 1.  One primitive, _series, sums C or its
-first or second theta-derivative (the terms cos, -n sin and -n^2 cos of n theta)
-over a theta grid for a whole stack of weights (one per b) at once.  While d^2 fits
-BLOCK_ELEMENTS (two_j <= 255), Toeplitz tables and np.vecdot give the direct d^2 sums
-bit for bit, at O(d^2) per point; above, the weights fold once per call into d
-harmonic coefficients, and a point costs O(d).  _correlation_klg returns C
-and K_LG = 3 C(theta) - C(3 theta) for the sweep rows and max_violation, whose
-Newton steps read K_LG' and K_LG'' from the series of order 1 and 2.  A
-non-finite theta, or one whose largest phase 3 |theta| (d - 1) overflows or
-reaches 2**54 (where a phase's float spacing passes pi), is a ValueError.
+C(theta) = (1/d) Tr[A U(theta) A U(-theta)] = (1/d) sum_kl W_kl cos((k - l) theta), with
+the measurement's weights W = (V^T A V)^2 over the J_x eigenvectors V.  _coefficients
+prepares a stack of weights (one per b) once per caller, and _series sums C, C' or C''
+from it over a theta grid: direct d^2 sums through Toeplitz tables while d^2 fits
+BLOCK_ELEMENTS (two_j <= 255), d harmonic coefficients above.  _correlation_klg gives C
+and K_LG = 3 C(theta) - C(3 theta) to the sweep rows and max_violation; _klg_kernel is
+K_LG at one theta as a quadratic form in the observable diagonal.  A non-finite theta, or
+one whose largest phase 3 |theta| (d - 1) overflows or reaches 2**54, is a ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +16,7 @@ import math
 
 import numpy as np
 
-from .measurement import NoisyDichotomicMeasurement, _squared_transform
+from .measurement import NoisyDichotomicMeasurement
 from .spin import SpinSystem
 
 # Largest number of values in a _series table or buffer, and in a b block's weight
@@ -82,11 +73,20 @@ def _toeplitz(table: np.ndarray) -> np.ndarray:
     return view.reshape(t, d * d)
 
 
-def _harmonics(weights: np.ndarray, d: int) -> np.ndarray:
-    """(B, d) coefficients c_n + c_-n (n = d - 1, ..., 1) and c_0 of a (B, d^2) stack, with
-    c_n = sum_{k - l = n} w_kl: rows k go, BLOCK_ELEMENTS // (2d - 1) at a time, into a
-    zeroed buffer at [k, d - 1 - k + l], one frequency per column, and the chunks' column
-    sums over the band they fill are added in row order."""
+def _coefficients(sys: SpinSystem, weights: np.ndarray) -> np.ndarray:
+    """What _series sums for a (B, d^2) weight stack, formed once per caller for all its orders
+    and thetas: the weights while d^2 fits BLOCK_ELEMENTS, else the (B, d) c_n + c_-n
+    (n = d - 1, ..., 1) and c_0, c_n = sum_{k - l = n} w_kl: rows k go, BLOCK_ELEMENTS //
+    (2d - 1) at a time, into a zeroed buffer at [k, d - 1 - k + l], one frequency per column,
+    and the chunks' column sums over the band they fill are added in row order.  ValueError
+    unless the weights have d^2 columns."""
+    d = sys.dim
+    if weights.shape[-1] != d * d:
+        raise ValueError("measurement weights have %d columns, but a spin of dimension %d needs "
+                         "%d: the measurement was built on another spin"
+                         % (weights.shape[-1], d, d * d))
+    if d * d <= BLOCK_ELEMENTS:
+        return weights
     rows = max(1, BLOCK_ELEMENTS // (2 * d - 1))
     buffer = np.zeros((rows, 2 * d - 1))
     view = np.ndarray((rows, d), float, buffer, (d - 1) * 8, ((2 * d - 2) * 8, 8))
@@ -101,80 +101,69 @@ def _harmonics(weights: np.ndarray, d: int) -> np.ndarray:
     return sums[:, :d]
 
 
-def _series(sys: SpinSystem, weights: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
+def _series(sys: SpinSystem, coefs: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
     """(B, T) order-th theta-derivatives (order 0, 1 or 2) of the sums
-    sum_kl weights[:, k d + l] cos((k - l) theta) / d of a (B, d^2) stack.
-
+    sum_kl w[:, k d + l] cos((k - l) theta) / d of a (B, d^2) stack w, from _coefficients(w).
     The term cos(n theta), -n sin(n theta) or -n^2 cos(n theta) is even in n, so the trig
-    is taken per theta block on the d frequencies n >= 0 alone.  Two routes:
-    - While d^2 fits BLOCK_ELEMENTS (two_j <= 255), the terms are mirrored to -n (cos and
-      sin are even and odd and (-n) theta = -(n theta), bit for bit) and copied by
-      _toeplitz, so each sum is the direct d^2 sum bit for bit, as the figures' sha256
-      digests pin.  This route stays only until a truth gate lets those digests be
-      re-based; then the coefficients serve every spin.
-    - Above, _harmonics folds each b's weights once per call, scaled by -n or -n^2, and
-      the table holds the d terms n >= 0: O(d) per (b, theta).
-    np.vecdot runs, per (b, theta), the ddot of np.dot on two 1-D arrays, so a value does
-    not depend on the grid it is summed with (a gemv or gemm sums in an order that does).
-    Tables and buffers hold at most BLOCK_ELEMENTS values; _correlation_klg checks thetas.
+    is taken per theta block on the d frequencies n >= 0 alone.  While d^2 fits
+    BLOCK_ELEMENTS, the terms are mirrored to -n (bit for bit) and copied by _toeplitz, so
+    each sum is the direct d^2 sum bit for bit, as the figures' sha256 digests pin until a
+    truth gate lets them be re-based; above, a copy of the d coefficients is scaled by -n
+    or -n^2: O(d) per (b, theta).  np.vecdot runs the ddot of np.dot per (b, theta), so a
+    value does not depend on its grid (a gemv or gemm sums in an order that does).  Tables
+    and buffers hold at most BLOCK_ELEMENTS values; _correlation_klg checks thetas.
     """
-    d = sys.dim
+    d, toeplitz = sys.dim, sys.dim ** 2 <= BLOCK_ELEMENTS
     descending = np.arange(d - 1.0, -1.0, -1.0)
     trig, scale = (np.sin, -descending) if order == 1 else (np.cos, -descending ** 2)
-    harmonics = None if d * d <= BLOCK_ELEMENTS else _harmonics(weights, d)
-    if harmonics is not None and order:
-        harmonics *= scale
-    step = max(1, BLOCK_ELEMENTS // (d * d if harmonics is None else d))
-    out = np.empty((len(weights), len(thetas)))
-    buffer = np.empty((min(step, len(thetas)), 2 * d - 1 if harmonics is None else d))
+    coefs = coefs * scale if order and not toeplitz else coefs  # a copy: callers reuse theirs
+    step = max(1, BLOCK_ELEMENTS // (d * d if toeplitz else d))
+    out = np.empty((len(coefs), len(thetas)))
+    buffer = np.empty((min(step, len(thetas)), 2 * d - 1 if toeplitz else d))
     for start in range(0, len(thetas), step):
         block = thetas[start:start + step]
         table = buffer[:len(block)]
-        if harmonics is None:
+        if toeplitz:
             # frequencies d - 1, ..., 0, then their mirror -1, ..., -(d - 1)
             half = trig(np.multiply.outer(block, descending), out=table[:, :d])
             if order:
                 half *= scale
             table[:, d:] = half[:, -2::-1]
-            out[:, start:start + step] = np.vecdot(_toeplitz(table), weights[:, None])
+            table = _toeplitz(table)
         else:
             trig(np.multiply.outer(block, descending, out=table), out=table)
-            out[:, start:start + step] = np.vecdot(table, harmonics[:, None])
+        out[:, start:start + step] = np.vecdot(table, coefs[:, None])
     out /= d
     return out
 
 
-def _correlation_klg(sys: SpinSystem, weights: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T) arrays C and K_LG = 3 C(theta) - C(3 theta) of a (B, d^2) weight stack.
-
-    The weight shape and _check_phases are checked first, so no trig sees inf or nan.  Both
-    grids go through one _series call, so that the coefficient route folds the weights once.
-    """
-    if weights.shape[-1] != sys.dim ** 2:
-        raise ValueError("measurement weights have %d columns, but a spin of dimension %d needs "
-                         "%d: the measurement was built on another spin"
-                         % (weights.shape[-1], sys.dim, sys.dim ** 2))
+def _correlation_klg(sys: SpinSystem, coefs: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) arrays C and K_LG = 3 C(theta) - C(3 theta) from a weight stack's _coefficients,
+    both grids in one _series call; _check_phases runs first, so no trig sees inf or nan."""
     thetas = np.asarray(thetas, float)
     _check_phases(sys.dim, thetas)
-    c, c3 = np.split(_series(sys, weights, np.concatenate([thetas, 3.0 * thetas]), 0), 2, axis=1)
+    c, c3 = np.split(_series(sys, coefs, np.concatenate([thetas, 3.0 * thetas]), 0), 2, axis=1)
     return c, 3.0 * c - c3
 
 
 def _klg_kernel(sys: SpinSystem, theta: float) -> np.ndarray:
-    """Matrix Q with K_LG(theta) = a^T Q a for every observable diagonal a.
-
-    C(t) = (1/d) sum_kl a_k a_l |U_kl(t)|^2 with U(t) = V diag(e^{-i lam t}) V^T,
-    so Q = (3 |U(theta)|^2 - |U(3 theta)|^2) / d, each |U|^2 the sum of the squared
-    real and imaginary parts of U.  Each square is added as it is built, so the four
-    d x d squares are never live at once.
-    """
-    lam = np.arange(sys.dim) - sys.two_j / 2
-
-    def square(trig, t):  # the squared real (cos) or imaginary (sin) part of U(t)
-        return _squared_transform(sys.eigenvectors, trig(lam * t)[None])[0]
-
-    return (3.0 * square(np.cos, theta) + 3.0 * square(np.sin, theta)
-            - square(np.cos, 3.0 * theta) - square(np.sin, 3.0 * theta)) / sys.dim
+    """Matrix Q with K_LG(theta) = a^T Q a for every observable diagonal a: C(t) =
+    (1/d) sum_kl a_k a_l |U_kl(t)|^2, U(t) = V diag(e^{-i lam t}) V^T, so Q = (3 |U(theta)|^2
+    - |U(3 theta)|^2) / d.  Z J_x Z = -J_x, Z = diag((-1)^i), pairs column k of V with
+    d - 1 - k (lam with -lam), so over the columns lam < 0 (doubled) and integer spin's
+    lam = 0, Re U = V diag(cos) V^T fills the same-parity blocks [E, E], [O, O] of the even
+    and odd rows and Im U = -V diag(sin) V^T the [E, O] block and its transpose: 3 d^3 / 8
+    multiply-adds per t in place of 2 d^3."""
+    d, h = sys.dim, (sys.dim + 1) // 2
+    lam = np.arange(h) - sys.two_j / 2
+    halves = sys.eigenvectors[0::2, :h], sys.eigenvectors[1::2, :h]
+    q = np.empty((d, d))
+    for i, j, trig in ((0, 0, np.cos), (1, 1, np.cos), (0, 1, np.sin)):
+        x, y = halves[i] * (2.0 - (lam == 0.0)), halves[j].T  # integer spin's lam = 0 pairs itself
+        q[i::2, j::2] = (3.0 * ((x * trig(lam * theta)) @ y) ** 2
+                         - ((x * trig(lam * (3.0 * theta))) @ y) ** 2) / d
+    q[1::2, 0::2] = q[0::2, 1::2].T
+    return q
 
 
 def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
@@ -199,9 +188,9 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     if grid_points > MAX_GRID_COUNT:
         raise ValueError("grid_points %d exceeds the limit of %d" % (grid_points, MAX_GRID_COUNT))
 
-    weights = meas.weights[None]
+    coefs = _coefficients(sys, meas.weights[None])
     grid = np.linspace(theta_lo, theta_hi, grid_points)
-    klg = _correlation_klg(sys, weights, grid)[1][0]
+    klg = _correlation_klg(sys, coefs, grid)[1][0]
     i = int(np.argmax(np.abs(klg)))
     a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid_points - 1)])
     start, best = float(grid[i]), abs(float(klg[i]))
@@ -217,8 +206,8 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
         if b - a <= tol:
             break
         pair = np.array([theta, 3.0 * theta])
-        c1, c1_3 = _series(sys, weights, pair, 1)[0].tolist()
-        c2, c2_3 = _series(sys, weights, pair, 2)[0].tolist()
+        c1, c1_3 = _series(sys, coefs, pair, 1)[0].tolist()
+        c2, c2_3 = _series(sys, coefs, pair, 2)[0].tolist()
         slope, curvature = sign * (3.0 * c1 - 3.0 * c1_3), sign * (3.0 * c2 - 9.0 * c2_3)
         if slope == 0.0:
             break
@@ -229,5 +218,5 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
         step, theta = abs(new - theta), new
         if step <= tol:
             break
-    k = abs(float(_correlation_klg(sys, weights, [theta])[1][0, 0])) if theta != start else best
+    k = abs(float(_correlation_klg(sys, coefs, [theta])[1][0, 0])) if theta != start else best
     return (theta, k) if k >= best else (start, best)

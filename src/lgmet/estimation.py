@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .correlations import _correlation_klg, _series
+from .correlations import _coefficients, _correlation_klg, _series
 from .spin import SpinSystem
 
 SINGULAR_DENOMINATOR = 1e-10
@@ -62,15 +62,15 @@ def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
           thetas) -> np.recarray:
     """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
 
-    C with C(3 theta), and C', are one correlations._series call each (three terms per
-    theta), C'' one more, only for the theta columns of F's C^2 -> 1 limit, and one _qfi
-    call gives F_Q; every value is bit-identical to a call for its (b, theta) alone.
-    """
+    From one _coefficients of the weights, C with C(3 theta), and C', are one _series call
+    each, C'' one more for the theta columns of F's C^2 -> 1 limit alone, and one _qfi call
+    gives F_Q; every value is bit-identical to a call for its (b, theta) alone."""
     thetas = np.asarray(thetas, float)
-    c, k_lg = _correlation_klg(sys, weights, thetas)
+    coefs = _coefficients(sys, weights)
+    c, k_lg = _correlation_klg(sys, coefs, thetas)
     f_q = _qfi(sys, a_diags)[:, None]
-    f = _fisher(c, _series(sys, weights, thetas, 1),
-                lambda columns: _series(sys, weights, thetas[columns], 2))
+    f = _fisher(c, _series(sys, coefs, thetas, 1),
+                lambda columns: _series(sys, coefs, thetas[columns], 2))
     ratio = np.divide(f, f_q, out=np.zeros(f.shape), where=f_q > 0.0)
     columns = (thetas, np.asarray(b_values, float)[:, None], c, k_lg, f, f_q, ratio)
     rows = np.empty(c.shape, ROW_DTYPE)

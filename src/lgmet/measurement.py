@@ -5,7 +5,7 @@ The observable is diagonal in the J_z basis with entries
 containing m and b in [0, 1] is the measurability (b = e^{-1/(2 sigma^2)}).
 b = 1 is the projective parity operator; b = 0 keeps only the block centers
 (0^0 = 1 convention).  Only that diagonal is stored: E+- = (1 +- a)/2 act
-entrywise on it.
+entrywise on it, and the Fourier weights leave out its levels below LEVEL_CUTOFF.
 
 All m and mu values are carried as the integers 2m / 2mu so half-integer
 spins need no floating-point bookkeeping.
@@ -18,6 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin import SpinSystem
+
+# Levels with |a_k| < LEVEL_CUTOFF max|a| leave the weight product.  V is orthogonal, so each
+# entry of V^T A V moves by at most LEVEL_CUTOFF max|a|, and, as the Frobenius norms of the
+# dropped part and of V^T A V are at most sqrt(d) times that and sqrt(d) max|a|, C = sum_kl
+# W_kl cos / d by at most 2 LEVEL_CUTOFF max|a|^2 = 2^-59 max|a|^2 <= 2^-59 sqrt(d) max|a|^2.
+LEVEL_CUTOFF = 2.0 ** -60
 
 
 @dataclass(frozen=True)
@@ -110,16 +116,27 @@ def build_measurement(sys: SpinSystem, b: float,
 
 
 def _weights(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
-    """(B, d^2) Fourier weights (V^T A V)_kl^2 of a (B, d) stack of diagonals, raveled over (k, l)."""
-    return _squared_transform(sys.eigenvectors.T, a_diags).reshape(len(a_diags), -1)
+    """(B, d^2) Fourier weights (V^T A V)_kl^2 of a (B, d) stack of diagonals, raveled over (k, l).
 
-
-def _squared_transform(m: np.ndarray, diags: np.ndarray) -> np.ndarray:
-    """(B, d, d) entrywise squares of m diag(x) m^T for each row x of a (B, d) stack of diagonals.
-
-    Each slice of the stacked matmul is the gemm of its diagonal alone, bit for bit.
+    Each diagonal keeps its levels S with |a_k| >= LEVEL_CUTOFF max|a|: ((V_S^T diag(a_S)) V_S)^2
+    over the rows V_S of V.  Rows with one kept set are one stacked matmul, each slice the gemm
+    of its diagonal alone, bit for bit; with no level dropped, V_S is V, as in the full product.
     """
-    return ((m * diags[:, None, :]) @ m.T) ** 2
+    v, size = sys.eigenvectors, np.abs(a_diags)
+    kept = size >= LEVEL_CUTOFF * size.max(axis=1, keepdims=True)
+    counts = kept.sum(axis=1)
+    out = np.empty((len(a_diags), sys.dim, sys.dim))
+    for count in set(counts.tolist()):  # a_k falls as the gap grows: a count names its kept set
+        rows = counts == count
+        keep = kept[rows][0]
+        v_s = v if count == sys.dim else v[keep]
+        scaled = v_s.T * a_diags[rows][:, keep][:, None, :]
+        if rows.all():  # one kept set: the product is the stack, with no temporary
+            np.matmul(scaled, v_s, out=out)
+        else:
+            out[rows] = scaled @ v_s
+    out **= 2
+    return out.reshape(len(a_diags), -1)
 
 
 def _a_diags(gaps: list[int], b_values) -> np.ndarray:

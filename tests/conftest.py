@@ -7,7 +7,7 @@ import pytest
 
 from lgmet import build_measurement, make_spin_system
 import lgmet.correlations
-from lgmet.correlations import _series
+from lgmet.correlations import _coefficients, _series
 from lgmet.estimation import _rows
 from lgmet.measurement import PartitionSpec
 
@@ -60,7 +60,8 @@ def rows_at(sys, meas, thetas):
 def derivative_columns(sys, meas, thetas):
     """(C', C'') of one measurement at thetas (a scalar is one theta), as _rows sums them."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
-    return tuple(_series(sys, meas.weights[None], thetas, order)[0] for order in (1, 2))
+    coefficients = _coefficients(sys, meas.weights[None])
+    return tuple(_series(sys, coefficients, thetas, order)[0] for order in (1, 2))
 
 
 def parity_correlation_closed_form(d, theta):

@@ -15,8 +15,8 @@ derivative sums take the terms -g sin(g theta) and -g^2 cos(g theta) of
 each gap g.
 
 From lgmet this module takes only the spin and measurement builders and
-their types, and _correlation_klg for point_klg, the one-theta K_LG that
-threshold_b's Fourier-weight route and the tests read; it evaluates nothing
+their types, and _coefficients with _correlation_klg for point_klg, the one-theta
+K_LG that threshold_b's Fourier-weight route and the tests read; it evaluates nothing
 else through the code it checks, and raises its own errors.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lgmet.correlations import _correlation_klg
+from lgmet.correlations import _coefficients, _correlation_klg
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, build_measurement
 from lgmet.spin import SpinSystem, make_spin_system
 
@@ -90,7 +90,7 @@ def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasure
 def point_klg(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """K_LG(theta) = 3 C(theta) - C(3 theta) of one measurement, read from lgmet's
     _correlation_klg."""
-    return float(_correlation_klg(sys, meas.weights[None], [theta])[1][0, 0])
+    return float(_correlation_klg(sys, _coefficients(sys, meas.weights[None]), [theta])[1][0, 0])
 
 
 def propagator(sys: SpinSystem, theta: float) -> np.ndarray:

@@ -11,11 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from lgmet import build_measurement, make_spin_system, max_violation
 import lgmet.correlations
-from lgmet.correlations import (MAX_GRID_COUNT, MAX_NEWTON_STEPS, _correlation_klg, _klg_kernel,
-                                _series)
+from lgmet.correlations import (MAX_GRID_COUNT, MAX_NEWTON_STEPS, _coefficients, _correlation_klg,
+                                _klg_kernel, _series)
 from conftest import (brute_force_correlation, count_calls, derivative_columns, narrow_blocks,
                       parity_correlation_closed_form, random_partition, rows_at)
-from oracles import (direct_correlation_derivatives, direct_klg, gaps, point_klg,
+from oracles import (direct_correlation_derivatives, direct_klg, gaps, point_klg, propagator,
                      two_time_correlation)
 
 
@@ -91,7 +91,7 @@ class TestCorrelation:
     def test_even_and_periodic(self, spin52, theta, b):
         meas = build_measurement(spin52, b)
         thetas = np.array([theta, -theta, theta + 2 * math.pi])
-        c, c_neg, c_shift = _series(spin52, meas.weights[None], thetas, 0)[0]
+        c, c_neg, c_shift = _series(spin52, _coefficients(spin52, meas.weights[None]), thetas, 0)[0]
         assert c_neg == pytest.approx(c, abs=1e-12)
         assert c_shift == pytest.approx(c, abs=1e-10)
 
@@ -144,7 +144,7 @@ def _check_against_mpmath(two_j):
                     mpmath.fsum(w * cos for n, w, cos, sin in terms),
                     -mpmath.fsum(w * n * sin for n, w, cos, sin in terms),
                     -mpmath.fsum(w * n * n * cos for n, w, cos, sin in terms))])
-        columns = [_series(sys, meas.weights[None], np.array([theta]), 0)[0],
+        columns = [_series(sys, _coefficients(sys, meas.weights[None]), np.array([theta]), 0)[0],
                    *derivative_columns(sys, meas, theta)]
         sums = [float(np.sum(meas.weights * g ** p)) / d for p in range(4)]
         for p, ((value,), exact, float_phases) in enumerate(zip(columns, *truths)):
@@ -193,8 +193,8 @@ class TestDerivatives:
             b = rng.uniform(0, 1)
             theta = rng.uniform(-3, 3)
             meas = build_measurement(spin52, b)
-            c, cp, cm = _series(spin52, meas.weights[None], np.array([theta, theta + h, theta - h]),
-                                0)[0]
+            c, cp, cm = _series(spin52, _coefficients(spin52, meas.weights[None]),
+                                np.array([theta, theta + h, theta - h]), 0)[0]
             (c1,), (c2,) = derivative_columns(spin52, meas, theta)
             assert c1 == pytest.approx((cp - cm) / (2 * h), abs=1e-6)
             assert c2 == pytest.approx((cp - 2 * c + cm) / h ** 2, abs=1e-6)
@@ -350,6 +350,21 @@ class TestMaxViolation:
             orders = [args[3] for args in calls]
             assert 1 <= orders.count(1) == orders.count(2) <= 6
 
+    @pytest.mark.parametrize("two_j", [255, 257, 401])
+    def test_one_fold_per_call(self, monkeypatch, two_j):
+        """_coefficients runs once per max_violation call and once per _rows call, whose grid
+        here holds the C^2 = 1 columns 0 and pi (so C'' is summed too); up to two_j = 255 it
+        returns the weights themselves, above it folds them into d harmonic coefficients."""
+        sys = make_spin_system(two_j)
+        meas = build_measurement(sys, 1.0)
+        calls = count_calls(monkeypatch, lgmet.correlations._coefficients)
+        max_violation(sys, meas, 0.0, 3 * math.pi / sys.dim, 32)
+        assert len(calls) == 1
+        rows = rows_at(sys, meas, [0.0, 0.4, math.pi])
+        assert len(calls) == 2 and rows.F[0] > 0.0
+        coefs = lgmet.correlations._coefficients(sys, meas.weights[None])
+        assert coefs.shape == (1, sys.dim ** 2 if two_j == 255 else sys.dim)
+
     @pytest.mark.parametrize("two_j", [5, 51, 201])
     @pytest.mark.parametrize("b", [1.0, 0.95])
     def test_refinement_reaches_oracle_maximum(self, two_j, b):
@@ -421,7 +436,8 @@ class TestMaxViolation:
         sys = make_spin_system(1)
         meas = build_measurement(sys, 0.97)
         grid = np.linspace(0.0, 2 * math.pi, 2 ** 18 + 1)
-        true_max = float(np.max(np.abs(_correlation_klg(sys, meas.weights[None], grid)[1])))
+        coefs = _coefficients(sys, meas.weights[None])
+        true_max = float(np.max(np.abs(_correlation_klg(sys, coefs, grid)[1])))
         try:
             k_max = max_violation(sys, meas, -1e307, 1e307, 16)[1]
         except ValueError:
@@ -464,6 +480,18 @@ class TestKlgKernel:
             for theta in (1.0 / sys.dim, 3 * math.pi / sys.dim, 0.95 * math.pi, -7.0, 999.9):
                 error, bound = _kernel_klg_error(sys, meas, theta)
                 assert error <= bound
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 51, 200, 201])
+    def test_matches_dense_propagator(self, two_j):
+        """Q against (3 |U(theta)|^2 - |U(3 theta)|^2) / d from the complex propagator, entry
+        by entry within 16 eps / sqrt(d): d = 2, and the self-paired lam = 0 column of
+        integer spin."""
+        sys = make_spin_system(two_j)
+        bound = 16 * np.finfo(float).eps / math.sqrt(sys.dim)
+        for theta in (0.0, 1e-7, 0.37, -1.3, 2.5, math.pi, 1e3, -1e3):
+            dense = (3.0 * np.abs(propagator(sys, theta)) ** 2
+                     - np.abs(propagator(sys, 3.0 * theta)) ** 2) / sys.dim
+            assert np.max(np.abs(_klg_kernel(sys, theta) - dense)) <= bound
 
 
 class TestCommonExtremumTheorem:

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lgmet import InconsistentCorrelationError, build_measurement, make_spin_system, max_violation
 import lgmet.correlations
 import lgmet.estimation
-from lgmet.correlations import _correlation_klg, _series
+from lgmet.correlations import _coefficients, _correlation_klg, _series
 from lgmet.estimation import _fisher, _qfi, _rows
 from conftest import narrow_blocks, random_partition
 from oracles import (direct_correlation, direct_correlation_derivatives, direct_klg, gaps,
@@ -94,10 +94,11 @@ def test_point_functions(setup, theta, rows):
     patched budget.  Bit-equal to the direct sums on the Toeplitz route; on the coefficient
     route (d coefficients per vecdot) within _bounds, five times the C bound for K_LG."""
     sys, meas = _measurement(setup)
-    w, t = meas.weights[None], np.array([theta])
+    t = np.array([theta])
     with narrow_blocks(sys, rows=rows) as mp:
         budget = lgmet.correlations.BLOCK_ELEMENTS
         operands = _record_operands(mp)
+        w = _coefficients(sys, meas.weights[None])
         (c,), (c3,) = _series(sys, w, t, 0)[0], _series(sys, w, 3.0 * t, 0)[0]
         (c1,), (c2,) = _series(sys, w, t, 1)[0], _series(sys, w, t, 2)[0]
         (c_k,), (k_lg,) = (column[0] for column in _correlation_klg(sys, w, [theta]))
@@ -199,7 +200,7 @@ def test_coefficient_route_bounded_at_large_spin():
         for order in (0, 1, 2):
             tracemalloc.start()
             try:
-                out = _series(sys, meas.weights[None], grid, order)
+                out = _series(sys, _coefficients(sys, meas.weights[None]), grid, order)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

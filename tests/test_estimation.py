@@ -8,7 +8,7 @@ import pytest
 
 from lgmet import build_measurement, make_spin_system, max_violation
 import lgmet.estimation
-from lgmet.correlations import _block_size, _correlation_klg
+from lgmet.correlations import _block_size, _coefficients, _correlation_klg
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import PartitionSpec, _a_diags, _weights, resolve_partition
 from lgmet.scan import RunConfig, sweep, violation_threshold_b
@@ -308,7 +308,8 @@ def _violation_threshold_b(sys, meas, theta):
 # columns its route yields: C with K_LG, F of one row, a block of two b.
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307, 1e16])
 @pytest.mark.parametrize("fn", [
-    pytest.param(lambda s, m, t: _correlation_klg(s, m.weights[None], [t]), id="correlation"),
+    pytest.param(lambda s, m, t: _correlation_klg(s, _coefficients(s, m.weights[None]), [t]),
+                 id="correlation"),
     pytest.param(point_klg, id="klg_equal_interval"),
     pytest.param(rows_at, id="fisher_from_correlation"),
     pytest.param(lambda s, m, t: _rows(s, [m.b] * 2, np.stack([m.a_diag] * 2),
@@ -332,7 +333,7 @@ def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
 
 
 @pytest.mark.parametrize("fn", [
-    lambda s, m: _correlation_klg(s, m.weights[None], [0.3]),
+    lambda s, m: _correlation_klg(s, _coefficients(s, m.weights[None]), [0.3]),
     lambda s, m: point_klg(s, m, 0.3),
     lambda s, m: rows_at(s, m, 0.3),
     lambda s, m: max_violation(s, m, 0.0, 1.0),

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgmet import build_measurement, format_partition, make_spin_system, parse_partition
-from lgmet.measurement import (NoisyDichotomicMeasurement, PartitionSpec, _a_diags, _weights,
-                               resolve_partition)
+from lgmet.correlations import _coefficients, _series
+from lgmet.measurement import (LEVEL_CUTOFF, NoisyDichotomicMeasurement, PartitionSpec, _a_diags,
+                               _weights, resolve_partition)
 import lgmet.measurement
 from conftest import count_calls, random_partition, rows_at, sign_partition
 from oracles import DegenerateOutcomeError, dense_jx, prepared_state, qfi_of_state
@@ -227,7 +228,8 @@ def test_weights_match_complex_dense_route(two_j):
 @pytest.mark.parametrize("two_j, count", [(1, 7), (2, 5), (5, 11), (12, 3), (51, 5), (201, 3),
                                           (401, 2)])
 def test_stacked_weights_bit_equal_to_one_matmul_per_b(two_j, count):
-    """Each row of a (B, d^2) weight stack is the 2-D matmul of its own diagonal, bit for bit."""
+    """Each row of a (B, d^2) weight stack is _weights of its own diagonal, bit for bit, and
+    the 2-D matmul over all of V where the diagonal keeps every level."""
     sys = make_spin_system(two_j)
     partition = random_partition(np.random.default_rng(two_j), two_j)
     bs = [0.0, 1.0, *np.random.default_rng(count).uniform(0.0, 1.0, count - 2)]
@@ -236,4 +238,61 @@ def test_stacked_weights_bit_equal_to_one_matmul_per_b(two_j, count):
     stacked = _weights(sys, a_diags)
     assert stacked.shape == (count, sys.dim ** 2)
     for a, row in zip(a_diags, stacked):
-        assert row.tobytes() == (((v.T * a) @ v) ** 2).ravel().tobytes()
+        assert row.tobytes() == _weights(sys, a[None])[0].tobytes()
+        if np.all(np.abs(a) >= LEVEL_CUTOFF * np.max(np.abs(a))):
+            assert row.tobytes() == (((v.T * a) @ v) ** 2).ravel().tobytes()
+
+
+def _check_truncation(sys, a_diags, thetas):
+    """Weights of the kept levels against the product over all of V: bit-equal where no level
+    is dropped, else C within 2^-59 sqrt(d) max|a|^2 at every theta; returns the dropped count
+    of each diagonal."""
+    v = sys.eigenvectors
+    full = ((v.T * a_diags[:, None, :]) @ v) ** 2
+    truncated = _weights(sys, a_diags)
+    c_full = _series(sys, _coefficients(sys, full.reshape(len(a_diags), -1)), thetas, 0)
+    c = _series(sys, _coefficients(sys, truncated), thetas, 0)
+    dropped = []
+    for a, w, w_full, row, row_full in zip(a_diags, truncated, full, c, c_full):
+        size = np.abs(a)
+        dropped.append(int(np.sum(size < LEVEL_CUTOFF * size.max())))
+        if not dropped[-1]:
+            assert w.tobytes() == w_full.ravel().tobytes()
+        assert np.max(np.abs(row - row_full)) <= 2.0 ** -59 * np.sqrt(sys.dim) * size.max() ** 2
+    return dropped
+
+
+@pytest.mark.parametrize("two_j", [51, 201, 401, 801])
+def test_level_truncation_bound_at_large_spin(two_j):
+    """The default partition at b 0.3, 0.9, 0.94, 0.99 and 1, over 64 thetas on [0, pi]."""
+    sys = make_spin_system(two_j)
+    a_diags = _a_diags(resolve_partition(two_j, None), [0.3, 0.9, 0.94, 0.99, 1.0])
+    dropped = _check_truncation(sys, a_diags, np.linspace(0.0, np.pi, 64))
+    assert dropped[0] > 0 and dropped[-1] == 0
+
+
+@st.composite
+def gapped_partitions(draw):
+    """(two_j, partition) whose every block center lies outside the block, on the m lattice
+    next to one of its ends, so no level has gap 0 and max|a| < 1 for b < 1."""
+    two_j = draw(st.integers(2, 60))
+    ladder = [two_j - 2 * k for k in range(two_j + 1)]
+    cuts = sorted(draw(st.sets(st.integers(1, two_j), min_size=1, max_size=6)))
+    blocks = []
+    for lo, hi in zip([0, *cuts], [*cuts, two_j + 1]):
+        run = ladder[lo:hi]
+        two_mu = run[0] + 2 if lo > 0 else run[-1] - 2  # a neighbour outside the run
+        blocks.append((two_mu, tuple(run)))
+    return two_j, PartitionSpec(tuple(blocks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup=gapped_partitions(),
+       b=st.one_of(st.sampled_from([0.0, 1.0, 0.01, 0.3]), st.floats(0.0, 1.0)),
+       theta=st.floats(-4.0, 4.0))
+def test_level_truncation_bound_without_zero_gap(setup, b, theta):
+    two_j, partition = setup
+    gaps = resolve_partition(two_j, partition)
+    assert min(gaps) > 0
+    _check_truncation(make_spin_system(two_j), _a_diags(gaps, [b, b ** 0.5]),
+                      np.array([0.0, theta, np.pi]))
