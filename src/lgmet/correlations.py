@@ -2,12 +2,13 @@
 
 C(theta) = (1/d) Tr[A U(theta) A U(-theta)] = (1/d) sum_kl W_kl cos((k - l) theta), with
 the measurement's weights W = (V^T A V)^2 over the J_x eigenvectors V.  _coefficients
-prepares a stack of weights (one per b) once per caller, and _series sums C, C' or C''
-from it over a theta grid: direct d^2 sums through Toeplitz tables while d^2 fits
-BLOCK_ELEMENTS (two_j <= 255), d harmonic coefficients above.  _correlation_klg gives C
-and K_LG = 3 C(theta) - C(3 theta) to the sweep rows and max_violation; _klg_kernel is
-K_LG at one theta as a quadratic form in the observable diagonal.  A non-finite theta, or
-one whose largest phase 3 |theta| (d - 1) overflows or reaches 2**54, is a ValueError.
+prepares a stack of weights (one per b) once per caller, by the one route rule d^2 <=
+BLOCK_ELEMENTS (two_j <= 255): the d^2 weights themselves, else d harmonic coefficients;
+_series sums C, C' or C'' from either over a theta grid, by the width it is given.
+_correlation_klg gives C and K_LG = 3 C(theta) - C(3 theta) to the sweep rows and
+max_violation; _klg_kernel is K_LG at one theta as a quadratic form in the observable
+diagonal.  A non-finite theta, or one whose largest phase 3 |theta| (d - 1) overflows or
+reaches 2**54, is a ValueError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from .spin import SpinSystem
 
 # Largest number of values in a _series table or buffer, and in a b block's weight
 # stack: 512 KiB at every spin, so that a table and the weights it meets stay in L2.
-# A Toeplitz table holds BLOCK_ELEMENTS // d^2 thetas, a trig table BLOCK_ELEMENTS // d.
+# The route rule: the d^2 weights are summed directly while d^2 fits (two_j <= 255),
+# d coefficients above; a table holds BLOCK_ELEMENTS // d^2 or // d thetas.
 BLOCK_ELEMENTS = 2 ** 16
 
 # Largest grid count, for every "lo:hi:count" sweep grid and every
@@ -35,12 +37,6 @@ MAX_NEWTON_STEPS = 64
 # Bound on the largest phase 3 |theta| (d - 1): from 2**54 on, the float spacing
 # of a phase is 4 or more, past pi, so its cos and sin are rounding noise.
 MAX_PHASE = 2.0 ** 54
-
-
-def _block_size(sys: SpinSystem) -> int:
-    """Rows of d^2 values per block: b values per weight stack in scan.sweep (one from
-    two_j = 255 on), and, while d^2 fits the budget, the thetas per Toeplitz table."""
-    return max(1, BLOCK_ELEMENTS // sys.dim ** 2)
 
 
 def _check_phases(dim: int, thetas) -> None:
@@ -60,22 +56,9 @@ def _check_phases(dim: int, thetas) -> None:
                          "float spacing of a phase passes pi" % (float(thetas[bad][0]), dim - 1))
 
 
-def _toeplitz(table: np.ndarray) -> np.ndarray:
-    """C-contiguous (T, d^2) Toeplitz copy of a (T, 2d - 1) table over the descending
-    frequencies d - 1, ..., -(d - 1): [t, k d + l] = table[t, d - 1 - k + l], the value at
-    frequency k - l.  One reshape copies that strided view, offsets checked; with the
-    frequencies descending its inner (l) axis reads forward, in contiguous runs.
-    """
-    table = np.ascontiguousarray(table)
-    t, d, step = len(table), (table.shape[1] + 1) // 2, table.itemsize
-    view = np.ndarray((t, d, d), table.dtype, table, (d - 1) * step,
-                      (table.strides[0], -step, step))
-    return view.reshape(t, d * d)
-
-
 def _coefficients(sys: SpinSystem, weights: np.ndarray) -> np.ndarray:
     """What _series sums for a (B, d^2) weight stack, formed once per caller for all its orders
-    and thetas: the weights while d^2 fits BLOCK_ELEMENTS, else the (B, d) c_n + c_-n
+    and thetas, by the route rule: the weights themselves, else the (B, d) c_n + c_-n
     (n = d - 1, ..., 1) and c_0, c_n = sum_{k - l = n} w_kl: rows k go, BLOCK_ELEMENTS //
     (2d - 1) at a time, into a zeroed buffer at [k, d - 1 - k + l], one frequency per column,
     and the chunks' column sums over the band they fill are added in row order.  ValueError
@@ -105,19 +88,19 @@ def _series(sys: SpinSystem, coefs: np.ndarray, thetas: np.ndarray, order: int) 
     """(B, T) order-th theta-derivatives (order 0, 1 or 2) of the sums
     sum_kl w[:, k d + l] cos((k - l) theta) / d of a (B, d^2) stack w, from _coefficients(w).
     The term cos(n theta), -n sin(n theta) or -n^2 cos(n theta) is even in n, so the trig
-    is taken per theta block on the d frequencies n >= 0 alone.  While d^2 fits
-    BLOCK_ELEMENTS, the terms are mirrored to -n (bit for bit) and copied by _toeplitz, so
-    each sum is the direct d^2 sum bit for bit, as the figures' sha256 digests pin until a
-    truth gate lets them be re-based; above, a copy of the d coefficients is scaled by -n
-    or -n^2: O(d) per (b, theta).  np.vecdot runs the ddot of np.dot per (b, theta), so a
-    value does not depend on its grid (a gemv or gemm sums in an order that does).  Tables
-    and buffers hold at most BLOCK_ELEMENTS values; _correlation_klg checks thetas.
+    is taken per theta block on the d frequencies n >= 0 alone.  Given d^2 weights, the
+    terms are mirrored to -n (bit for bit) and copied into a Toeplitz table, so each sum is
+    the direct d^2 sum bit for bit, as the figures' sha256 digests pin until a truth gate
+    lets them be re-based; given d coefficients, a copy of them is scaled by -n or -n^2:
+    O(d) per (b, theta).  np.vecdot runs the ddot of np.dot per (b, theta), so a value
+    does not depend on its grid (a gemv or gemm sums in an order that does).  Tables and
+    buffers hold at most BLOCK_ELEMENTS values; _correlation_klg checks thetas.
     """
-    d, toeplitz = sys.dim, sys.dim ** 2 <= BLOCK_ELEMENTS
+    d, width = sys.dim, coefs.shape[-1]
+    toeplitz, step = width == d * d, max(1, BLOCK_ELEMENTS // width)
     descending = np.arange(d - 1.0, -1.0, -1.0)
     trig, scale = (np.sin, -descending) if order == 1 else (np.cos, -descending ** 2)
     coefs = coefs * scale if order and not toeplitz else coefs  # a copy: callers reuse theirs
-    step = max(1, BLOCK_ELEMENTS // (d * d if toeplitz else d))
     out = np.empty((len(coefs), len(thetas)))
     buffer = np.empty((min(step, len(thetas)), 2 * d - 1 if toeplitz else d))
     for start in range(0, len(thetas), step):
@@ -129,7 +112,10 @@ def _series(sys: SpinSystem, coefs: np.ndarray, thetas: np.ndarray, order: int) 
             if order:
                 half *= scale
             table[:, d:] = half[:, -2::-1]
-            table = _toeplitz(table)
+            # [t, k, l] = table[t, d - 1 - k + l], the term at frequency k - l, its inner (l)
+            # axis read forward; one reshape copies the strided view, offsets checked
+            table = np.ndarray((len(block), d, d), float, table, (d - 1) * 8,
+                               (table.strides[0], -8, 8)).reshape(len(block), d * d)
         else:
             trig(np.multiply.outer(block, descending, out=table), out=table)
         out[:, start:start + step] = np.vecdot(table, coefs[:, None])

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
-from .correlations import MAX_GRID_COUNT, _block_size, _check_phases, _klg_kernel
+from . import __version__, correlations
+from .correlations import MAX_GRID_COUNT, _check_phases, _klg_kernel
 from .estimation import COLUMNS, _rows
 from .measurement import PartitionSpec, _a_diags, _weights, format_partition, resolve_partition
 from .spin import _check_two_j, make_spin_system
@@ -123,7 +123,8 @@ def sweep(kind: str, config: RunConfig) -> ScanTable:
                          % (kind, " and ".join("a single --" + flag for flag in single)))
     gaps = resolve_partition(config.two_j, config.partition)
     sys = make_spin_system(config.two_j)
-    bs, step = config.b_values, _block_size(sys)
+    # b values per weight stack: d^2 each within the budget, one from two_j = 255 on
+    bs, step = config.b_values, max(1, correlations.BLOCK_ELEMENTS // sys.dim ** 2)
     blocks = []
     for start in range(0, bs.size, step):
         block = bs[start:start + step]

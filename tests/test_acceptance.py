@@ -1,7 +1,8 @@
 """Acceptance suite: one test per quantitative claim, printed pass/fail lines.
 
 Everything runs on spin 5/2 (two_j=5, d=6), except the contour limit of criterion 5,
-which runs over both spin parities.
+which runs over both spin parities, and the large-spin limit of the weakest violating
+measurement.
 """
 
 import math
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from lgmet import build_measurement, max_violation
 from lgmet.scan import RunConfig, reproduce_figure, sweep, violation_threshold_b
@@ -84,6 +86,27 @@ def test_criterion_5_contour_limit(two_j, limit):
           % (two_j, deviation[1e-2], deviation[1e-3]))
     _verdict(5, "F/F_Q on the violation contour tends to r/(2d) = %s like theta^2" % limit,
              0.0 < deviation[1e-3] <= 2e-5 and 90 <= deviation[1e-2] / deviation[1e-3] <= 110)
+
+
+def test_weakest_violation_large_spin_limit():
+    """The smallest b that still violates, b* = min over theta of the threshold, converges
+    at large spin: with b = exp(-1 / (2 sigma^2)), sigma*/j, theta* d and F/F_Q at (b*, theta*)
+    tend to about 1.2011, 1.0847 and 0.42546, each moving less from two_j = 201 to 401 than
+    from 51 to 201."""
+    limits = {}
+    for two_j in (51, 201, 401):
+        d = two_j + 1
+        best = minimize_scalar(lambda x: violation_threshold_b(two_j, x / d, tol=1e-13),
+                               bounds=(0.6, 1.8), method="bounded", options={"xatol": 1e-8})
+        (row,) = sweep("report", RunConfig(two_j, [best.fun], [best.x / d])).rows
+        sigma = (-2.0 * math.log(best.fun)) ** -0.5
+        limits[two_j] = np.array([best.x, sigma / (two_j / 2), row.F_ratio])
+        print("two_j=%d: theta* d = %.6g, sigma*/j = %.6g, F/F_Q = %.6g, j^2 (1 - b*) = %.4g"
+              % (two_j, *limits[two_j], (two_j / 2) ** 2 * (1.0 - best.fun)))
+    near = np.abs(limits[401] - [1.0847, 1.2011, 0.42546]) <= 1e-4
+    shrinking = np.abs(limits[401] - limits[201]) < np.abs(limits[201] - limits[51])
+    _verdict(11, "theta* d, sigma*/j and F/F_Q of the weakest violation converge in two_j",
+             bool(near.all() and shrinking.all()))
 
 
 def test_criterion_6_near_optimal_needs_violation(phase_map_table):

@@ -52,9 +52,11 @@ def _record_operands(mp) -> list:
     return operands
 
 
-def _toeplitz_route(sys, rows) -> bool:
-    """Whether narrow_blocks(sys, rows=rows) leaves d^2 within the budget."""
-    return rows is None or rows >= sys.dim
+def _toeplitz_route(sys, meas, rows) -> bool:
+    """Whether the sums take the Toeplitz route under narrow_blocks(sys, rows=rows): whether
+    _coefficients then hands _series the d^2 weights, not d coefficients."""
+    with narrow_blocks(sys, rows=rows):
+        return _coefficients(sys, meas.weights[None]).shape[-1] == sys.dim ** 2
 
 
 def _bounds(sys, meas) -> list[float]:
@@ -108,7 +110,7 @@ def test_point_functions(setup, theta, rows):
     got = [c, c3, c1, c2, k_lg]
     want = [direct_correlation(sys, meas, theta), direct_correlation(sys, meas, 3.0 * theta),
             *direct_correlation_derivatives(sys, meas, theta)[1:], direct_klg(sys, meas, theta)]
-    if _toeplitz_route(sys, rows):
+    if w.shape[-1] == sys.dim ** 2:
         assert _bits(got) == _bits(want)
     else:
         assert all(call[1][1] == sys.dim for call in operands)
@@ -126,7 +128,7 @@ def test_rows(setup, points, lo, hi, count, rows):
     sys, meas = _measurement(setup)
     grid = points + list(np.linspace(lo, hi, count))
     f_q = _qfi(sys, meas.a_diag[None])[0]
-    exact = _toeplitz_route(sys, rows)
+    exact = _toeplitz_route(sys, meas, rows)
     try:
         expected = []
         for theta in grid:
@@ -172,7 +174,7 @@ def test_max_violation_grid(setup, lo, span, grid_points, rows):
     grid = np.linspace(lo, hi, grid_points)
     values = [abs(direct_klg(sys, meas, theta)) for theta in grid]
     assert len(seen) == 1
-    if _toeplitz_route(sys, rows):
+    if _toeplitz_route(sys, meas, rows):
         assert _bits(seen[0]) == _bits(values)
     else:
         _assert_close(seen[0], values, [5.0 * _bounds(sys, meas)[0]] * grid_points)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from lgmet import build_measurement, make_spin_system, max_violation
+import lgmet.correlations
 import lgmet.estimation
-from lgmet.correlations import _block_size, _coefficients, _correlation_klg
+from lgmet.correlations import _coefficients, _correlation_klg
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import PartitionSpec, _a_diags, _weights, resolve_partition
 from lgmet.scan import RunConfig, sweep, violation_threshold_b
@@ -234,7 +235,7 @@ class TestQfiPerBlock:
         rng = np.random.default_rng(two_j)
         sys = make_spin_system(two_j)
         partition = random_partition(rng, two_j)
-        step = _block_size(sys)
+        step = max(1, lgmet.correlations.BLOCK_ELEMENTS // sys.dim ** 2)  # b values per block
         for size in sorted({1, min(2, step), min(7, step), step}):
             bs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(0, size - 2))])[:size]
             a_diags = _a_diags(resolve_partition(sys.two_j, partition), bs)
@@ -248,7 +249,7 @@ class TestQfiPerBlock:
     def test_one_qfi_evaluation_per_b_block(self, two_j, monkeypatch):
         calls = count_calls(monkeypatch, lgmet.estimation._qfi)
         sweep("scan-b", RunConfig(two_j, np.linspace(0.0, 1.0, 201), [0.95 * math.pi]))
-        # _block_size is 1820 b values at two_j = 5 and 24 at two_j = 51
+        # a b block is 1820 b values at two_j = 5 and 24 at two_j = 51
         assert [a_diags.shape[0] for _, a_diags in calls] == {5: [201], 51: [24] * 8 + [9]}[two_j]
 
 
@@ -304,8 +305,10 @@ def _violation_threshold_b(sys, meas, theta):
     return violation_threshold_b(sys.two_j, theta)
 
 
-# Each case reaches the theta check through another caller or block shape; an id names the
-# columns its route yields: C with K_LG, F of one row, a block of two b.
+# Each case reaches the theta check through another caller or block shape.  Three ids keep
+# the names of the deleted functions whose routes they replaced, so that the case names stay
+# stable: klg_equal_interval calls oracles.point_klg (C with K_LG), fisher_from_correlation
+# conftest.rows_at (F of one row), estimation_report a _rows block of two b.
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307, 1e16])
 @pytest.mark.parametrize("fn", [
     pytest.param(lambda s, m, t: _correlation_klg(s, _coefficients(s, m.weights[None]), [t]),
@@ -332,6 +335,7 @@ def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
                 fn(sys, meas, theta)
 
 
+# ids as in test_non_finite_theta_rejected_without_warning
 @pytest.mark.parametrize("fn", [
     lambda s, m: _correlation_klg(s, _coefficients(s, m.weights[None]), [0.3]),
     lambda s, m: point_klg(s, m, 0.3),

@@ -1,8 +1,10 @@
-"""The public API and the benchmark's entry points resolve, the runtime
-package imports only the standard library, numpy and itself (never tests/),
-and the spin system and measurement hold only real arrays."""
+"""The public API and the benchmark's entry points resolve, every runtime
+function has a caller, the runtime package imports only the standard library,
+numpy and itself (never tests/), and the spin system and measurement hold
+only real arrays."""
 
 import ast
+import collections
 import dataclasses
 import importlib
 import pathlib
@@ -21,17 +23,49 @@ def test_every_export_resolves():
     assert missing == []
 
 
+BENCHMARK_MODULES = {"cli", "scan", "correlations", "measurement", "spin"}
+
+
+def _benchmark_attributes() -> set:
+    """(module, attribute) for every lgmet module attribute that bench/workloads.py uses."""
+    tree = ast.parse((TESTS.parent / "bench" / "workloads.py").read_text())
+    return {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in BENCHMARK_MODULES}
+
+
 def test_benchmark_names_resolve():
     """Every lgmet module attribute that bench/workloads.py uses exists."""
-    modules = {"cli", "scan", "correlations", "measurement", "spin"}
-    tree = ast.parse((TESTS.parent / "bench" / "workloads.py").read_text())
-    used = {(node.value.id, node.attr) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in modules}
-    assert {module for module, _ in used} == modules
+    used = _benchmark_attributes()
+    assert {module for module, _ in used} == BENCHMARK_MODULES
     missing = [module + "." + attr for module, attr in sorted(used)
                if not hasattr(importlib.import_module("lgmet." + module), attr)]
     assert missing == []
+
+
+def _names(tree):
+    """Every name that tree reads, calls, imports or takes as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_no_orphan_function():
+    """Every function defined in the runtime package is referenced there outside its own
+    body, or is a module attribute that bench/workloads.py uses: no dead helper stays."""
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    references = collections.Counter(name for tree in trees for name in _names(tree))
+    benchmark = {attr for _, attr in _benchmark_attributes()}
+    orphans = sorted(node.name for tree in trees for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not (node.name.startswith("__") and node.name.endswith("__"))
+                     and node.name not in benchmark
+                     and references[node.name] == collections.Counter(_names(node))[node.name])
+    assert orphans == []
 
 
 def _runtime_imports():

@@ -224,10 +224,6 @@ class TestScans:
         keys = [(r.b, r.theta) for r in table.rows]
         assert keys == sorted(keys)
 
-    def test_violation_threshold_bisection(self):
-        b_star = violation_threshold_b(5, 0.95 * math.pi, tol=1e-4)
-        assert 0.93 <= b_star <= 0.95
-
 
 def _bench_theta_star(two_j):
     """theta* at b = 1 as the threshold_search benchmark finds it: [0, 3 pi / d], 32 points."""

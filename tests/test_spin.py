@@ -10,10 +10,9 @@ from scipy.linalg import expm
 
 import lgmet.spin
 from lgmet import make_spin_system
-from lgmet.correlations import _toeplitz
 from lgmet.scan import RunConfig
 from lgmet.spin import MAX_TWO_J, _check_two_j
-from oracles import dense_jx, gaps, ladder, propagator
+from oracles import dense_jx, ladder, propagator
 
 
 class TestMakeSpinSystem:
@@ -44,22 +43,6 @@ class TestMakeSpinSystem:
         pivot = np.argmax(np.abs(vecs), axis=0), np.arange(two_j + 1)
         signs = np.sign(vecs[pivot] * ref.real[pivot])
         assert np.array_equal(vecs * signs, ref.real)
-
-    @pytest.mark.parametrize("two_j", [1, 2, 4, 5, 12])
-    def test_toeplitz_table(self, two_j):
-        # the strided copy puts frequency k - l at (k, l) of a table over descending
-        # frequencies; sin is odd, so a transpose shows
-        sys = make_spin_system(two_j)
-        frequencies = np.arange(two_j, -two_j - 1.0, -1.0)
-        thetas = np.array([0.3, -1.7, 2.9, 1e-3, 11.0, 0.0])
-        table = np.sin(np.multiply.outer(thetas, frequencies))
-        expected = np.sin(np.multiply.outer(thetas, gaps(sys)))
-        for rows in (slice(0, 1), slice(0, 3), slice(None, None, 2)):
-            assert table[rows].flags.c_contiguous == (rows.step is None)
-            out = _toeplitz(table[rows])
-            assert out.flags.c_contiguous
-            assert np.array_equal(out, expected[rows])
-        assert np.array_equal(_toeplitz(frequencies[None])[0], gaps(sys))
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_rejects_bad_two_j(self, bad):

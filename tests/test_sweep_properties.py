@@ -99,7 +99,7 @@ def test_scan_b_walks_the_partition_once(monkeypatch, two_j, partition):
                        None if partition is None else parse_partition(partition))
     sweep("scan-b", config)
     assert len(walks) == 1
-    # _block_size is 24 b values at two_j = 51, and more than 201 at two_j = 4
+    # a b block is 24 b values at two_j = 51, and more than 201 at two_j = 4
     assert [len(b_values) for _, b_values in stacks] == {51: [24] * 8 + [9], 4: [201]}[two_j]
 
 
