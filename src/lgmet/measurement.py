@@ -22,7 +22,15 @@ from .spin import SpinSystem
 # Levels with |a_k| < LEVEL_CUTOFF max|a| leave the weight product.  V is orthogonal, so each
 # entry of V^T A V moves by at most LEVEL_CUTOFF max|a|, and, as the Frobenius norms of the
 # dropped part and of V^T A V are at most sqrt(d) times that and sqrt(d) max|a|, C = sum_kl
-# W_kl cos / d by at most 2 LEVEL_CUTOFF max|a|^2 = 2^-59 max|a|^2 <= 2^-59 sqrt(d) max|a|^2.
+# W_kl cos / d by at most 2 LEVEL_CUTOFF max|a|^2 = 2^-59 max|a|^2 <= 2^-59 sqrt(d) max|a|^2
+# in exact arithmetic.  The truncated and the full gemms have different shapes and round
+# differently; as W >= 0, sum_kl W_kl = sum_k a_k^2 scales that rounding.  To first order in
+# u = 2^-53, a gemm's |dM| <= (d+1) u |V|^T |A| |V| gives sum_kl |dW_kl| <= sum_kl 2 |M dM|
+# <= 2 (d+1) u |a|_1 |a|_2 <= 2 (d+1) sqrt(d) u sum_k a_k^2 (the rows of V have unit norm),
+# squaring adds u sum_k a_k^2 and the d^2-term sum over the same cos table d^2 u sum_k a_k^2,
+# and C divides them by d: it rounds by at most (d + 2 sqrt(d) + 4) u sum_k a_k^2 per route, so
+# the two computed C differ by at most a further (d + 2 sqrt(d) + 4) eps sum_k a_k^2, with
+# eps = 2^-52.  (At d = 5 and b = 2^-23 they differ by 2 ulps of C = 5.7e-15, 1.6e-30.)
 LEVEL_CUTOFF = 2.0 ** -60
 
 

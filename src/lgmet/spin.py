@@ -15,8 +15,15 @@ import numpy as np
 STRUCTURAL_TOL = 1e-10
 
 # Largest two_j: each d x d float64 array of a spin build (d = 4096 at most)
-# then takes at most 128 MiB, and the few that a build holds fit in memory.
+# then takes at most 128 MiB, and the few that a build holds fit in memory: at
+# 4095 the d x d result and two h x h = d^2/4 arrays of the mirror block (227 MiB
+# peak resident in a fresh process, numpy 2.4 on x86-64), at 4094 two d x d arrays
+# of the full solve, its eigenvectors and their C-ordered copy (298 MiB).
 MAX_TWO_J = 4095
+
+# dstedc's SMLSIZ: up to this dimension it runs dsteqr on the whole matrix, so a half-size
+# mirror block saves nothing there; integer spin and these dimensions take the full solve.
+FULL_SOLVE_DIM = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,14 +57,14 @@ def _check_two_j(two_j) -> int:
 
 @functools.cache
 def _dstevd():
-    """eigh of a zero-diagonal symmetric tridiagonal matrix through LAPACK dstevd, or None.
+    """eigh of a symmetric tridiagonal matrix through LAPACK dstevd, or None.
 
-    The function takes the off-diagonal and returns (ascending eigenvalues,
-    C-contiguous eigenvectors as columns).  It calls the ILP64 OpenBLAS that
-    the numpy wheel ships and already loaded; None where no such library or
-    symbol is found.  np.linalg.eigh runs dsyevd, which on a tridiagonal
-    matrix is dsytrd with every reflector tau = 0, dstedc('I') on the same
-    diagonals, and an identity back-transform, so dstevd (dstedc alone)
+    The function takes the diagonal and the off-diagonal and returns (ascending
+    eigenvalues, eigenvectors as columns, a Fortran-ordered view).  It calls the
+    ILP64 OpenBLAS that the numpy wheel ships and already loaded; None where no
+    such library or symbol is found.  np.linalg.eigh runs dsyevd, which on a
+    tridiagonal matrix is dsytrd with every reflector tau = 0, dstedc('I') on the
+    same diagonals, and an identity back-transform, so dstevd (dstedc alone)
     returns the same bits without the two d^3 no-op passes.
     """
     import ctypes
@@ -73,19 +80,25 @@ def _dstevd():
     dstevd.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
     dstevd.restype = None
 
-    def solve(off: np.ndarray):
-        d = len(off) + 1
+    def solve(diag: np.ndarray, off: np.ndarray):
+        d = len(diag)
         n, lwork, liwork, info = (ctypes.c_int64(k) for k in (d, 1 + 4 * d + d * d, 3 + 5 * d, 0))
-        diag, sub, z = np.zeros(d), np.array(off, float), np.empty((d, d))  # dstevd overwrites sub
+        # dstevd overwrites both diagonals
+        diag, sub, z = np.array(diag, float), np.array(off, float), np.empty((d, d))
         work, iwork = np.empty(lwork.value), np.empty(liwork.value, np.int64)
         dstevd(b"V", ctypes.byref(n), diag.ctypes.data, sub.ctypes.data, z.ctypes.data,
                ctypes.byref(n), work.ctypes.data, ctypes.byref(lwork), iwork.ctypes.data,
                ctypes.byref(liwork), ctypes.byref(info), 1)
         if info.value != 0:
             raise np.linalg.LinAlgError("dstevd failed with info = %d" % info.value)
-        return diag, np.ascontiguousarray(z.T)  # z holds the eigenvectors column-major
+        return diag, z.T  # z holds the eigenvectors column-major
 
     return solve
+
+
+def _dense_eigh(diag: np.ndarray, off: np.ndarray):
+    """The fallback for _dstevd()'s solve: np.linalg.eigh of the dense tridiagonal matrix."""
+    return np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
 
 
 def make_spin_system(two_j: int) -> SpinSystem:
@@ -97,13 +110,41 @@ def make_spin_system(two_j: int) -> SpinSystem:
 
     # ladder element between m and m-1: (1/2) sqrt(j(j+1) - m(m-1))
     off = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
-    # J_x is real symmetric and tridiagonal with a zero diagonal: real eigenvectors
-    solve = _dstevd()
-    if solve is None:
-        vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    # J_x is real symmetric and tridiagonal with a zero diagonal: real eigenvectors;
+    # half-integer spin above FULL_SOLVE_DIM solves one half-size mirror block
+    solve = _dstevd() or _dense_eigh
+    if two_j % 2 == 0 or dim <= FULL_SOLVE_DIM:
+        vals, vecs = solve(np.zeros(dim), off)
+        vecs = np.ascontiguousarray(vecs)
     else:
-        vals, vecs = solve(off)
+        vals, vecs = _mirror_eigh(off, solve)
     # J_x spectrum is exactly {-j, ..., j}; eigh sorts ascending, so it is the ladder
     if np.max(np.abs(vals - (np.arange(dim) - j))) > STRUCTURAL_TOL:
         raise AssertionError("J_x eigenvalues deviate from the exact ladder")
     return SpinSystem(two_j, dim, off, vecs)
+
+
+def _mirror_eigh(off: np.ndarray, solve):
+    """(eigenvalues, C-contiguous eigenvectors) of J_x for even d from one h = d/2 block.
+
+    The mirror R: k -> d-1-k commutes with J_x, and the R-even vectors [u, u[::-1]]/sqrt(2)
+    carry J_x to the h x h tridiagonal block on off[:h-1] whose diagonal is zero but for its
+    last entry, off[h-1].  Its eigenvalues are the ladder's at the odd columns.  Z = diag((-1)^k)
+    anticommutes with J_x and maps R-even vectors to R-odd ones, so each even column is a sign
+    copy of an odd one: V[:, d-2-2i] = Z V[:, 2i+1], with no arithmetic.
+    """
+    dim = len(off) + 1
+    h = dim // 2
+    diag = np.zeros(h)
+    diag[-1] = off[h - 1]
+    block_vals, u = solve(diag, off[:h - 1])
+    vals = np.empty(dim)
+    vals[1::2] = block_vals
+    vals[::2] = -block_vals[::-1]
+    odd = u / np.sqrt(2.0)
+    vecs = np.empty((dim, dim))
+    vecs[:h, 1::2] = odd
+    vecs[:h, ::2] = odd[:, ::-1]
+    vecs[h:] = vecs[h - 1::-1]  # R-even odd columns; Z signs the even ones row by row
+    vecs[1::2, ::2] *= -1.0
+    return vals, vecs

@@ -11,8 +11,26 @@ from scipy.linalg import expm
 import lgmet.spin
 from lgmet import make_spin_system
 from lgmet.scan import RunConfig
-from lgmet.spin import MAX_TWO_J, _check_two_j
+from lgmet.spin import FULL_SOLVE_DIM, MAX_TWO_J, _check_two_j
 from oracles import dense_jx, ladder, propagator
+
+
+def mirror_assembly(off):
+    """J_x eigenvectors from np.linalg.eigh of the dense h x h R-even block of even d.
+
+    Columns 2i+1 are [u_i, reversed u_i]/sqrt(2); column d-2-2i is diag((-1)^k) times
+    column 2i+1.
+    """
+    d = len(off) + 1
+    h = d // 2
+    block = np.diag(off[:h - 1], 1) + np.diag(off[:h - 1], -1)
+    block[-1, -1] = off[h - 1]
+    u = np.linalg.eigh(block)[1]
+    odd = np.concatenate([u, u[::-1]]) / np.sqrt(2.0)
+    vecs = np.empty((d, d))
+    vecs[:, 1::2] = odd
+    vecs[:, ::2] = ((-1.0) ** np.arange(d)[:, None] * odd)[:, ::-1]
+    return vecs
 
 
 class TestMakeSpinSystem:
@@ -34,15 +52,20 @@ class TestMakeSpinSystem:
             recon = (vecs * vals) @ vecs.conj().T
             assert np.max(np.abs(recon - dense_jx(two_j))) <= 1e-10
 
-    @pytest.mark.parametrize("two_j", [1, 5, 51, 201])
+    @pytest.mark.parametrize("two_j", [1, 5, 51, 201, 401, 801])
     def test_real_eigenvectors_match_complex_eigh_up_to_sign(self, two_j):
+        # the full solve (d <= FULL_SOLVE_DIM) is eigh's bits; the mirror block is a
+        # different solve, so above it the columns agree to rounding
         vecs = make_spin_system(two_j).eigenvectors
         assert vecs.dtype == np.float64
         ref = np.linalg.eigh(dense_jx(two_j))[1]
         assert not ref.imag.any()
         pivot = np.argmax(np.abs(vecs), axis=0), np.arange(two_j + 1)
         signs = np.sign(vecs[pivot] * ref.real[pivot])
-        assert np.array_equal(vecs * signs, ref.real)
+        if two_j + 1 <= FULL_SOLVE_DIM:
+            assert np.array_equal(vecs * signs, ref.real)
+        else:
+            assert np.max(np.abs(vecs * signs - ref.real)) <= 1e-13
 
     @pytest.mark.parametrize("bad", [0, -1, 2.5])
     def test_rejects_bad_two_j(self, bad):
@@ -52,15 +75,48 @@ class TestMakeSpinSystem:
     @pytest.mark.parametrize("route", ["dstevd", "eigh"])
     def test_eigenvectors_are_the_bits_of_dense_eigh(self, monkeypatch, route):
         # dstedc solves up to 25 rows directly and divides larger problems; both
-        # routes must give np.linalg.eigh's bits of the dense real J_x (CI checks
-        # that the dstevd route is live on its numpy wheel)
+        # routes must give np.linalg.eigh's bits of the dense real J_x, or, where the
+        # mirror block runs, of the dense R-even block (CI checks that the dstevd route
+        # is live on its numpy wheel)
         if route == "eigh":
             monkeypatch.setattr(lgmet.spin, "_dstevd", lambda: None)
         for two_j in [*range(1, 31), 51, 100, 201, 400, 401, 801]:
             sys = make_spin_system(two_j)
             off = sys.jx_ladder
-            vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+            if two_j % 2 == 0 or sys.dim <= FULL_SOLVE_DIM:
+                vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
+            else:
+                vecs = mirror_assembly(off)
             assert sys.eigenvectors.flags.c_contiguous
+            assert sys.eigenvectors.tobytes() == vecs.tobytes(), two_j
+
+    @pytest.mark.parametrize("two_j", [27, 51, 201, 401, 801])
+    def test_mirror_relations_orthogonality_and_residual(self, two_j):
+        # odd columns are R-even, v_k = v_{d-1-k}, and each even column is Z = diag((-1)^k)
+        # times an odd one, all bit for bit; then V is an orthogonal eigenbasis of dense J_x
+        sys = make_spin_system(two_j)
+        v, d, j = sys.eigenvectors, sys.dim, two_j / 2
+        z = (-1.0) ** np.arange(d)
+        assert np.array_equal(v[::-1, 1::2], v[:, 1::2])
+        assert np.array_equal(v[:, ::2][:, ::-1], z[:, None] * v[:, 1::2])
+        assert np.max(np.abs(v.T @ v - np.eye(d))) <= 1e-14
+        residual = dense_jx(two_j).real @ v - v * ladder(sys)
+        assert np.max(np.abs(residual)) <= 4e-15 * (j + 1)
+
+    @pytest.mark.parametrize("route", ["dstevd", "eigh"])
+    def test_integer_spin_and_small_dim_keep_the_full_solve(self, monkeypatch, route):
+        # the d = 6 figures and every integer spin keep the bits of one solve of all of J_x
+        if route == "eigh":
+            monkeypatch.setattr(lgmet.spin, "_dstevd", lambda: None)
+
+        def no_block(*args):
+            raise AssertionError("the mirror block ran")
+
+        monkeypatch.setattr(lgmet.spin, "_mirror_eigh", no_block)
+        for two_j in [*range(1, FULL_SOLVE_DIM), 26, 50, 100, 400, 800]:
+            sys = make_spin_system(two_j)
+            off = sys.jx_ladder
+            vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
             assert sys.eigenvectors.tobytes() == vecs.tobytes(), two_j
 
     def test_import_looks_up_no_lapack_symbol(self):
