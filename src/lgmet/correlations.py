@@ -2,9 +2,9 @@
 
 C(theta) = (1/d) Tr[A U(theta) A U(-theta)] = (1/d) sum_kl W_kl cos((k - l) theta), with
 the measurement's weights W = (V^T A V)^2 over the J_x eigenvectors V.  _coefficients
-prepares a stack of weights (one per b) once per caller, by the one route rule d^2 <=
-BLOCK_ELEMENTS (two_j <= 255): the d^2 weights themselves, else d harmonic coefficients;
-_series sums C, C' or C'' from either over a theta grid, by the width it is given.
+prepares a stack of weights (one per b) once per caller: up to spin.REFERENCE_DIM the d^2
+weights themselves, else d harmonic coefficients; _series sums C, C' or C'' from either over
+a theta grid, by the width it is given.
 _correlation_klg gives C and K_LG = 3 C(theta) - C(3 theta) to the sweep rows and
 max_violation; _klg_kernel is K_LG at one theta as a quadratic form in the observable
 diagonal.  A non-finite theta, or one whose largest phase 3 |theta| (d - 1) overflows or
@@ -18,12 +18,11 @@ import math
 import numpy as np
 
 from .measurement import NoisyDichotomicMeasurement
-from .spin import SpinSystem
+from .spin import REFERENCE_DIM, SpinSystem
 
-# Largest number of values in a _series table or buffer, and in a b block's weight
-# stack: 512 KiB at every spin, so that a table and the weights it meets stay in L2.
-# The route rule: the d^2 weights are summed directly while d^2 fits (two_j <= 255),
-# d coefficients above; a table holds BLOCK_ELEMENTS // d^2 or // d thetas.
+# Largest number of values in a _series table or buffer, in _coefficients' fold buffer and
+# in a b block's weight stack: 512 KiB at every spin, so that a table and the weights it
+# meets stay in L2.  A memory budget only; it picks no route.
 BLOCK_ELEMENTS = 2 ** 16
 
 # Largest grid count, for every "lo:hi:count" sweep grid and every
@@ -58,7 +57,7 @@ def _check_phases(dim: int, thetas) -> None:
 
 def _coefficients(sys: SpinSystem, weights: np.ndarray) -> np.ndarray:
     """What _series sums for a (B, d^2) weight stack, formed once per caller for all its orders
-    and thetas, by the route rule: the weights themselves, else the (B, d) c_n + c_-n
+    and thetas: while d <= REFERENCE_DIM the weights themselves, else the (B, d) c_n + c_-n
     (n = d - 1, ..., 1) and c_0, c_n = sum_{k - l = n} w_kl: rows k go, BLOCK_ELEMENTS //
     (2d - 1) at a time, into a zeroed buffer at [k, d - 1 - k + l], one frequency per column,
     and the chunks' column sums over the band they fill are added in row order.  ValueError
@@ -68,7 +67,7 @@ def _coefficients(sys: SpinSystem, weights: np.ndarray) -> np.ndarray:
         raise ValueError("measurement weights have %d columns, but a spin of dimension %d needs "
                          "%d: the measurement was built on another spin"
                          % (weights.shape[-1], d, d * d))
-    if d * d <= BLOCK_ELEMENTS:
+    if d <= REFERENCE_DIM:
         return weights
     rows = max(1, BLOCK_ELEMENTS // (2 * d - 1))
     buffer = np.zeros((rows, 2 * d - 1))
@@ -89,12 +88,11 @@ def _series(sys: SpinSystem, coefs: np.ndarray, thetas: np.ndarray, order: int) 
     sum_kl w[:, k d + l] cos((k - l) theta) / d of a (B, d^2) stack w, from _coefficients(w).
     The term cos(n theta), -n sin(n theta) or -n^2 cos(n theta) is even in n, so the trig
     is taken per theta block on the d frequencies n >= 0 alone.  Given d^2 weights, the
-    terms are mirrored to -n (bit for bit) and copied into a Toeplitz table, so each sum is
-    the direct d^2 sum bit for bit, as the figures' sha256 digests pin until a truth gate
-    lets them be re-based; given d coefficients, a copy of them is scaled by -n or -n^2:
-    O(d) per (b, theta).  np.vecdot runs the ddot of np.dot per (b, theta), so a value
-    does not depend on its grid (a gemv or gemm sums in an order that does).  Tables and
-    buffers hold at most BLOCK_ELEMENTS values; _correlation_klg checks thetas.
+    terms are mirrored to -n and copied into a Toeplitz table, so each sum is the direct d^2
+    sum bit for bit, as the figures' digests pin; given d coefficients, a copy is scaled by
+    -n or -n^2: O(d) per (b, theta).  np.vecdot runs the ddot of np.dot per (b, theta), so a
+    value does not depend on its grid (a gemv or gemm sums in an order that does).  Tables
+    and buffers hold at most BLOCK_ELEMENTS values; _correlation_klg checks thetas.
     """
     d, width = sys.dim, coefs.shape[-1]
     toeplitz, step = width == d * d, max(1, BLOCK_ELEMENTS // width)

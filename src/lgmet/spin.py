@@ -21,9 +21,11 @@ STRUCTURAL_TOL = 1e-10
 # of the full solve, its eigenvectors and their C-ordered copy (298 MiB).
 MAX_TWO_J = 4095
 
-# dstedc's SMLSIZ: up to this dimension it runs dsteqr on the whole matrix, so a half-size
-# mirror block saves nothing there; integer spin and these dimensions take the full solve.
-FULL_SOLVE_DIM = 25
+# The one rule for the bits that bench/reference.json's figure digests pin: up to this
+# dimension the J_x eigenvectors come from one solve of all of J_x, not the mirror block (25 is
+# dstedc's SMLSIZ, below which the block saves little), and _series sums the d^2 weights through
+# Toeplitz tables, not harmonic coefficients.  Once the digests are re-based, both forks go with it.
+REFERENCE_DIM = 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,9 +113,9 @@ def make_spin_system(two_j: int) -> SpinSystem:
     # ladder element between m and m-1: (1/2) sqrt(j(j+1) - m(m-1))
     off = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] - 1))
     # J_x is real symmetric and tridiagonal with a zero diagonal: real eigenvectors;
-    # half-integer spin above FULL_SOLVE_DIM solves one half-size mirror block
+    # half-integer spin above REFERENCE_DIM solves one half-size mirror block
     solve = _dstevd() or _dense_eigh
-    if two_j % 2 == 0 or dim <= FULL_SOLVE_DIM:
+    if two_j % 2 == 0 or dim <= REFERENCE_DIM:
         vals, vecs = solve(np.zeros(dim), off)
         vecs = np.ascontiguousarray(vecs)
     else:

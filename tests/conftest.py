@@ -26,11 +26,11 @@ def parity52(spin52):
 
 
 @contextlib.contextmanager
-def narrow_blocks(sys, per_block=3, rows=None):
-    """Patch the element budget at this spin: per_block thetas per Toeplitz table, or b values
-    per weight stack; or, given rows, rows * d values, so that while rows < d every sum takes
-    the harmonic-coefficient route of large spin, with rows thetas per trig table."""
-    budget = per_block * sys.dim ** 2 if rows is None else rows * sys.dim
+def narrow_blocks(sys, per_block=3):
+    """Patch the element budget to per_block * d^2 values at this spin: per_block b values per
+    weight stack, and per_block thetas per Toeplitz table or per_block * d per trig table; at
+    per_block = 1 the harmonic-coefficient fold runs in two or three row chunks."""
+    budget = per_block * sys.dim ** 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lgmet.correlations, "BLOCK_ELEMENTS", budget)
         yield mp

@@ -10,7 +10,7 @@ threshold bisection builds a full measurement at every step.  The
 direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps
 and add them in one np.dot over the d^2 values, the summation order of
 lgmet's Toeplitz route, which must match them bit for bit (its harmonic
-coefficient route, above the table budget, within a rounding bound).  The
+coefficient route, above spin.REFERENCE_DIM, within a rounding bound).  The
 derivative sums take the terms -g sin(g theta) and -g^2 cos(g theta) of
 each gap g.
 

@@ -11,10 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from lgmet import build_measurement, make_spin_system, max_violation
 import lgmet.correlations
+import lgmet.spin
 from lgmet.correlations import (MAX_GRID_COUNT, MAX_NEWTON_STEPS, _coefficients, _correlation_klg,
                                 _klg_kernel, _series)
-from conftest import (brute_force_correlation, count_calls, derivative_columns, narrow_blocks,
-                      parity_correlation_closed_form, random_partition, rows_at)
+from lgmet.spin import REFERENCE_DIM
+from conftest import (brute_force_correlation, count_calls, derivative_columns,
+                      parity_correlation_closed_form, random_partition, rows_at,
+                      sign_partition)
 from oracles import (direct_correlation_derivatives, direct_klg, gaps, point_klg, propagator,
                      two_time_correlation)
 
@@ -172,19 +175,12 @@ class TestDerivatives:
         (c1,), _ = derivative_columns(spin52, parity52, math.pi / 2)
         assert c1 == pytest.approx(-1.0, abs=1e-10)
 
-    @pytest.mark.parametrize("two_j", [5, 12, 51, 257])
+    @pytest.mark.parametrize("two_j", [5, 12, 25, 51, 257])
     def test_against_mpmath(self, two_j):
         """C, C' and C'' against 50-digit sums at random partitions, b and theta, within the
-        bounds of _check_against_mpmath; two_j = 257 is past the Toeplitz budget, so its
-        sums take the harmonic-coefficient route."""
+        bounds of _check_against_mpmath; from two_j = 25 on d > REFERENCE_DIM, so the sums
+        take the harmonic-coefficient route, at 257 folded in three row chunks."""
         _check_against_mpmath(two_j)
-
-    @pytest.mark.parametrize("two_j", [5, 12, 51])
-    def test_coefficient_route_against_mpmath(self, two_j):
-        """The same sums with the budget narrowed to d // 3 rows of d values, below d^2, so
-        that small spins take the harmonic-coefficient route, in several row chunks."""
-        with narrow_blocks(make_spin_system(two_j), rows=(two_j + 1) // 3):
-            _check_against_mpmath(two_j)
 
     def test_against_finite_differences(self, spin52):
         rng = np.random.default_rng(31)
@@ -350,11 +346,12 @@ class TestMaxViolation:
             orders = [args[3] for args in calls]
             assert 1 <= orders.count(1) == orders.count(2) <= 6
 
-    @pytest.mark.parametrize("two_j", [255, 257, 401])
+    @pytest.mark.parametrize("two_j", [23, 25, 255, 257, 401])
     def test_one_fold_per_call(self, monkeypatch, two_j):
         """_coefficients runs once per max_violation call and once per _rows call, whose grid
-        here holds the C^2 = 1 columns 0 and pi (so C'' is summed too); up to two_j = 255 it
-        returns the weights themselves, above it folds them into d harmonic coefficients."""
+        here holds the C^2 = 1 columns 0 and pi (so C'' is summed too); while d <=
+        REFERENCE_DIM it returns the weights themselves, above it folds them into d harmonic
+        coefficients, on both sides of d^2 = BLOCK_ELEMENTS (two_j 255 and 257) alike."""
         sys = make_spin_system(two_j)
         meas = build_measurement(sys, 1.0)
         calls = count_calls(monkeypatch, lgmet.correlations._coefficients)
@@ -363,7 +360,7 @@ class TestMaxViolation:
         rows = rows_at(sys, meas, [0.0, 0.4, math.pi])
         assert len(calls) == 2 and rows.F[0] > 0.0
         coefs = lgmet.correlations._coefficients(sys, meas.weights[None])
-        assert coefs.shape == (1, sys.dim ** 2 if two_j == 255 else sys.dim)
+        assert coefs.shape == (1, sys.dim ** 2 if sys.dim <= REFERENCE_DIM else sys.dim)
 
     @pytest.mark.parametrize("two_j", [5, 51, 201])
     @pytest.mark.parametrize("b", [1.0, 0.95])
@@ -525,3 +522,22 @@ def test_measurement_freed_after_use(spin52):
     ref = weakref.ref(meas)
     del meas
     assert ref() is None
+
+
+def test_reference_dim_picks_both_forks(monkeypatch):
+    """spin.REFERENCE_DIM alone picks the arithmetic that the figure digests pin: across
+    two_j 23 to 26 (d = 24 to 27) _coefficients hands _series the d^2 weights iff d <=
+    REFERENCE_DIM, and the spin build solves the mirror block iff the spin is half-integer
+    and d > REFERENCE_DIM."""
+    blocks = count_calls(monkeypatch, lgmet.spin._mirror_eigh)
+    routes = set()
+    for two_j in range(23, 27):
+        del blocks[:]
+        sys = make_spin_system(two_j)
+        toeplitz = sys.dim <= REFERENCE_DIM
+        meas = build_measurement(sys, 0.9, sign_partition(two_j))
+        coefs = _coefficients(sys, meas.weights[None])
+        assert coefs.shape == (1, sys.dim ** 2 if toeplitz else sys.dim), two_j
+        assert len(blocks) == (two_j % 2 == 1 and not toeplitz), two_j
+        routes.add(toeplitz)
+    assert routes == {True, False}

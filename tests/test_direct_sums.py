@@ -1,9 +1,9 @@
 """The block evaluator of the Fourier sums against the direct d^2 sums.
 
-While d^2 fits the element budget (the Toeplitz route) every value is the direct sum bit for
-bit.  The Hypothesis tests also patch the budget below d^2 (rows * d values, rows drawn), so
-that small spins run the harmonic-coefficient route of large spin; there each value is within
-the rounding bound _bounds of the direct sum.
+Up to d = REFERENCE_DIM (the Toeplitz route) every value is the direct sum bit for bit;
+above it (the harmonic-coefficient route) each value is within the rounding bound _bounds of
+the direct sum.  The Hypothesis tests draw spins on both sides, two_j 1 to 40, and narrow the
+element budget, which splits theta blocks and the fold's row chunks but picks no route.
 """
 
 import math
@@ -19,6 +19,7 @@ import lgmet.correlations
 import lgmet.estimation
 from lgmet.correlations import _coefficients, _correlation_klg, _series
 from lgmet.estimation import _fisher, _qfi, _rows
+from lgmet.spin import REFERENCE_DIM
 from conftest import narrow_blocks, random_partition
 from oracles import (direct_correlation, direct_correlation_derivatives, direct_klg, gaps,
                      point_klg)
@@ -26,10 +27,10 @@ from oracles import (direct_correlation, direct_correlation_derivatives, direct_
 SPECIAL = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e3, -1e3]
 thetas = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
 b_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-setups = st.tuples(st.integers(1, 15), st.integers(0, 2 ** 32 - 1), b_values)
-# rows for narrow_blocks: None keeps the Toeplitz route (three thetas per table), as does an
-# integer of at least d; one below d takes the coefficient route (that many thetas per table)
-chunk_rows = st.one_of(st.none(), st.integers(1, 16))
+# two_j 1 to 24 sum Toeplitz tables (d <= REFERENCE_DIM), 25 to 40 harmonic coefficients
+setups = st.tuples(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), b_values)
+# per_block for narrow_blocks: 1 folds the coefficients in two or three row chunks
+per_blocks = st.integers(1, 3)
 
 
 def _measurement(setup):
@@ -50,13 +51,6 @@ def _record_operands(mp) -> list:
     mp.setattr(np, "vecdot", lambda a, b, **kw: operands.append(
         [(x.flags.c_contiguous, x.size) for x in (a, b)]) or vecdot(a, b, **kw))
     return operands
-
-
-def _toeplitz_route(sys, meas, rows) -> bool:
-    """Whether the sums take the Toeplitz route under narrow_blocks(sys, rows=rows): whether
-    _coefficients then hands _series the d^2 weights, not d coefficients."""
-    with narrow_blocks(sys, rows=rows):
-        return _coefficients(sys, meas.weights[None]).shape[-1] == sys.dim ** 2
 
 
 def _bounds(sys, meas) -> list[float]:
@@ -89,15 +83,16 @@ def _point_fisher(c, c1, c2):
 
 
 @settings(max_examples=150, deadline=None)
-@given(setup=setups, theta=thetas, rows=chunk_rows)
-def test_point_functions(setup, theta, rows):
+@given(setup=setups, theta=thetas, per_block=per_blocks)
+def test_point_functions(setup, theta, per_block):
     """One theta: C, C(3 theta), C' and C'' as _series calls of order 0, 0, 1 and 2, and K_LG
     of a stack and of one measurement, each np.vecdot operand C-contiguous and within the
-    patched budget.  Bit-equal to the direct sums on the Toeplitz route; on the coefficient
-    route (d coefficients per vecdot) within _bounds, five times the C bound for K_LG."""
+    patched budget.  Bit-equal to the direct sums while d <= REFERENCE_DIM (the Toeplitz
+    route); above it (d coefficients per vecdot) within _bounds, five times the C bound for
+    K_LG."""
     sys, meas = _measurement(setup)
     t = np.array([theta])
-    with narrow_blocks(sys, rows=rows) as mp:
+    with narrow_blocks(sys, per_block) as mp:
         budget = lgmet.correlations.BLOCK_ELEMENTS
         operands = _record_operands(mp)
         w = _coefficients(sys, meas.weights[None])
@@ -110,7 +105,7 @@ def test_point_functions(setup, theta, rows):
     got = [c, c3, c1, c2, k_lg]
     want = [direct_correlation(sys, meas, theta), direct_correlation(sys, meas, 3.0 * theta),
             *direct_correlation_derivatives(sys, meas, theta)[1:], direct_klg(sys, meas, theta)]
-    if w.shape[-1] == sys.dim ** 2:
+    if sys.dim <= REFERENCE_DIM:
         assert _bits(got) == _bits(want)
     else:
         assert all(call[1][1] == sys.dim for call in operands)
@@ -120,15 +115,15 @@ def test_point_functions(setup, theta, rows):
 
 @settings(max_examples=40, deadline=None)
 @given(setup=setups, points=st.lists(thetas, max_size=4), lo=thetas, hi=thetas,
-       count=st.integers(0, 515), rows=chunk_rows)
-def test_rows(setup, points, lo, hi, count, rows):
-    """Every row over a grid that spans many evaluator blocks: bit-equal to the direct sums on
-    the Toeplitz route; on the coefficient route theta, b and F_Q bit-equal, C, K_LG and F
-    within the bounds that _bounds propagates to them, and F_ratio = F / F_Q."""
+       count=st.integers(0, 515), per_block=per_blocks)
+def test_rows(setup, points, lo, hi, count, per_block):
+    """Every row over a grid that spans many evaluator blocks: bit-equal to the direct sums
+    while d <= REFERENCE_DIM; above it theta, b and F_Q bit-equal, C, K_LG and F within the
+    bounds that _bounds propagates to them, and F_ratio = F / F_Q."""
     sys, meas = _measurement(setup)
     grid = points + list(np.linspace(lo, hi, count))
     f_q = _qfi(sys, meas.a_diag[None])[0]
-    exact = _toeplitz_route(sys, meas, rows)
+    exact = sys.dim <= REFERENCE_DIM
     try:
         expected = []
         for theta in grid:
@@ -137,10 +132,10 @@ def test_rows(setup, points, lo, hi, count, rows):
             expected.append((theta, meas.b, c, direct_klg(sys, meas, theta), f, f_q,
                              f / f_q if f_q > 0.0 else 0.0, c1, c2))
     except InconsistentCorrelationError:
-        with narrow_blocks(sys, rows=rows), pytest.raises(InconsistentCorrelationError):
+        with narrow_blocks(sys, per_block), pytest.raises(InconsistentCorrelationError):
             _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
         return
-    with narrow_blocks(sys, rows=rows):
+    with narrow_blocks(sys, per_block):
         table = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
     assert len(table) == len(expected)
     t0, t1, t2 = _bounds(sys, meas)
@@ -158,23 +153,23 @@ def test_rows(setup, points, lo, hi, count, rows):
 
 @settings(max_examples=40, deadline=None)
 @given(setup=setups, lo=thetas, span=st.floats(0.0, 20.0, exclude_min=True),
-       grid_points=st.integers(16, 296), rows=chunk_rows)
-def test_max_violation_grid(setup, lo, span, grid_points, rows):
-    """The |K_LG| values max_violation takes its argmax over (bit-equal to the direct sums on
-    the Toeplitz route, within five times the C bound of _bounds on the coefficient route),
-    and its result, at least their maximum."""
+       grid_points=st.integers(16, 296), per_block=per_blocks)
+def test_max_violation_grid(setup, lo, span, grid_points, per_block):
+    """The |K_LG| values max_violation takes its argmax over (bit-equal to the direct sums
+    while d <= REFERENCE_DIM, within five times the C bound of _bounds above it), and its
+    result, at least their maximum."""
     sys, meas = _measurement(setup)
     hi = lo + span
     assume(hi > lo)
     seen = []
     argmax = np.argmax
-    with narrow_blocks(sys, rows=rows) as mp:
+    with narrow_blocks(sys, per_block) as mp:
         mp.setattr(np, "argmax", lambda a, *args, **kw: seen.append(np.array(a)) or argmax(a, *args, **kw))
         result = max_violation(sys, meas, lo, hi, grid_points)
     grid = np.linspace(lo, hi, grid_points)
     values = [abs(direct_klg(sys, meas, theta)) for theta in grid]
     assert len(seen) == 1
-    if _toeplitz_route(sys, meas, rows):
+    if sys.dim <= REFERENCE_DIM:
         assert _bits(seen[0]) == _bits(values)
     else:
         _assert_close(seen[0], values, [5.0 * _bounds(sys, meas)[0]] * grid_points)

@@ -195,13 +195,14 @@ def test_projective_closed_forms_at_every_spin(two_j):
         assert np.max(np.abs(rows.F_Q / (4 * j * (j + 1) / 3) - 1)) <= 1e-14
 
 
-@pytest.mark.parametrize("two_j", [3, 5, 51, 255, 257, 401, 801])
+@pytest.mark.parametrize("two_j", [3, 5, 23, 25, 51, 255, 257, 401, 801])
 def test_sharp_closed_forms_at_every_spin(two_j):
     """At b = 0 the default partition keeps a = +1 at m = j and -1 at m = -j, so with
     c = cos(theta / 2) and s = sin(theta / 2), C = (2/d)(c^(4j) - s^(4j)),
     C' = -(4j/d)(c^(4j-1) s + s^(4j-1) c) and F_Q = 8j / (3d), whence K_LG and
     F = C'^2 / (1 - C^2).  Checked against 30-digit values on both routes of the Fourier
-    sums (Toeplitz up to two_j = 255), at random thetas and near 0 and pi.
+    sums (Toeplitz while d <= REFERENCE_DIM, up to two_j = 24), at random thetas and near 0
+    and pi.
     """
     d, four_j = two_j + 1, 2 * two_j
     rng = np.random.default_rng(two_j)

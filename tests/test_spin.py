@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import lgmet.spin
 from lgmet import make_spin_system
 from lgmet.scan import RunConfig
-from lgmet.spin import FULL_SOLVE_DIM, MAX_TWO_J, _check_two_j
+from lgmet.spin import MAX_TWO_J, REFERENCE_DIM, _check_two_j
 from oracles import dense_jx, ladder, propagator
 
 
@@ -54,7 +54,7 @@ class TestMakeSpinSystem:
 
     @pytest.mark.parametrize("two_j", [1, 5, 51, 201, 401, 801])
     def test_real_eigenvectors_match_complex_eigh_up_to_sign(self, two_j):
-        # the full solve (d <= FULL_SOLVE_DIM) is eigh's bits; the mirror block is a
+        # the full solve (d <= REFERENCE_DIM) is eigh's bits; the mirror block is a
         # different solve, so above it the columns agree to rounding
         vecs = make_spin_system(two_j).eigenvectors
         assert vecs.dtype == np.float64
@@ -62,7 +62,7 @@ class TestMakeSpinSystem:
         assert not ref.imag.any()
         pivot = np.argmax(np.abs(vecs), axis=0), np.arange(two_j + 1)
         signs = np.sign(vecs[pivot] * ref.real[pivot])
-        if two_j + 1 <= FULL_SOLVE_DIM:
+        if two_j + 1 <= REFERENCE_DIM:
             assert np.array_equal(vecs * signs, ref.real)
         else:
             assert np.max(np.abs(vecs * signs - ref.real)) <= 1e-13
@@ -83,7 +83,7 @@ class TestMakeSpinSystem:
         for two_j in [*range(1, 31), 51, 100, 201, 400, 401, 801]:
             sys = make_spin_system(two_j)
             off = sys.jx_ladder
-            if two_j % 2 == 0 or sys.dim <= FULL_SOLVE_DIM:
+            if two_j % 2 == 0 or sys.dim <= REFERENCE_DIM:
                 vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]
             else:
                 vecs = mirror_assembly(off)
@@ -113,7 +113,7 @@ class TestMakeSpinSystem:
             raise AssertionError("the mirror block ran")
 
         monkeypatch.setattr(lgmet.spin, "_mirror_eigh", no_block)
-        for two_j in [*range(1, FULL_SOLVE_DIM), 26, 50, 100, 400, 800]:
+        for two_j in [*range(1, REFERENCE_DIM), 26, 50, 100, 400, 800]:
             sys = make_spin_system(two_j)
             off = sys.jx_ladder
             vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))[1]

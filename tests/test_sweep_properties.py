@@ -104,18 +104,18 @@ def test_scan_b_walks_the_partition_once(monkeypatch, two_j, partition):
 
 
 def test_phase_map_weight_stacks_stay_within_budget(monkeypatch):
-    """300 b values at two_j = 51 span several b blocks; no vecdot operand exceeds the budget."""
+    """300 b values at two_j = 23 span several b blocks; no vecdot operand exceeds the budget,
+    and several b values share each Toeplitz table (d <= REFERENCE_DIM)."""
     sizes = []
     vecdot = np.vecdot
     monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: (
         sizes.append((a.size, b.size)) or vecdot(a, b, **kw)))
     rows = sweep("phase-map",
-                 RunConfig(51, np.linspace(0.0, 1.0, 300), np.linspace(-3.0, 3.0, 7))).rows
+                 RunConfig(23, np.linspace(0.0, 1.0, 300), np.linspace(-3.0, 3.0, 7))).rows
     monkeypatch.undo()
-    d2 = 52 ** 2
-    limit = max(lgmet.correlations.BLOCK_ELEMENTS, d2)
+    d2 = 24 ** 2
     assert rows.size == 300 * 7
-    assert max(max(pair) for pair in sizes) <= limit
+    assert max(max(pair) for pair in sizes) <= lgmet.correlations.BLOCK_ELEMENTS
     assert max(b for _, b in sizes) > d2  # several b values share each gathered table
 
 
