@@ -1,10 +1,11 @@
 """Two-time correlations, the Leggett-Garg parameter, and violation search.
 
 C(theta) = (1/d) Tr[A U(theta) A U(-theta)] = (1/d) sum_kl W_kl cos((k - l) theta), with
-the measurement's weights W = (V^T A V)^2 over the J_x eigenvectors V.  _coefficients
-prepares a stack of weights (one per b) once per caller: up to spin.REFERENCE_DIM the d^2
-weights themselves, else d harmonic coefficients; _series sums C, C' or C'' from either over
-a theta grid, by the width it is given.
+the weights W = (V^T A V)^2 of the observable A = diag(a) over the J_x eigenvectors V.
+_coefficients builds them from a stack of diagonals a (one per b) once per caller and
+prepares what _series sums: up to spin.REFERENCE_DIM the d^2 weights themselves, else d
+harmonic coefficients; _series sums C, C' or C'' from either over a theta grid, by the width
+it is given.
 _correlation_klg gives C and K_LG = 3 C(theta) - C(3 theta) to the sweep rows and
 max_violation; _klg_kernel is K_LG at one theta as a quadratic form in the observable
 diagonal.  A non-finite theta, or one whose largest phase 3 |theta| (d - 1) overflows or
@@ -24,6 +25,20 @@ from .spin import REFERENCE_DIM, SpinSystem
 # in a b block's weight stack: 512 KiB at every spin, so that a table and the weights it
 # meets stay in L2.  A memory budget only; it picks no route.
 BLOCK_ELEMENTS = 2 ** 16
+
+# Levels with |a_k| < LEVEL_CUTOFF max|a| leave the weight product.  V is orthogonal, so each
+# entry of V^T A V moves by at most LEVEL_CUTOFF max|a|, and, as the Frobenius norms of the
+# dropped part and of V^T A V are at most sqrt(d) times that and sqrt(d) max|a|, C = sum_kl
+# W_kl cos / d by at most 2 LEVEL_CUTOFF max|a|^2 = 2^-59 max|a|^2 <= 2^-59 sqrt(d) max|a|^2
+# in exact arithmetic.  The truncated and the full gemms have different shapes and round
+# differently; as W >= 0, sum_kl W_kl = sum_k a_k^2 scales that rounding.  To first order in
+# u = 2^-53, a gemm's |dM| <= (d+1) u |V|^T |A| |V| gives sum_kl |dW_kl| <= sum_kl 2 |M dM|
+# <= 2 (d+1) u |a|_1 |a|_2 <= 2 (d+1) sqrt(d) u sum_k a_k^2 (the rows of V have unit norm),
+# squaring adds u sum_k a_k^2 and the d^2-term sum over the same cos table d^2 u sum_k a_k^2,
+# and C divides them by d: it rounds by at most (d + 2 sqrt(d) + 4) u sum_k a_k^2 per route, so
+# the two computed C differ by at most a further (d + 2 sqrt(d) + 4) eps sum_k a_k^2, with
+# eps = 2^-52.  (At d = 5 and b = 2^-23 they differ by 2 ulps of C = 5.7e-15, 1.6e-30.)
+LEVEL_CUTOFF = 2.0 ** -60
 
 # Largest grid count, for every "lo:hi:count" sweep grid and every
 # max_violation grid; about 2000x the largest figure grid (512).
@@ -55,18 +70,42 @@ def _check_phases(dim: int, thetas) -> None:
                          "float spacing of a phase passes pi" % (float(thetas[bad][0]), dim - 1))
 
 
-def _coefficients(sys: SpinSystem, weights: np.ndarray) -> np.ndarray:
-    """What _series sums for a (B, d^2) weight stack, formed once per caller for all its orders
-    and thetas: while d <= REFERENCE_DIM the weights themselves, else the (B, d) c_n + c_-n
-    (n = d - 1, ..., 1) and c_0, c_n = sum_{k - l = n} w_kl: rows k go, BLOCK_ELEMENTS //
-    (2d - 1) at a time, into a zeroed buffer at [k, d - 1 - k + l], one frequency per column,
-    and the chunks' column sums over the band they fill are added in row order.  ValueError
-    unless the weights have d^2 columns."""
+def _weights(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
+    """(B, d^2) Fourier weights (V^T A V)_kl^2 of a (B, d) stack of diagonals, raveled over (k, l).
+
+    Each diagonal keeps its levels S with |a_k| >= LEVEL_CUTOFF max|a|: ((V_S^T diag(a_S)) V_S)^2
+    over the rows V_S of V.  Rows with one kept set are one stacked matmul, each slice the gemm
+    of its diagonal alone, bit for bit; with no level dropped, V_S is V, as in the full product.
+    """
+    v, size = sys.eigenvectors, np.abs(a_diags)
+    kept = size >= LEVEL_CUTOFF * size.max(axis=1, keepdims=True)
+    counts = kept.sum(axis=1)
+    out = np.empty((len(a_diags), sys.dim, sys.dim))
+    for count in set(counts.tolist()):  # a_k falls as the gap grows: a count names its kept set
+        rows = counts == count
+        keep = kept[rows][0]
+        v_s = v if count == sys.dim else v[keep]
+        scaled = v_s.T * a_diags[rows][:, keep][:, None, :]
+        if rows.all():  # one kept set: the product is the stack, with no temporary
+            np.matmul(scaled, v_s, out=out)
+        else:
+            out[rows] = scaled @ v_s
+    out **= 2
+    return out.reshape(len(a_diags), -1)
+
+
+def _coefficients(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
+    """What _series sums for a (B, d) stack of observable diagonals, formed once per caller for
+    all its orders and thetas from their _weights w: while d <= REFERENCE_DIM w itself, else
+    the (B, d) c_n + c_-n (n = d - 1, ..., 1) and c_0, c_n = sum_{k - l = n} w_kl: rows k go,
+    BLOCK_ELEMENTS // (2d - 1) at a time, into a zeroed buffer at [k, d - 1 - k + l], one
+    frequency per column, and the chunks' column sums over the band they fill are added in
+    row order.  ValueError, before any weight is formed, unless the diagonals have d levels."""
     d = sys.dim
-    if weights.shape[-1] != d * d:
-        raise ValueError("measurement weights have %d columns, but a spin of dimension %d needs "
-                         "%d: the measurement was built on another spin"
-                         % (weights.shape[-1], d, d * d))
+    if a_diags.shape[-1] != d:
+        raise ValueError("measurement diagonal has %d levels, but the spin has dimension %d: "
+                         "the measurement was built on another spin" % (a_diags.shape[-1], d))
+    weights = _weights(sys, a_diags)
     if d <= REFERENCE_DIM:
         return weights
     rows = max(1, BLOCK_ELEMENTS // (2 * d - 1))
@@ -85,7 +124,7 @@ def _coefficients(sys: SpinSystem, weights: np.ndarray) -> np.ndarray:
 
 def _series(sys: SpinSystem, coefs: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
     """(B, T) order-th theta-derivatives (order 0, 1 or 2) of the sums
-    sum_kl w[:, k d + l] cos((k - l) theta) / d of a (B, d^2) stack w, from _coefficients(w).
+    sum_kl w[:, k d + l] cos((k - l) theta) / d of (B, d^2) _weights w, from _coefficients.
     The term cos(n theta), -n sin(n theta) or -n^2 cos(n theta) is even in n, so the trig
     is taken per theta block on the d frequencies n >= 0 alone.  Given d^2 weights, the
     terms are mirrored to -n and copied into a Toeplitz table, so each sum is the direct d^2
@@ -172,7 +211,7 @@ def max_violation(sys: SpinSystem, meas: NoisyDichotomicMeasurement,
     if grid_points > MAX_GRID_COUNT:
         raise ValueError("grid_points %d exceeds the limit of %d" % (grid_points, MAX_GRID_COUNT))
 
-    coefs = _coefficients(sys, meas.weights[None])
+    coefs = _coefficients(sys, meas.a_diag[None])
     grid = np.linspace(theta_lo, theta_hi, grid_points)
     klg = _correlation_klg(sys, coefs, grid)[1][0]
     i = int(np.argmax(np.abs(klg)))

@@ -58,15 +58,14 @@ def _qfi(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
     return 4.0 * np.sum(ratio * sys.jx_ladder ** 2, axis=1)
 
 
-def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, weights: np.ndarray,
-          thetas) -> np.recarray:
-    """Table rows, one per (b, theta) in that order, for the (B, d) diagonals and (B, d^2) weights.
+def _rows(sys: SpinSystem, b_values, a_diags: np.ndarray, thetas) -> np.recarray:
+    """Table rows, one per (b, theta) in that order, for the (B, d) observable diagonals.
 
-    From one _coefficients of the weights, C with C(3 theta), and C', are one _series call
+    From one _coefficients of the diagonals, C with C(3 theta), and C', are one _series call
     each, C'' one more for the theta columns of F's C^2 -> 1 limit alone, and one _qfi call
     gives F_Q; every value is bit-identical to a call for its (b, theta) alone."""
     thetas = np.asarray(thetas, float)
-    coefs = _coefficients(sys, weights)
+    coefs = _coefficients(sys, a_diags)
     c, k_lg = _correlation_klg(sys, coefs, thetas)
     f_q = _qfi(sys, a_diags)[:, None]
     f = _fisher(c, _series(sys, coefs, thetas, 1),

@@ -5,7 +5,7 @@ The observable is diagonal in the J_z basis with entries
 containing m and b in [0, 1] is the measurability (b = e^{-1/(2 sigma^2)}).
 b = 1 is the projective parity operator; b = 0 keeps only the block centers
 (0^0 = 1 convention).  Only that diagonal is stored: E+- = (1 +- a)/2 act
-entrywise on it, and the Fourier weights leave out its levels below LEVEL_CUTOFF.
+entrywise on it, and correlations._coefficients builds the Fourier sums from it.
 
 All m and mu values are carried as the integers 2m / 2mu so half-integer
 spins need no floating-point bookkeeping.
@@ -18,20 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin import SpinSystem
-
-# Levels with |a_k| < LEVEL_CUTOFF max|a| leave the weight product.  V is orthogonal, so each
-# entry of V^T A V moves by at most LEVEL_CUTOFF max|a|, and, as the Frobenius norms of the
-# dropped part and of V^T A V are at most sqrt(d) times that and sqrt(d) max|a|, C = sum_kl
-# W_kl cos / d by at most 2 LEVEL_CUTOFF max|a|^2 = 2^-59 max|a|^2 <= 2^-59 sqrt(d) max|a|^2
-# in exact arithmetic.  The truncated and the full gemms have different shapes and round
-# differently; as W >= 0, sum_kl W_kl = sum_k a_k^2 scales that rounding.  To first order in
-# u = 2^-53, a gemm's |dM| <= (d+1) u |V|^T |A| |V| gives sum_kl |dW_kl| <= sum_kl 2 |M dM|
-# <= 2 (d+1) u |a|_1 |a|_2 <= 2 (d+1) sqrt(d) u sum_k a_k^2 (the rows of V have unit norm),
-# squaring adds u sum_k a_k^2 and the d^2-term sum over the same cos table d^2 u sum_k a_k^2,
-# and C divides them by d: it rounds by at most (d + 2 sqrt(d) + 4) u sum_k a_k^2 per route, so
-# the two computed C differ by at most a further (d + 2 sqrt(d) + 4) eps sum_k a_k^2, with
-# eps = 2^-52.  (At d = 5 and b = 2^-23 they differ by 2 ulps of C = 5.7e-15, 1.6e-30.)
-LEVEL_CUTOFF = 2.0 ** -60
 
 
 @dataclass(frozen=True)
@@ -101,50 +87,22 @@ def format_partition(partition: PartitionSpec) -> str:
 
 @dataclass(frozen=True, eq=False)
 class NoisyDichotomicMeasurement:
-    """Observable A = diag(a_diag), measurability b, and the Fourier weights
-    (V^T A V)_kl^2 over the real J_x eigenvectors V, raveled over (k, l)
-    like the Toeplitz tables of correlations._series.
-    """
+    """Observable A = diag(a_diag) in the J_z basis, and its measurability b."""
 
     b: float
     a_diag: np.ndarray
-    weights: np.ndarray
 
 
 def build_measurement(sys: SpinSystem, b: float,
                       partition: PartitionSpec | None = None) -> NoisyDichotomicMeasurement:
-    """Build the diagonal of A and its Fourier weights for measurability b.
+    """Build the diagonal of A for measurability b on the spin sys, in O(d).
 
     partition=None uses the default +-j sign partition (half-integer spin only).
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("measurability b must lie in [0, 1], got %r" % b)
     a_diag = _a_diags(resolve_partition(sys.two_j, partition), [b])[0]
-    return NoisyDichotomicMeasurement(float(b), a_diag, _weights(sys, a_diag[None])[0])
-
-
-def _weights(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
-    """(B, d^2) Fourier weights (V^T A V)_kl^2 of a (B, d) stack of diagonals, raveled over (k, l).
-
-    Each diagonal keeps its levels S with |a_k| >= LEVEL_CUTOFF max|a|: ((V_S^T diag(a_S)) V_S)^2
-    over the rows V_S of V.  Rows with one kept set are one stacked matmul, each slice the gemm
-    of its diagonal alone, bit for bit; with no level dropped, V_S is V, as in the full product.
-    """
-    v, size = sys.eigenvectors, np.abs(a_diags)
-    kept = size >= LEVEL_CUTOFF * size.max(axis=1, keepdims=True)
-    counts = kept.sum(axis=1)
-    out = np.empty((len(a_diags), sys.dim, sys.dim))
-    for count in set(counts.tolist()):  # a_k falls as the gap grows: a count names its kept set
-        rows = counts == count
-        keep = kept[rows][0]
-        v_s = v if count == sys.dim else v[keep]
-        scaled = v_s.T * a_diags[rows][:, keep][:, None, :]
-        if rows.all():  # one kept set: the product is the stack, with no temporary
-            np.matmul(scaled, v_s, out=out)
-        else:
-            out[rows] = scaled @ v_s
-    out **= 2
-    return out.reshape(len(a_diags), -1)
+    return NoisyDichotomicMeasurement(float(b), a_diag)
 
 
 def _a_diags(gaps: list[int], b_values) -> np.ndarray:

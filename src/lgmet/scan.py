@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, correlations
 from .correlations import MAX_GRID_COUNT, _check_phases, _klg_kernel
 from .estimation import COLUMNS, _rows
-from .measurement import PartitionSpec, _a_diags, _weights, format_partition, resolve_partition
+from .measurement import PartitionSpec, _a_diags, format_partition, resolve_partition
 from .spin import _check_two_j, make_spin_system
 
 # sweep kind -> (metadata "sweep" name, grids given as a single value, plot x column,
@@ -128,8 +128,7 @@ def sweep(kind: str, config: RunConfig) -> ScanTable:
     blocks = []
     for start in range(0, bs.size, step):
         block = bs[start:start + step]
-        a_diags = _a_diags(gaps, block)
-        blocks.append(_rows(sys, block, a_diags, _weights(sys, a_diags), config.theta_values))
+        blocks.append(_rows(sys, block, _a_diags(gaps, block), config.theta_values))
     metadata = {"tool": "lgmet %s" % __version__, "sweep": name, "config": config.describe()}
     return ScanTable(metadata, np.concatenate(blocks).view(np.recarray))
 

@@ -36,7 +36,7 @@ class SpinSystem:
     basis; jx_ladder holds its real off-diagonal J_x[k, k+1] (length dim - 1).
     The eigenvalues of the real symmetric J_x are the exact ladder
     lam_k = k - j, k = 0, ..., dim - 1, in ascending order, so only the real
-    eigenvectors (columns, in that order) are stored; measurement weights
+    eigenvectors (columns, in that order) are stored; the Fourier weights
     reuse them, and each gap lam_k - lam_l is the integer k - l.
     """
 

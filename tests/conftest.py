@@ -54,13 +54,13 @@ def count_calls(monkeypatch, fn) -> list:
 
 def rows_at(sys, meas, thetas):
     """One measurement's sweep rows at thetas (a scalar is one theta), from estimation._rows."""
-    return _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], np.atleast_1d(thetas))
+    return _rows(sys, [meas.b], meas.a_diag[None], np.atleast_1d(thetas))
 
 
 def derivative_columns(sys, meas, thetas):
     """(C', C'') of one measurement at thetas (a scalar is one theta), as _rows sums them."""
     thetas = np.atleast_1d(np.asarray(thetas, float))
-    coefficients = _coefficients(sys, meas.weights[None])
+    coefficients = _coefficients(sys, meas.a_diag[None])
     return tuple(_series(sys, coefficients, thetas, order)[0] for order in (1, 2))
 
 

@@ -15,16 +15,17 @@ derivative sums take the terms -g sin(g theta) and -g^2 cos(g theta) of
 each gap g.
 
 From lgmet this module takes only the spin and measurement builders and
-their types, and _coefficients with _correlation_klg for point_klg, the one-theta
-K_LG that threshold_b's Fourier-weight route and the tests read; it evaluates nothing
-else through the code it checks, and raises its own errors.
+their types, _weights for fourier_weights, the one way the tests reach a
+measurement's d^2 weights, and _coefficients with _correlation_klg for point_klg, the
+one-theta K_LG that threshold_b's Fourier-weight route and the tests read; it evaluates
+nothing else through the code it checks, and raises its own errors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lgmet.correlations import _coefficients, _correlation_klg
+from lgmet.correlations import _coefficients, _correlation_klg, _weights
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, build_measurement
 from lgmet.spin import SpinSystem, make_spin_system
 
@@ -66,9 +67,14 @@ def gaps(sys: SpinSystem) -> np.ndarray:
     return (lam[:, None] - lam[None, :]).ravel()
 
 
+def fourier_weights(sys: SpinSystem, meas: NoisyDichotomicMeasurement) -> np.ndarray:
+    """The d^2 weights (V^T A V)_kl^2 of meas, raveled over (k, l), from lgmet's _weights."""
+    return _weights(sys, meas.a_diag[None])[0]
+
+
 def direct_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """C(theta) = weights . cos(gaps theta) / d, with cos taken on every gap, one np.dot."""
-    return float(np.dot(meas.weights, np.cos(gaps(sys) * theta))) / sys.dim
+    return float(np.dot(fourier_weights(sys, meas), np.cos(gaps(sys) * theta))) / sys.dim
 
 
 def direct_klg(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
@@ -80,7 +86,7 @@ def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasure
                                    theta: float) -> tuple[float, float, float]:
     """(C, C', C'') as weights . (cos, -g sin, -g^2 cos)(g theta) / d over the gaps g, one
     np.dot each."""
-    w, g = meas.weights, gaps(sys)
+    w, g = fourier_weights(sys, meas), gaps(sys)
     gt = g * theta
     cos_gt = np.cos(gt)
     return tuple(float(np.dot(w, terms)) / sys.dim
@@ -90,7 +96,7 @@ def direct_correlation_derivatives(sys: SpinSystem, meas: NoisyDichotomicMeasure
 def point_klg(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:
     """K_LG(theta) = 3 C(theta) - C(3 theta) of one measurement, read from lgmet's
     _correlation_klg."""
-    return float(_correlation_klg(sys, _coefficients(sys, meas.weights[None]), [theta])[1][0, 0])
+    return float(_correlation_klg(sys, _coefficients(sys, meas.a_diag[None]), [theta])[1][0, 0])
 
 
 def propagator(sys: SpinSystem, theta: float) -> np.ndarray:

@@ -18,8 +18,8 @@ from lgmet.spin import REFERENCE_DIM
 from conftest import (brute_force_correlation, count_calls, derivative_columns,
                       parity_correlation_closed_form, random_partition, rows_at,
                       sign_partition)
-from oracles import (direct_correlation_derivatives, direct_klg, gaps, point_klg, propagator,
-                     two_time_correlation)
+from oracles import (direct_correlation_derivatives, direct_klg, fourier_weights, gaps, point_klg,
+                     propagator, two_time_correlation)
 
 
 def _refine(sys, meas, lo, hi, grid_points):
@@ -94,7 +94,7 @@ class TestCorrelation:
     def test_even_and_periodic(self, spin52, theta, b):
         meas = build_measurement(spin52, b)
         thetas = np.array([theta, -theta, theta + 2 * math.pi])
-        c, c_neg, c_shift = _series(spin52, _coefficients(spin52, meas.weights[None]), thetas, 0)[0]
+        c, c_neg, c_shift = _series(spin52, _coefficients(spin52, meas.a_diag[None]), thetas, 0)[0]
         assert c_neg == pytest.approx(c, abs=1e-12)
         assert c_shift == pytest.approx(c, abs=1e-10)
 
@@ -132,7 +132,8 @@ def _check_against_mpmath(two_j):
     for _ in range(8):
         meas = build_measurement(sys, rng.uniform(0.0, 1.0), random_partition(rng, two_j))
         theta = rng.uniform(-4.0, 4.0)
-        weights = meas.weights.reshape(d, d)
+        w = fourier_weights(sys, meas)
+        weights = w.reshape(d, d)
         with mpmath.workdps(50):
             grouped = {}
             for n in range(1 - d, d):
@@ -147,9 +148,9 @@ def _check_against_mpmath(two_j):
                     mpmath.fsum(w * cos for n, w, cos, sin in terms),
                     -mpmath.fsum(w * n * sin for n, w, cos, sin in terms),
                     -mpmath.fsum(w * n * n * cos for n, w, cos, sin in terms))])
-        columns = [_series(sys, _coefficients(sys, meas.weights[None]), np.array([theta]), 0)[0],
+        columns = [_series(sys, _coefficients(sys, meas.a_diag[None]), np.array([theta]), 0)[0],
                    *derivative_columns(sys, meas, theta)]
-        sums = [float(np.sum(meas.weights * g ** p)) / d for p in range(4)]
+        sums = [float(np.sum(w * g ** p)) / d for p in range(4)]
         for p, ((value,), exact, float_phases) in enumerate(zip(columns, *truths)):
             bound = 4e-15 * sums[p]
             assert abs(value - float_phases) <= bound, (p, theta, value, float_phases)
@@ -189,7 +190,7 @@ class TestDerivatives:
             b = rng.uniform(0, 1)
             theta = rng.uniform(-3, 3)
             meas = build_measurement(spin52, b)
-            c, cp, cm = _series(spin52, _coefficients(spin52, meas.weights[None]),
+            c, cp, cm = _series(spin52, _coefficients(spin52, meas.a_diag[None]),
                                 np.array([theta, theta + h, theta - h]), 0)[0]
             (c1,), (c2,) = derivative_columns(spin52, meas, theta)
             assert c1 == pytest.approx((cp - cm) / (2 * h), abs=1e-6)
@@ -359,7 +360,7 @@ class TestMaxViolation:
         assert len(calls) == 1
         rows = rows_at(sys, meas, [0.0, 0.4, math.pi])
         assert len(calls) == 2 and rows.F[0] > 0.0
-        coefs = lgmet.correlations._coefficients(sys, meas.weights[None])
+        coefs = lgmet.correlations._coefficients(sys, meas.a_diag[None])
         assert coefs.shape == (1, sys.dim ** 2 if sys.dim <= REFERENCE_DIM else sys.dim)
 
     @pytest.mark.parametrize("two_j", [5, 51, 201])
@@ -433,7 +434,7 @@ class TestMaxViolation:
         sys = make_spin_system(1)
         meas = build_measurement(sys, 0.97)
         grid = np.linspace(0.0, 2 * math.pi, 2 ** 18 + 1)
-        coefs = _coefficients(sys, meas.weights[None])
+        coefs = _coefficients(sys, meas.a_diag[None])
         true_max = float(np.max(np.abs(_correlation_klg(sys, coefs, grid)[1])))
         try:
             k_max = max_violation(sys, meas, -1e307, 1e307, 16)[1]
@@ -536,7 +537,7 @@ def test_reference_dim_picks_both_forks(monkeypatch):
         sys = make_spin_system(two_j)
         toeplitz = sys.dim <= REFERENCE_DIM
         meas = build_measurement(sys, 0.9, sign_partition(two_j))
-        coefs = _coefficients(sys, meas.weights[None])
+        coefs = _coefficients(sys, meas.a_diag[None])
         assert coefs.shape == (1, sys.dim ** 2 if toeplitz else sys.dim), two_j
         assert len(blocks) == (two_j % 2 == 1 and not toeplitz), two_j
         routes.add(toeplitz)

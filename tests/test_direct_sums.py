@@ -21,8 +21,8 @@ from lgmet.correlations import _coefficients, _correlation_klg, _series
 from lgmet.estimation import _fisher, _qfi, _rows
 from lgmet.spin import REFERENCE_DIM
 from conftest import narrow_blocks, random_partition
-from oracles import (direct_correlation, direct_correlation_derivatives, direct_klg, gaps,
-                     point_klg)
+from oracles import (direct_correlation, direct_correlation_derivatives, direct_klg,
+                     fourier_weights, gaps, point_klg)
 
 SPECIAL = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e3, -1e3]
 thetas = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
@@ -56,8 +56,8 @@ def _record_operands(mp) -> list:
 def _bounds(sys, meas) -> list[float]:
     """4e-15 sum_kl |w_kl| |k - l|^p / d for p = 0, 1, 2: the rounding bounds of C, C', C''
     on the coefficient route."""
-    g = np.abs(gaps(sys))
-    return [4e-15 * float(np.sum(np.abs(meas.weights) * g ** p)) / sys.dim for p in (0, 1, 2)]
+    g, w = np.abs(gaps(sys)), np.abs(fourier_weights(sys, meas))
+    return [4e-15 * float(np.sum(w * g ** p)) / sys.dim for p in (0, 1, 2)]
 
 
 def _assert_close(got, want, bounds):
@@ -95,7 +95,7 @@ def test_point_functions(setup, theta, per_block):
     with narrow_blocks(sys, per_block) as mp:
         budget = lgmet.correlations.BLOCK_ELEMENTS
         operands = _record_operands(mp)
-        w = _coefficients(sys, meas.weights[None])
+        w = _coefficients(sys, meas.a_diag[None])
         (c,), (c3,) = _series(sys, w, t, 0)[0], _series(sys, w, 3.0 * t, 0)[0]
         (c1,), (c2,) = _series(sys, w, t, 1)[0], _series(sys, w, t, 2)[0]
         (c_k,), (k_lg,) = (column[0] for column in _correlation_klg(sys, w, [theta]))
@@ -133,10 +133,10 @@ def test_rows(setup, points, lo, hi, count, per_block):
                              f / f_q if f_q > 0.0 else 0.0, c1, c2))
     except InconsistentCorrelationError:
         with narrow_blocks(sys, per_block), pytest.raises(InconsistentCorrelationError):
-            _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
+            _rows(sys, [meas.b], meas.a_diag[None], grid)
         return
     with narrow_blocks(sys, per_block):
-        table = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
+        table = _rows(sys, [meas.b], meas.a_diag[None], grid)
     assert len(table) == len(expected)
     t0, t1, t2 = _bounds(sys, meas)
     for row, (*want, c1, c2) in zip(table, expected):
@@ -191,19 +191,20 @@ def test_coefficient_route_bounded_at_large_spin():
         meas = build_measurement(sys, measurability)
         with pytest.MonkeyPatch.context() as mp:
             operands = _record_operands(mp)
-            rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
+            rows = _rows(sys, [meas.b], meas.a_diag[None], grid)
         assert all(table <= budget and coefficients == d for (_, table), (_, coefficients)
                    in operands)
+        coefs = _coefficients(sys, meas.a_diag[None])
         for order in (0, 1, 2):
             tracemalloc.start()
             try:
-                out = _series(sys, _coefficients(sys, meas.weights[None]), grid, order)
+                out = _series(sys, coefs, grid, order)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak - out.nbytes <= 2 * budget * out.itemsize
         for i in range(0, 300, 23):  # 14 thetas, the last pi
-            alone = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid[i:i + 1])
+            alone = _rows(sys, [meas.b], meas.a_diag[None], grid[i:i + 1])
             assert _bits(rows[i].tolist()) == _bits(alone[0].tolist())
             c, c1, c2 = direct_correlation_derivatives(sys, meas, grid[i])
             assert abs(rows.C[i] - c) <= 1e-15
@@ -223,7 +224,7 @@ def test_second_derivative_only_for_singular_columns(spin52, monkeypatch):
     monkeypatch.setattr(lgmet.estimation, "_series", lambda sys, weights, thetas, order: (
         order == 2 and asked.append(thetas.tolist())) or series(sys, weights, thetas, order))
     rows = _rows(spin52, [m.b for m in measurements], np.array([m.a_diag for m in measurements]),
-                 np.array([m.weights for m in measurements]), grid)
+                 grid)
     assert asked == [grid[:4].tolist()]
     singular = 0
     for row, (meas, theta) in zip(rows, [(m, t) for m in measurements for t in grid]):
@@ -244,7 +245,7 @@ def test_inconsistent_row_raises_before_second_derivative(spin52, monkeypatch):
         order == 2 and pytest.fail("C'' evaluated for an inconsistent row")
         or series(sys, weights, thetas, order)))
     with pytest.raises(InconsistentCorrelationError):
-        _rows(spin52, [meas.b], meas.a_diag[None], meas.weights[None], [1e-6])
+        _rows(spin52, [meas.b], meas.a_diag[None], [1e-6])
 
 
 def test_rows_make_no_vector_dot(monkeypatch):
@@ -255,6 +256,6 @@ def test_rows_make_no_vector_dot(monkeypatch):
     dot = np.dot
     monkeypatch.setattr(np, "dot", lambda a, b, *args: calls.append(np.ndim(a)) or dot(a, b, *args))
     grid = np.linspace(-10.0, 10.0, 2000)
-    rows = _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], grid)
+    rows = _rows(sys, [meas.b], meas.a_diag[None], grid)
     assert rows.size == 2000
     assert 1 not in calls

@@ -11,7 +11,7 @@ import lgmet.correlations
 import lgmet.estimation
 from lgmet.correlations import _coefficients, _correlation_klg
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
-from lgmet.measurement import PartitionSpec, _a_diags, _weights, resolve_partition
+from lgmet.measurement import PartitionSpec, _a_diags, resolve_partition
 from lgmet.scan import RunConfig, sweep, violation_threshold_b
 from conftest import (count_calls, parity_correlation_closed_form, random_partition, rows_at,
                       sign_partition)
@@ -240,7 +240,7 @@ class TestQfiPerBlock:
         for size in sorted({1, min(2, step), min(7, step), step}):
             bs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(0, size - 2))])[:size]
             a_diags = _a_diags(resolve_partition(sys.two_j, partition), bs)
-            f_q = _rows(sys, bs, a_diags, _weights(sys, a_diags), [0.3]).F_Q
+            f_q = _rows(sys, bs, a_diags, [0.3]).F_Q
             expected = [rows_at(sys, build_measurement(sys, b, partition), 0.3).F_Q[0]
                         for b in bs.tolist()]
             assert f_q.tobytes() == np.array(expected).tobytes(), (two_j, size)
@@ -291,7 +291,7 @@ class TestEstimationReport:
 
 
 def _rows_around(sys, meas, theta):
-    return _rows(sys, [meas.b], meas.a_diag[None], meas.weights[None], [0.1, theta, 0.2])
+    return _rows(sys, [meas.b], meas.a_diag[None], [0.1, theta, 0.2])
 
 
 def _max_violation_lo(sys, meas, theta):
@@ -312,12 +312,12 @@ def _violation_threshold_b(sys, meas, theta):
 # conftest.rows_at (F of one row), estimation_report a _rows block of two b.
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf, 1e308, -1e308, -7e307, 1e16])
 @pytest.mark.parametrize("fn", [
-    pytest.param(lambda s, m, t: _correlation_klg(s, _coefficients(s, m.weights[None]), [t]),
+    pytest.param(lambda s, m, t: _correlation_klg(s, _coefficients(s, m.a_diag[None]), [t]),
                  id="correlation"),
     pytest.param(point_klg, id="klg_equal_interval"),
     pytest.param(rows_at, id="fisher_from_correlation"),
-    pytest.param(lambda s, m, t: _rows(s, [m.b] * 2, np.stack([m.a_diag] * 2),
-                                       np.stack([m.weights] * 2), [t]), id="estimation_report"),
+    pytest.param(lambda s, m, t: _rows(s, [m.b] * 2, np.stack([m.a_diag] * 2), [t]),
+                 id="estimation_report"),
     _rows_around, _max_violation_lo, _max_violation_hi, _violation_threshold_b])
 def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
     # every entry point applies the one theta-domain rule, before any grid or kernel
@@ -338,14 +338,18 @@ def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
 
 # ids as in test_non_finite_theta_rejected_without_warning
 @pytest.mark.parametrize("fn", [
-    lambda s, m: _correlation_klg(s, _coefficients(s, m.weights[None]), [0.3]),
+    lambda s, m: _correlation_klg(s, _coefficients(s, m.a_diag[None]), [0.3]),
     lambda s, m: point_klg(s, m, 0.3),
     lambda s, m: rows_at(s, m, 0.3),
     lambda s, m: max_violation(s, m, 0.0, 1.0),
 ], ids=["correlation", "klg_equal_interval", "fisher_from_correlation", "max_violation"])
-def test_measurement_of_another_spin_rejected(fn):
-    """A two_j = 5 measurement given with a two_j = 7 spin is a ValueError naming both sizes."""
+def test_measurement_of_another_spin_rejected(fn, monkeypatch):
+    """A two_j = 5 measurement given with a two_j = 7 spin is a ValueError naming both sizes,
+    raised before any weight or QFI is formed."""
     meas = build_measurement(make_spin_system(5), 0.9)
+    monkeypatch.setattr(lgmet.correlations, "_weights", None)
+    monkeypatch.setattr(lgmet.estimation, "_qfi", None)
     with pytest.raises(ValueError, match=re.escape(
-            "weights have 36 columns, but a spin of dimension 8 needs 64")):
+            "measurement diagonal has 6 levels, but the spin has dimension 8: the measurement "
+            "was built on another spin")):
         fn(make_spin_system(7), meas)

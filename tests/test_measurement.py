@@ -1,16 +1,17 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lgmet import build_measurement, format_partition, make_spin_system, parse_partition
-from lgmet.correlations import _coefficients, _series
-from lgmet.measurement import (LEVEL_CUTOFF, NoisyDichotomicMeasurement, PartitionSpec, _a_diags,
-                               _weights, resolve_partition)
+import lgmet.correlations
+from lgmet.correlations import LEVEL_CUTOFF, _coefficients, _series, _weights
+from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diags, resolve_partition
 import lgmet.measurement
 from conftest import count_calls, random_partition, rows_at, sign_partition
-from oracles import DegenerateOutcomeError, dense_jx, prepared_state, qfi_of_state
+from oracles import DegenerateOutcomeError, dense_jx, fourier_weights, prepared_state, qfi_of_state
 
 
 class TestPartition:
@@ -161,7 +162,7 @@ class TestPrepareStates:
             assert p_plus == pytest.approx((1.0 + np.mean(meas.a_diag)) / 2, abs=1e-12)
 
     def test_degenerate_arm_rejected(self, spin52):
-        broken = NoisyDichotomicMeasurement(1.0, -np.ones(6), np.zeros(36))
+        broken = NoisyDichotomicMeasurement(1.0, -np.ones(6))
         with pytest.raises(DegenerateOutcomeError, match="outcome \\+1"):
             prepared_state(spin52, broken, +1)
 
@@ -179,7 +180,7 @@ def test_diagonal_form_matches_dense_form(two_j, seed, b):
     kept = np.abs(meas.a_diag) >= LEVEL_CUTOFF * np.abs(meas.a_diag).max()
     v = sys.eigenvectors
     dense_weights = np.abs(v.conj().T @ (a * kept) @ v) ** 2
-    assert np.array_equal(meas.weights, dense_weights.ravel())
+    assert np.array_equal(fourier_weights(sys, meas), dense_weights.ravel())
 
     eye = np.eye(sys.dim)
     e = np.real(eye + a) / 2
@@ -188,6 +189,19 @@ def test_diagonal_form_matches_dense_form(two_j, seed, b):
     rho = root @ (eye / sys.dim) @ root / p
     assert rows_at(sys, meas, 0.0).F_Q[0] == pytest.approx(qfi_of_state(sys, rho),
                                                           rel=1e-12, abs=1e-13)
+
+
+def test_build_measurement_is_linear_in_d():
+    """At two_j = 801 build_measurement's traced peak is at most 64 d float64 values: it forms
+    the diagonal alone, not the d^2 weights (5.1 MB here)."""
+    sys = make_spin_system(801)
+    tracemalloc.start()
+    try:
+        build_measurement(sys, 0.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * sys.dim * 8
 
 
 def _a_diag_loop(sys, b, partition):
@@ -225,7 +239,7 @@ def test_weights_match_complex_dense_route(two_j):
     for b in (0.3, 0.99, 1.0):
         meas = build_measurement(sys, b)
         dense = np.abs(v.conj().T @ np.diag(meas.a_diag).astype(complex) @ v) ** 2
-        np.testing.assert_allclose(meas.weights, dense.ravel(), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(fourier_weights(sys, meas), dense.ravel(), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("two_j, count", [(1, 7), (2, 5), (5, 11), (12, 3), (51, 5), (201, 3),
@@ -250,12 +264,16 @@ def _check_truncation(sys, a_diags, thetas, rounding=False):
     """Weights of the kept levels against the product over all of V: bit-equal where no level
     is dropped, else C within 2^-59 sqrt(d) max|a|^2 at every theta, plus, with rounding, the
     (d + 2 sqrt(d) + 4) eps sum_k a_k^2 of the two sums' rounding (see LEVEL_CUTOFF); returns
-    the dropped count of each diagonal."""
+    the dropped count of each diagonal.  With LEVEL_CUTOFF = 0 the builder keeps every level,
+    so its weights are the full product bit for bit, and its C sums them."""
     v = sys.eigenvectors
     full = ((v.T * a_diags[:, None, :]) @ v) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lgmet.correlations, "LEVEL_CUTOFF", 0.0)
+        assert _weights(sys, a_diags).tobytes() == full.tobytes()
+        c_full = _series(sys, _coefficients(sys, a_diags), thetas, 0)
     truncated = _weights(sys, a_diags)
-    c_full = _series(sys, _coefficients(sys, full.reshape(len(a_diags), -1)), thetas, 0)
-    c = _series(sys, _coefficients(sys, truncated), thetas, 0)
+    c = _series(sys, _coefficients(sys, a_diags), thetas, 0)
     spread = (sys.dim + 2 * np.sqrt(sys.dim) + 4) * np.finfo(float).eps if rounding else 0.0
     dropped = []
     for a, w, w_full, row, row_full in zip(a_diags, truncated, full, c, c_full):

@@ -102,8 +102,11 @@ def _arrays(value):
 
 
 def test_spin_system_and_measurement_hold_no_complex_array():
+    """The measurement is its b and diagonal alone: correlations builds the weights."""
     sys = lgmet.make_spin_system(5)
-    for obj in (sys, lgmet.build_measurement(sys, 0.9)):
+    meas = lgmet.build_measurement(sys, 0.9)
+    assert [f.name for f in dataclasses.fields(meas)] == ["b", "a_diag"]
+    for obj, count in ((sys, 2), (meas, 1)):
         arrays = [a for f in dataclasses.fields(obj) for a in _arrays(getattr(obj, f.name))]
-        assert len(arrays) >= 2
+        assert len(arrays) == count
         assert not any(np.iscomplexobj(a) for a in arrays), type(obj).__name__
