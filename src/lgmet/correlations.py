@@ -2,10 +2,10 @@
 
 C(theta) = (1/d) Tr[A U(theta) A U(-theta)] = (1/d) sum_kl W_kl cos((k - l) theta), with
 the weights W = (V^T A V)^2 of the observable A = diag(a) over the J_x eigenvectors V.
-_coefficients builds them from a stack of diagonals a (one per b) once per caller and
-prepares what _series sums: up to spin.REFERENCE_DIM the d^2 weights themselves, else d
-harmonic coefficients; _series sums C, C' or C'' from either over a theta grid, by the width
-it is given.
+_coefficients forms, once per caller, what _series sums for a stack of diagonals a (one per
+b): up to spin.REFERENCE_DIM the d^2 weights of every level, else d harmonic coefficients,
+folded from each b's level-truncated product as it is formed; _series sums C, C' or C'' from
+either over a theta grid, by the width it is given.
 _correlation_klg gives C and K_LG = 3 C(theta) - C(3 theta) to the sweep rows and
 max_violation; _klg_kernel is K_LG at one theta as a quadratic form in the observable
 diagonal.  A non-finite theta, or one whose largest phase 3 |theta| (d - 1) overflows or
@@ -21,23 +21,24 @@ import numpy as np
 from .measurement import NoisyDichotomicMeasurement
 from .spin import REFERENCE_DIM, SpinSystem
 
-# Largest number of values in a _series table or buffer, in _coefficients' fold buffer and
-# in a b block's weight stack: 512 KiB at every spin, so that a table and the weights it
-# meets stay in L2.  A memory budget only; it picks no route.
+# Largest number of values in a _series table or buffer, in _coefficients' fold buffer and in
+# a b block's weight stack (up to REFERENCE_DIM; none exists above): 512 KiB at every spin, so
+# that a table and the weights it meets stay in L2.  A memory budget only; it picks no route.
 BLOCK_ELEMENTS = 2 ** 16
 
-# Levels with |a_k| < LEVEL_CUTOFF max|a| leave the weight product.  V is orthogonal, so each
-# entry of V^T A V moves by at most LEVEL_CUTOFF max|a|, and, as the Frobenius norms of the
-# dropped part and of V^T A V are at most sqrt(d) times that and sqrt(d) max|a|, C = sum_kl
-# W_kl cos / d by at most 2 LEVEL_CUTOFF max|a|^2 = 2^-59 max|a|^2 <= 2^-59 sqrt(d) max|a|^2
-# in exact arithmetic.  The truncated and the full gemms have different shapes and round
+# Above REFERENCE_DIM, levels with |a_k| < LEVEL_CUTOFF max|a| leave each b's product in
+# _coefficients; up to it every level stays.  V is orthogonal, so each entry of V^T A V moves
+# by at most LEVEL_CUTOFF max|a|, and, as the Frobenius norms of the dropped part and of
+# V^T A V are at most sqrt(d) times that and sqrt(d) max|a|, C = sum_kl W_kl cos / d by at
+# most 2 LEVEL_CUTOFF max|a|^2 = 2^-59 max|a|^2 <= 2^-59 sqrt(d) max|a|^2 in exact
+# arithmetic.  The truncated and the full gemms have different shapes and round
 # differently; as W >= 0, sum_kl W_kl = sum_k a_k^2 scales that rounding.  To first order in
 # u = 2^-53, a gemm's |dM| <= (d+1) u |V|^T |A| |V| gives sum_kl |dW_kl| <= sum_kl 2 |M dM|
 # <= 2 (d+1) u |a|_1 |a|_2 <= 2 (d+1) sqrt(d) u sum_k a_k^2 (the rows of V have unit norm),
 # squaring adds u sum_k a_k^2 and the d^2-term sum over the same cos table d^2 u sum_k a_k^2,
 # and C divides them by d: it rounds by at most (d + 2 sqrt(d) + 4) u sum_k a_k^2 per route, so
 # the two computed C differ by at most a further (d + 2 sqrt(d) + 4) eps sum_k a_k^2, with
-# eps = 2^-52.  (At d = 5 and b = 2^-23 they differ by 2 ulps of C = 5.7e-15, 1.6e-30.)
+# eps = 2^-52.  (At d = 46 and b = 1.08e-7 they differ by 1.44 exact-arithmetic bounds.)
 LEVEL_CUTOFF = 2.0 ** -60
 
 # Largest grid count, for every "lo:hi:count" sweep grid and every
@@ -70,52 +71,37 @@ def _check_phases(dim: int, thetas) -> None:
                          "float spacing of a phase passes pi" % (float(thetas[bad][0]), dim - 1))
 
 
-def _weights(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
-    """(B, d^2) Fourier weights (V^T A V)_kl^2 of a (B, d) stack of diagonals, raveled over (k, l).
-
-    Each diagonal keeps its levels S with |a_k| >= LEVEL_CUTOFF max|a|: ((V_S^T diag(a_S)) V_S)^2
-    over the rows V_S of V.  Rows with one kept set are one stacked matmul, each slice the gemm
-    of its diagonal alone, bit for bit; with no level dropped, V_S is V, as in the full product.
-    """
-    v, size = sys.eigenvectors, np.abs(a_diags)
-    kept = size >= LEVEL_CUTOFF * size.max(axis=1, keepdims=True)
-    counts = kept.sum(axis=1)
-    out = np.empty((len(a_diags), sys.dim, sys.dim))
-    for count in set(counts.tolist()):  # a_k falls as the gap grows: a count names its kept set
-        rows = counts == count
-        keep = kept[rows][0]
-        v_s = v if count == sys.dim else v[keep]
-        scaled = v_s.T * a_diags[rows][:, keep][:, None, :]
-        if rows.all():  # one kept set: the product is the stack, with no temporary
-            np.matmul(scaled, v_s, out=out)
-        else:
-            out[rows] = scaled @ v_s
-    out **= 2
-    return out.reshape(len(a_diags), -1)
-
-
 def _coefficients(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
     """What _series sums for a (B, d) stack of observable diagonals, formed once per caller for
-    all its orders and thetas from their _weights w: while d <= REFERENCE_DIM w itself, else
-    the (B, d) c_n + c_-n (n = d - 1, ..., 1) and c_0, c_n = sum_{k - l = n} w_kl: rows k go,
+    all its orders and thetas: while d <= REFERENCE_DIM the (B, d^2) weights
+    w = ((V^T diag(a)) V)^2 raveled over (k, l), one stacked matmul, each slice the gemm of its
+    diagonal alone, bit for bit; else the (B, d) c_n + c_-n (n = d - 1, ..., 1) and c_0,
+    c_n = sum_{k - l = n} w_kl over each b's kept levels S, |a_k| >= LEVEL_CUTOFF max|a|: its
+    ((V_S^T diag(a_S)) V_S)^2 is formed into one reused d x d array, and its rows k go,
     BLOCK_ELEMENTS // (2d - 1) at a time, into a zeroed buffer at [k, d - 1 - k + l], one
-    frequency per column, and the chunks' column sums over the band they fill are added in
-    row order.  ValueError, before any weight is formed, unless the diagonals have d levels."""
-    d = sys.dim
+    frequency per column; the chunks' column sums over the band they fill are added in row
+    order.  ValueError, before any product is formed, unless the diagonals have d levels."""
+    d, v = sys.dim, sys.eigenvectors
     if a_diags.shape[-1] != d:
         raise ValueError("measurement diagonal has %d levels, but the spin has dimension %d: "
                          "the measurement was built on another spin" % (a_diags.shape[-1], d))
-    weights = _weights(sys, a_diags)
     if d <= REFERENCE_DIM:
-        return weights
+        weights = np.matmul(v.T * a_diags[:, None, :], v)
+        weights **= 2
+        return weights.reshape(len(a_diags), -1)
     rows = max(1, BLOCK_ELEMENTS // (2 * d - 1))
-    buffer = np.zeros((rows, 2 * d - 1))
-    view = np.ndarray((rows, d), float, buffer, (d - 1) * 8, ((2 * d - 2) * 8, 8))
-    sums = np.zeros((len(weights), 2 * d - 1))
-    for w, c in zip(weights.reshape(len(weights), d, d), sums):
+    product, buffer, sums = np.empty((d, d)), None, np.zeros((len(a_diags), 2 * d - 1))
+    for a, c in zip(a_diags, sums):
+        keep = np.abs(a) >= LEVEL_CUTOFF * np.abs(a).max()
+        v_s = v if keep.all() else v[keep]
+        np.matmul(v_s.T * a[keep], v_s, out=product)
+        product **= 2
+        if buffer is None:  # after the first product, whose temporaries are freed by now
+            buffer = np.zeros((rows, 2 * d - 1))
+            view = np.ndarray((rows, d), float, buffer, (d - 1) * 8, ((2 * d - 2) * 8, 8))
         for first in range(0, d, rows):
             count = min(rows, d - first)
-            view[:count] = w[first:first + count]
+            view[:count] = product[first:first + count]
             # buffer column j holds frequency d - 1 + first - j
             c[d - count - first:2 * d - 1 - first] += buffer[:count, d - count:].sum(axis=0)
     sums[:, :d - 1] += sums[:, :d - 1:-1]
@@ -124,7 +110,7 @@ def _coefficients(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
 
 def _series(sys: SpinSystem, coefs: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
     """(B, T) order-th theta-derivatives (order 0, 1 or 2) of the sums
-    sum_kl w[:, k d + l] cos((k - l) theta) / d of (B, d^2) _weights w, from _coefficients.
+    sum_kl w[:, k d + l] cos((k - l) theta) / d of (B, d^2) weights w, from _coefficients.
     The term cos(n theta), -n sin(n theta) or -n^2 cos(n theta) is even in n, so the trig
     is taken per theta block on the d frequencies n >= 0 alone.  Given d^2 weights, the
     terms are mirrored to -n and copied into a Toeplitz table, so each sum is the direct d^2
@@ -161,7 +147,7 @@ def _series(sys: SpinSystem, coefs: np.ndarray, thetas: np.ndarray, order: int) 
 
 
 def _correlation_klg(sys: SpinSystem, coefs: np.ndarray, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T) arrays C and K_LG = 3 C(theta) - C(3 theta) from a weight stack's _coefficients,
+    """(B, T) arrays C and K_LG = 3 C(theta) - C(3 theta) from a diagonal stack's _coefficients,
     both grids in one _series call; _check_phases runs first, so no trig sees inf or nan."""
     thetas = np.asarray(thetas, float)
     _check_phases(sys.dim, thetas)

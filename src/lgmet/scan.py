@@ -123,7 +123,7 @@ def sweep(kind: str, config: RunConfig) -> ScanTable:
                          % (kind, " and ".join("a single --" + flag for flag in single)))
     gaps = resolve_partition(config.two_j, config.partition)
     sys = make_spin_system(config.two_j)
-    # b values per weight stack: d^2 each within the budget, one from two_j = 255 on
+    # b values per block, d^2 each within the budget (a weight stack up to REFERENCE_DIM)
     bs, step = config.b_values, max(1, correlations.BLOCK_ELEMENTS // sys.dim ** 2)
     blocks = []
     for start in range(0, bs.size, step):

@@ -28,8 +28,9 @@ def parity52(spin52):
 @contextlib.contextmanager
 def narrow_blocks(sys, per_block=3):
     """Patch the element budget to per_block * d^2 values at this spin: per_block b values per
-    weight stack, and per_block thetas per Toeplitz table or per_block * d per trig table; at
-    per_block = 1 the harmonic-coefficient fold runs in two or three row chunks."""
+    sweep block (its weight stack, up to REFERENCE_DIM), and per_block thetas per Toeplitz
+    table or per_block * d per trig table; at per_block = 1 the harmonic-coefficient fold runs
+    each b's product in two or three row chunks."""
     budget = per_block * sys.dim ** 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lgmet.correlations, "BLOCK_ELEMENTS", budget)

@@ -14,18 +14,21 @@ coefficient route, above spin.REFERENCE_DIM, within a rounding bound).  The
 derivative sums take the terms -g sin(g theta) and -g^2 cos(g theta) of
 each gap g.
 
-From lgmet this module takes only the spin and measurement builders and
-their types, _weights for fourier_weights, the one way the tests reach a
-measurement's d^2 weights, and _coefficients with _correlation_klg for point_klg, the
-one-theta K_LG that threshold_b's Fourier-weight route and the tests read; it evaluates
-nothing else through the code it checks, and raises its own errors.
+fourier_weights, the one way the tests reach a measurement's d^2 weights,
+forms the full product (V^T diag(a)) V over every level itself: lgmet's
+reference route returns those bits, and above spin.REFERENCE_DIM, where
+lgmet drops the levels below LEVEL_CUTOFF max|a|, it is the untruncated
+truth.  From lgmet this module takes only the spin and measurement builders
+and their types, and _coefficients with _correlation_klg for point_klg, the
+one-theta K_LG that threshold_b's Fourier-weight route and the tests read; it
+evaluates nothing else through the code it checks, and raises its own errors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lgmet.correlations import _coefficients, _correlation_klg, _weights
+from lgmet.correlations import _coefficients, _correlation_klg
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, build_measurement
 from lgmet.spin import SpinSystem, make_spin_system
 
@@ -68,8 +71,10 @@ def gaps(sys: SpinSystem) -> np.ndarray:
 
 
 def fourier_weights(sys: SpinSystem, meas: NoisyDichotomicMeasurement) -> np.ndarray:
-    """The d^2 weights (V^T A V)_kl^2 of meas, raveled over (k, l), from lgmet's _weights."""
-    return _weights(sys, meas.a_diag[None])[0]
+    """The d^2 weights (V^T A V)_kl^2 of meas, raveled over (k, l): the full product
+    (V^T diag(a)) V over every level, squared."""
+    v = sys.eigenvectors
+    return (((v.T * meas.a_diag) @ v) ** 2).ravel()
 
 
 def direct_correlation(sys: SpinSystem, meas: NoisyDichotomicMeasurement, theta: float) -> float:

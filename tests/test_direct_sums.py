@@ -179,9 +179,10 @@ def test_max_violation_grid(setup, lo, span, grid_points, per_block):
 
 def test_coefficient_route_bounded_at_large_spin():
     """At two_j = 401, d^2 exceeds BLOCK_ELEMENTS: each np.vecdot pairs a trig table within
-    the budget with the d coefficients, the fold of given d^2 weights and each _series call
-    on its coefficients peak below two budgets of traced allocations (d^2 values are 2.47),
-    rows are bit-equal to their theta summed alone, and
+    the budget with the d coefficients, each _coefficients call with the _series call on its
+    coefficients peaks below two budgets of traced allocations plus one b's product and its
+    scaled operand (2 d^2 values; d^2 values are 2.47 budgets), rows are bit-equal to their
+    theta summed alone, and
     within 1e-15 (C), 4e-15 (K_LG = 3 C(theta) - C(3 theta)) and 1e-13 F_Q (F) of the
     single d^2 np.dot of the direct sums."""
     sys = make_spin_system(401)
@@ -195,17 +196,14 @@ def test_coefficient_route_bounded_at_large_spin():
             rows = _rows(sys, [meas.b], meas.a_diag[None], grid)
         assert all(table <= budget and coefficients == d for (_, table), (_, coefficients)
                    in operands)
-        stack = fourier_weights(sys, meas)[None]
         for order in (0, 1, 2):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lgmet.correlations, "_weights", lambda sys, a_diags: stack)
-                tracemalloc.start()
-                try:
-                    out = _series(sys, _coefficients(sys, meas.a_diag[None]), grid, order)
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-            assert peak - out.nbytes <= 2 * budget * out.itemsize
+            tracemalloc.start()
+            try:
+                out = _series(sys, _coefficients(sys, meas.a_diag[None]), grid, order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes <= (2 * budget + 2 * d * d) * out.itemsize
         for i in range(0, 300, 23):  # 14 thetas, the last pi
             alone = _rows(sys, [meas.b], meas.a_diag[None], grid[i:i + 1])
             assert _bits(rows[i].tolist()) == _bits(alone[0].tolist())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -345,11 +346,10 @@ def test_non_finite_theta_rejected_without_warning(fn, theta, monkeypatch):
 ], ids=["correlation", "klg_equal_interval", "fisher_from_correlation", "max_violation"])
 def test_measurement_of_another_spin_rejected(fn, monkeypatch):
     """A two_j = 5 measurement given with a two_j = 7 spin is a ValueError naming both sizes,
-    raised before any weight or QFI is formed."""
+    raised before any product or QFI is formed: the spin carries no eigenvectors here."""
     meas = build_measurement(make_spin_system(5), 0.9)
-    monkeypatch.setattr(lgmet.correlations, "_weights", None)
     monkeypatch.setattr(lgmet.estimation, "_qfi", None)
     with pytest.raises(ValueError, match=re.escape(
             "measurement diagonal has 6 levels, but the spin has dimension 8: the measurement "
             "was built on another spin")):
-        fn(make_spin_system(7), meas)
+        fn(dataclasses.replace(make_spin_system(7), eigenvectors=None), meas)

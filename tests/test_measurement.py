@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from lgmet import build_measurement, format_partition, make_spin_system, parse_partition
 import lgmet.correlations
-from lgmet.correlations import LEVEL_CUTOFF, _coefficients, _series, _weights
+from lgmet.correlations import BLOCK_ELEMENTS, LEVEL_CUTOFF, _coefficients, _series
 from lgmet.measurement import NoisyDichotomicMeasurement, PartitionSpec, _a_diags, resolve_partition
+from lgmet.spin import REFERENCE_DIM
 import lgmet.measurement
 from conftest import count_calls, random_partition, rows_at, sign_partition
 from oracles import DegenerateOutcomeError, dense_jx, fourier_weights, prepared_state, qfi_of_state
@@ -171,16 +172,14 @@ class TestPrepareStates:
 @given(two_j=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
        b=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
 def test_diagonal_form_matches_dense_form(two_j, seed, b):
-    """Weights, and the QFI of the + arm, against the dense matrices they replace.  The
-    weights leave out the levels below LEVEL_CUTOFF max|a| (the bound tests check that drop
-    against the full product), so the dense weights are formed with those levels zeroed."""
+    """Weights, and the QFI of the + arm, against the dense matrices they replace; at d <= 13
+    _coefficients returns the weights of every level."""
     sys = make_spin_system(two_j)
     meas = build_measurement(sys, b, random_partition(np.random.default_rng(seed), two_j))
     a = np.diag(meas.a_diag).astype(complex)
-    kept = np.abs(meas.a_diag) >= LEVEL_CUTOFF * np.abs(meas.a_diag).max()
     v = sys.eigenvectors
-    dense_weights = np.abs(v.conj().T @ (a * kept) @ v) ** 2
-    assert np.array_equal(fourier_weights(sys, meas), dense_weights.ravel())
+    dense_weights = np.abs(v.conj().T @ a @ v) ** 2
+    assert np.array_equal(_coefficients(sys, meas.a_diag[None])[0], dense_weights.ravel())
 
     eye = np.eye(sys.dim)
     e = np.real(eye + a) / 2
@@ -245,42 +244,69 @@ def test_weights_match_complex_dense_route(two_j):
 @pytest.mark.parametrize("two_j, count", [(1, 7), (2, 5), (5, 11), (12, 3), (51, 5), (201, 3),
                                           (401, 2)])
 def test_stacked_weights_bit_equal_to_one_matmul_per_b(two_j, count):
-    """Each row of a (B, d^2) weight stack is _weights of its own diagonal, bit for bit, and
-    the 2-D matmul over all of V where the diagonal keeps every level."""
+    """Each row of a stack's _coefficients is _coefficients of its own diagonal, bit for bit,
+    and, while d <= REFERENCE_DIM, the 2-D matmul over all of V, squared."""
     sys = make_spin_system(two_j)
     partition = random_partition(np.random.default_rng(two_j), two_j)
     bs = [0.0, 1.0, *np.random.default_rng(count).uniform(0.0, 1.0, count - 2)]
     a_diags = _a_diags(resolve_partition(sys.two_j, partition), bs)
     v = sys.eigenvectors
-    stacked = _weights(sys, a_diags)
-    assert stacked.shape == (count, sys.dim ** 2)
+    stacked = _coefficients(sys, a_diags)
+    assert stacked.shape == (count, sys.dim ** 2 if sys.dim <= REFERENCE_DIM else sys.dim)
     for a, row in zip(a_diags, stacked):
-        assert row.tobytes() == _weights(sys, a[None])[0].tobytes()
-        if np.all(np.abs(a) >= LEVEL_CUTOFF * np.max(np.abs(a))):
+        assert row.tobytes() == _coefficients(sys, a[None])[0].tobytes()
+        if sys.dim <= REFERENCE_DIM:
             assert row.tobytes() == (((v.T * a) @ v) ** 2).ravel().tobytes()
 
 
-def _check_truncation(sys, a_diags, thetas, rounding=False):
-    """Weights of the kept levels against the product over all of V: bit-equal where no level
-    is dropped, else C within 2^-59 sqrt(d) max|a|^2 at every theta, plus, with rounding, the
-    (d + 2 sqrt(d) + 4) eps sum_k a_k^2 of the two sums' rounding (see LEVEL_CUTOFF); returns
-    the dropped count of each diagonal.  With LEVEL_CUTOFF = 0 the builder keeps every level,
-    so its weights are the full product bit for bit, and its C sums them."""
+@pytest.mark.parametrize("two_j, bs", [(24, [0.05, 0.3, 0.7]), (12, [0.18])])
+def test_reference_route_keeps_every_level(two_j, bs):
+    """Up to REFERENCE_DIM no level is dropped: the weights are the full product bit for bit,
+    also at b where some |a_k| lie below LEVEL_CUTOFF max|a|."""
+    sys = make_spin_system(two_j)
+    a_diags = _a_diags(resolve_partition(two_j, sign_partition(two_j)), bs)
+    size = np.abs(a_diags)
+    assert np.any(size < LEVEL_CUTOFF * size.max(axis=1, keepdims=True))
     v = sys.eigenvectors
-    full = ((v.T * a_diags[:, None, :]) @ v) ** 2
+    for a, row in zip(a_diags, _coefficients(sys, a_diags)):
+        assert row.tobytes() == (((v.T * a) @ v) ** 2).ravel().tobytes()
+
+
+def test_large_spin_coefficients_form_no_weight_stack():
+    """Above REFERENCE_DIM _coefficients folds each b's product as it forms it: over 8
+    diagonals at two_j = 201 its traced peak is at most 3 d^2 + 2 BLOCK_ELEMENTS float64
+    values (one product, its scaled operand and kept rows, the fold buffer), well below the
+    8 d^2 of a (B, d^2) weight stack."""
+    sys = make_spin_system(201)
+    a_diags = _a_diags(resolve_partition(201, None), np.linspace(0.3, 1.0, 8))
+    tracemalloc.start()
+    try:
+        _coefficients(sys, a_diags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (3 * sys.dim ** 2 + 2 * BLOCK_ELEMENTS) * 8
+
+
+def _check_truncation(sys, a_diags, thetas, rounding=False):
+    """_coefficients against itself with LEVEL_CUTOFF = 0, which keeps every level: bit-equal
+    where no level is dropped (every diagonal while d <= REFERENCE_DIM), else C within
+    2^-59 sqrt(d) max|a|^2 at every theta, plus, with rounding, the (d + 2 sqrt(d) + 4) eps
+    sum_k a_k^2 of the two sums' rounding (see LEVEL_CUTOFF); returns the dropped count of
+    each diagonal."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lgmet.correlations, "LEVEL_CUTOFF", 0.0)
-        assert _weights(sys, a_diags).tobytes() == full.tobytes()
-        c_full = _series(sys, _coefficients(sys, a_diags), thetas, 0)
-    truncated = _weights(sys, a_diags)
-    c = _series(sys, _coefficients(sys, a_diags), thetas, 0)
+        full = _coefficients(sys, a_diags)
+    truncated = _coefficients(sys, a_diags)
+    c_full, c = (_series(sys, coefs, thetas, 0) for coefs in (full, truncated))
     spread = (sys.dim + 2 * np.sqrt(sys.dim) + 4) * np.finfo(float).eps if rounding else 0.0
     dropped = []
     for a, w, w_full, row, row_full in zip(a_diags, truncated, full, c, c_full):
         size = np.abs(a)
-        dropped.append(int(np.sum(size < LEVEL_CUTOFF * size.max())))
+        dropped.append(0 if sys.dim <= REFERENCE_DIM
+                       else int(np.sum(size < LEVEL_CUTOFF * size.max())))
         if not dropped[-1]:
-            assert w.tobytes() == w_full.ravel().tobytes()
+            assert w.tobytes() == w_full.tobytes()
         bound = 2.0 ** -59 * np.sqrt(sys.dim) * size.max() ** 2 + spread * np.sum(a * a)
         assert np.max(np.abs(row - row_full)) <= bound
     return dropped
@@ -314,10 +340,15 @@ def gapped_partitions(draw):
 @given(setup=gapped_partitions(),
        b=st.one_of(st.sampled_from([0.0, 1.0, 0.01, 0.3]), st.floats(0.0, 1.0)),
        theta=st.floats(-4.0, 4.0))
-# C = 5.7e-15 here, and the truncated and full sums differ by 2 of its ulps, 1.6e-30, far
-# above the exact-arithmetic 2^-59 sqrt(d) max|a|^2 = 5.5e-32: the rounding term covers it
+# nothing is dropped at d = 5, so the sums are bit-equal, though a truncated gemm would move
+# C = 5.7e-15 by 2 of its ulps; at d = 46 the truncated and full sums of C = 1.0e-15 differ by
+# 1.44 times the exact-arithmetic 2^-59 sqrt(d) max|a|^2: the rounding term covers it
 @example(setup=(4, PartitionSpec(((0, (4, 2)), (2, (0, -2, -4))))), b=1.192092896e-07,
          theta=0.0)
+@example(setup=(45, PartitionSpec(((25, tuple(range(45, 26, -2))), (27, tuple(range(25, 16, -2))),
+                                   (17, tuple(range(15, -22, -2))),
+                                   (-21, tuple(range(-23, -46, -2)))))),
+         b=1.0806923044301291e-07, theta=0.0)
 def test_level_truncation_bound_without_zero_gap(setup, b, theta):
     two_j, partition = setup
     gaps = resolve_partition(two_j, partition)
