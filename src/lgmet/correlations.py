@@ -22,8 +22,8 @@ from .measurement import NoisyDichotomicMeasurement
 from .spin import REFERENCE_DIM, SpinSystem
 
 # Largest number of values in a _series table or buffer, in _coefficients' fold buffer and in
-# a b block's weight stack (up to REFERENCE_DIM; none exists above): 512 KiB at every spin, so
-# that a table and the weights it meets stay in L2.  A memory budget only; it picks no route.
+# its return for a sweep's b block (d^2 per b up to REFERENCE_DIM, d above): 512 KiB at every
+# spin, so that a table and the stack it meets stay in L2.  A memory budget; it picks no route.
 BLOCK_ELEMENTS = 2 ** 16
 
 # Above REFERENCE_DIM, levels with |a_k| < LEVEL_CUTOFF max|a| leave each b's product in

@@ -21,7 +21,7 @@ from . import __version__, correlations
 from .correlations import MAX_GRID_COUNT, _check_phases, _klg_kernel
 from .estimation import COLUMNS, _rows
 from .measurement import PartitionSpec, _a_diags, format_partition, resolve_partition
-from .spin import _check_two_j, make_spin_system
+from .spin import REFERENCE_DIM, _check_two_j, make_spin_system
 
 # sweep kind -> (metadata "sweep" name, grids given as a single value, plot x column,
 # plot y columns, CLI help)
@@ -123,14 +123,13 @@ def sweep(kind: str, config: RunConfig) -> ScanTable:
                          % (kind, " and ".join("a single --" + flag for flag in single)))
     gaps = resolve_partition(config.two_j, config.partition)
     sys = make_spin_system(config.two_j)
-    # b values per block, d^2 each within the budget (a weight stack up to REFERENCE_DIM)
-    bs, step = config.b_values, max(1, correlations.BLOCK_ELEMENTS // sys.dim ** 2)
-    blocks = []
-    for start in range(0, bs.size, step):
-        block = bs[start:start + step]
-        blocks.append(_rows(sys, block, _a_diags(gaps, block), config.theta_values))
+    # b values per block, within the budget for each b's row of _coefficients (d^2 or d values)
+    width = sys.dim ** 2 if sys.dim <= REFERENCE_DIM else sys.dim
+    bs, step = config.b_values, max(1, correlations.BLOCK_ELEMENTS // width)
+    blocks = [bs[start:start + step] for start in range(0, bs.size, step)]
+    rows = [_rows(sys, block, _a_diags(gaps, block), config.theta_values) for block in blocks]
     metadata = {"tool": "lgmet %s" % __version__, "sweep": name, "config": config.describe()}
-    return ScanTable(metadata, np.concatenate(blocks).view(np.recarray))
+    return ScanTable(metadata, np.concatenate(rows).view(np.recarray))
 
 
 def scan_theta(config: RunConfig) -> ScanTable:

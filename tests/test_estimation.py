@@ -14,6 +14,7 @@ from lgmet.correlations import _coefficients, _correlation_klg
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import PartitionSpec, _a_diags, resolve_partition
 from lgmet.scan import RunConfig, sweep, violation_threshold_b
+from lgmet.spin import REFERENCE_DIM
 from conftest import (count_calls, parity_correlation_closed_form, random_partition, rows_at,
                       sign_partition)
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
@@ -237,7 +238,8 @@ class TestQfiPerBlock:
         rng = np.random.default_rng(two_j)
         sys = make_spin_system(two_j)
         partition = random_partition(rng, two_j)
-        step = max(1, lgmet.correlations.BLOCK_ELEMENTS // sys.dim ** 2)  # b values per block
+        width = sys.dim ** 2 if sys.dim <= REFERENCE_DIM else sys.dim  # per b, as in sweep
+        step = max(1, lgmet.correlations.BLOCK_ELEMENTS // width)  # b values per block
         for size in sorted({1, min(2, step), min(7, step), step}):
             bs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(0, size - 2))])[:size]
             a_diags = _a_diags(resolve_partition(sys.two_j, partition), bs)
@@ -251,8 +253,8 @@ class TestQfiPerBlock:
     def test_one_qfi_evaluation_per_b_block(self, two_j, monkeypatch):
         calls = count_calls(monkeypatch, lgmet.estimation._qfi)
         sweep("scan-b", RunConfig(two_j, np.linspace(0.0, 1.0, 201), [0.95 * math.pi]))
-        # a b block is 1820 b values at two_j = 5 and 24 at two_j = 51
-        assert [a_diags.shape[0] for _, a_diags in calls] == {5: [201], 51: [24] * 8 + [9]}[two_j]
+        # a b block is 1820 b values at two_j = 5 and 1260 at two_j = 51
+        assert [a_diags.shape[0] for _, a_diags in calls] == [201]
 
 
 class TestEstimationReport:

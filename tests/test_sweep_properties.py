@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from lgmet import InconsistentCorrelationError, build_measurement, make_spin_system
 from lgmet.measurement import PartitionSpec, _a_diags, parse_partition, resolve_partition
 from lgmet.scan import RunConfig, sweep
+from lgmet.spin import REFERENCE_DIM
 import lgmet.correlations
 import lgmet.measurement
 from conftest import count_calls, narrow_blocks, random_partition, rows_at
@@ -90,7 +91,7 @@ def test_scan_b_evaluates_all_b_in_one_block(monkeypatch):
     assert (len(builds), len(walks), sums) == (0, 1, [(2, 36), (1, 36)])
 
 
-@pytest.mark.parametrize("two_j, partition", [(51, None), (4, "4:4,2,0;-4:-2,-4")])
+@pytest.mark.parametrize("two_j, partition", [(51, None), (257, None), (4, "4:4,2,0;-4:-2,-4")])
 def test_scan_b_walks_the_partition_once(monkeypatch, two_j, partition):
     """A 201-b scan-b resolves its gaps once and gathers one diagonal stack per b block."""
     walks = count_calls(monkeypatch, lgmet.measurement.resolve_partition)
@@ -99,24 +100,45 @@ def test_scan_b_walks_the_partition_once(monkeypatch, two_j, partition):
                        None if partition is None else parse_partition(partition))
     sweep("scan-b", config)
     assert len(walks) == 1
-    # a b block is 24 b values at two_j = 51, and more than 201 at two_j = 4
-    assert [len(b_values) for _, b_values in stacks] == {51: [24] * 8 + [9], 4: [201]}[two_j]
+    # a b block is 1260 b values at two_j = 51, 254 at 257, and more than 201 at two_j = 4
+    assert [len(b_values) for _, b_values in stacks] == [201]
 
 
 def test_phase_map_weight_stacks_stay_within_budget(monkeypatch):
-    """300 b values at two_j = 23 span several b blocks; no vecdot operand exceeds the budget,
-    and several b values share each Toeplitz table (d <= REFERENCE_DIM)."""
+    """300 b values span several b blocks: d^2 weights per b at two_j = 23 (d <= REFERENCE_DIM)
+    and d coefficients per b at 257, where d^2 alone exceeds the budget.  No vecdot operand
+    exceeds the budget, and several b values share each table."""
     sizes = []
     vecdot = np.vecdot
     monkeypatch.setattr(np, "vecdot", lambda a, b, **kw: (
         sizes.append((a.size, b.size)) or vecdot(a, b, **kw)))
-    rows = sweep("phase-map",
-                 RunConfig(23, np.linspace(0.0, 1.0, 300), np.linspace(-3.0, 3.0, 7))).rows
-    monkeypatch.undo()
-    d2 = 24 ** 2
-    assert rows.size == 300 * 7
-    assert max(max(pair) for pair in sizes) <= lgmet.correlations.BLOCK_ELEMENTS
-    assert max(b for _, b in sizes) > d2  # several b values share each gathered table
+    stacks = count_calls(monkeypatch, lgmet.measurement._a_diags)
+    for two_j, blocks in ((23, [113, 113, 74]), (257, [254, 46])):
+        sizes.clear()
+        stacks.clear()
+        rows = sweep("phase-map",
+                     RunConfig(two_j, np.linspace(0.0, 1.0, 300), np.linspace(-3.0, 3.0, 7))).rows
+        d = two_j + 1
+        assert rows.size == 300 * 7
+        assert [len(b_values) for _, b_values in stacks] == blocks
+        assert max(max(pair) for pair in sizes) <= lgmet.correlations.BLOCK_ELEMENTS
+        # several b values share each table: more than one b's d^2 weights or d coefficients
+        assert max(b for _, b in sizes) > (d * d if d <= REFERENCE_DIM else d), two_j
+
+
+@pytest.mark.parametrize("kind, two_j, bs, thetas", [
+    ("phase-map", 257, np.linspace(0.0, 1.0, 300), np.linspace(-3.0, 3.0, 7)),
+    ("scan-b", 51, np.linspace(0.0, 1.0, 201), [0.95 * math.pi]),
+], ids=["phase-map-257", "scan-b-51"])
+def test_large_spin_block_rows_bit_equal_to_one_b_rows(kind, two_j, bs, thetas):
+    """Above REFERENCE_DIM a b block holds BLOCK_ELEMENTS // d b values, 254 of the 300 at
+    two_j = 257 and all 201 at 51 (a custom partition there); each row is bit-equal to that
+    b's own conftest.rows_at row."""
+    sys = make_spin_system(two_j)
+    partition = random_partition(np.random.default_rng(two_j), two_j) if kind == "scan-b" else None
+    rows = sweep(kind, RunConfig(two_j, bs, thetas, partition)).rows
+    expected = [rows_at(sys, build_measurement(sys, b, partition), thetas) for b in bs.tolist()]
+    assert rows.tobytes() == np.concatenate(expected).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
