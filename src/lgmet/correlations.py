@@ -3,9 +3,9 @@
 C(theta) = (1/d) Tr[A U(theta) A U(-theta)] = (1/d) sum_kl W_kl cos((k - l) theta), with
 the weights W = (V^T A V)^2 of the observable A = diag(a) over the J_x eigenvectors V.
 _coefficients forms, once per caller, what _series sums for a stack of diagonals a (one per
-b): up to spin.REFERENCE_DIM the d^2 weights of every level, else d harmonic coefficients,
-folded from each b's level-truncated product as it is formed; _series sums C, C' or C'' from
-either over a theta grid, by the width it is given.
+b), one per frequency n of _frequencies: up to spin.REFERENCE_DIM the d^2 weights of every
+level at the gaps n = k - l, else d harmonic coefficients, folded from each b's level-truncated
+product as it is formed; _series sums C, C' or C'' over a theta grid, the same way at every d.
 _correlation_klg gives C and K_LG = 3 C(theta) - C(3 theta) to the sweep rows and
 max_violation; _klg_kernel is K_LG at one theta as a quadratic form in the observable
 diagonal.  A non-finite theta, or one whose largest phase 3 |theta| (d - 1) overflows or
@@ -21,9 +21,9 @@ import numpy as np
 from .measurement import NoisyDichotomicMeasurement
 from .spin import REFERENCE_DIM, SpinSystem
 
-# Largest number of values in a _series table or buffer, in _coefficients' fold buffer and in
-# its return for a sweep's b block (d^2 per b up to REFERENCE_DIM, d above): 512 KiB at every
-# spin, so that a table and the stack it meets stay in L2.  A memory budget; it picks no route.
+# Largest number of values in a _series table, in _coefficients' fold buffer and in its return
+# for a sweep's b block (one per frequency of _frequencies per b): 512 KiB at every spin, so
+# that a table and the stack it meets stay in L2.  A memory budget; it picks no route.
 BLOCK_ELEMENTS = 2 ** 16
 
 # Above REFERENCE_DIM, levels with |a_k| < LEVEL_CUTOFF max|a| leave each b's product in
@@ -108,41 +108,34 @@ def _coefficients(sys: SpinSystem, a_diags: np.ndarray) -> np.ndarray:
     return sums[:, :d]
 
 
+def _frequencies(d: int) -> np.ndarray:
+    """The frequency n of each column of _coefficients' rows: up to REFERENCE_DIM the d^2 gaps
+    k - l raveled over (k, l), else d - 1, ..., 0."""
+    if d <= REFERENCE_DIM:
+        return np.subtract.outer(np.arange(d), np.arange(d)).ravel().astype(float)
+    return np.arange(d - 1.0, -1.0, -1.0)
+
+
 def _series(sys: SpinSystem, coefs: np.ndarray, thetas: np.ndarray, order: int) -> np.ndarray:
-    """(B, T) order-th theta-derivatives (order 0, 1 or 2) of the sums
-    sum_kl w[:, k d + l] cos((k - l) theta) / d of (B, d^2) weights w, from _coefficients.
-    The term cos(n theta), -n sin(n theta) or -n^2 cos(n theta) is even in n, so the trig
-    is taken per theta block on the d frequencies n >= 0 alone.  Given d^2 weights, the
-    terms are mirrored to -n and copied into a Toeplitz table, so each sum is the direct d^2
-    sum bit for bit, as the figures' digests pin; given d coefficients, a copy is scaled by
-    -n or -n^2: O(d) per (b, theta).  np.vecdot runs the ddot of np.dot per (b, theta), so a
-    value does not depend on its grid (a gemv or gemm sums in an order that does).  Tables
-    and buffers hold at most BLOCK_ELEMENTS values; _correlation_klg checks thetas.
-    """
-    d, width = sys.dim, coefs.shape[-1]
-    toeplitz, step = width == d * d, max(1, BLOCK_ELEMENTS // width)
-    descending = np.arange(d - 1.0, -1.0, -1.0)
-    trig, scale = (np.sin, -descending) if order == 1 else (np.cos, -descending ** 2)
-    coefs = coefs * scale if order and not toeplitz else coefs  # a copy: callers reuse theirs
+    """(B, T) order-th theta-derivatives (order 0, 1 or 2) of sum_n coefs[:, n] cos(n theta) / d
+    over the _frequencies n: per theta block, one table of cos(n theta), -n sin(n theta) or
+    -n^2 cos(n theta) (the trig scaled, not the coefficients) and one np.vecdot, the ddot of
+    np.dot per (b, theta), so a value does not depend on its grid.  Up to REFERENCE_DIM each sum
+    is the direct d^2 sum bit for bit, as the figures' digests pin.  A table holds at most
+    BLOCK_ELEMENTS values; _correlation_klg checks thetas."""
+    n = _frequencies(sys.dim)
+    step = max(1, BLOCK_ELEMENTS // n.size)
+    trig, scale = (np.sin, -n) if order == 1 else (np.cos, -n ** 2)
     out = np.empty((len(coefs), len(thetas)))
-    buffer = np.empty((min(step, len(thetas)), 2 * d - 1 if toeplitz else d))
+    buffer = np.empty((min(step, len(thetas)), n.size))
     for start in range(0, len(thetas), step):
         block = thetas[start:start + step]
         table = buffer[:len(block)]
-        if toeplitz:
-            # frequencies d - 1, ..., 0, then their mirror -1, ..., -(d - 1)
-            half = trig(np.multiply.outer(block, descending), out=table[:, :d])
-            if order:
-                half *= scale
-            table[:, d:] = half[:, -2::-1]
-            # [t, k, l] = table[t, d - 1 - k + l], the term at frequency k - l, its inner (l)
-            # axis read forward; one reshape copies the strided view, offsets checked
-            table = np.ndarray((len(block), d, d), float, table, (d - 1) * 8,
-                               (table.strides[0], -8, 8)).reshape(len(block), d * d)
-        else:
-            trig(np.multiply.outer(block, descending, out=table), out=table)
+        trig(np.multiply.outer(block, n, out=table), out=table)
+        if order:
+            table *= scale
         out[:, start:start + step] = np.vecdot(table, coefs[:, None])
-    out /= d
+    out /= sys.dim
     return out
 
 

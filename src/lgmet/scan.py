@@ -21,7 +21,7 @@ from . import __version__, correlations
 from .correlations import MAX_GRID_COUNT, _check_phases, _klg_kernel
 from .estimation import COLUMNS, _rows
 from .measurement import PartitionSpec, _a_diags, format_partition, resolve_partition
-from .spin import REFERENCE_DIM, _check_two_j, make_spin_system
+from .spin import _check_two_j, make_spin_system
 
 # sweep kind -> (metadata "sweep" name, grids given as a single value, plot x column,
 # plot y columns, CLI help)
@@ -123,10 +123,9 @@ def sweep(kind: str, config: RunConfig) -> ScanTable:
                          % (kind, " and ".join("a single --" + flag for flag in single)))
     gaps = resolve_partition(config.two_j, config.partition)
     sys = make_spin_system(config.two_j)
-    # b values per block, within the budget for each b's row of _coefficients (d^2 or d values)
-    width = sys.dim ** 2 if sys.dim <= REFERENCE_DIM else sys.dim
-    bs, step = config.b_values, max(1, correlations.BLOCK_ELEMENTS // width)
-    blocks = [bs[start:start + step] for start in range(0, bs.size, step)]
+    # b values per block, within the budget for each b's row of _coefficients (one per frequency)
+    step = max(1, correlations.BLOCK_ELEMENTS // correlations._frequencies(sys.dim).size)
+    blocks = np.split(config.b_values, range(step, config.b_values.size, step))
     rows = [_rows(sys, block, _a_diags(gaps, block), config.theta_values) for block in blocks]
     metadata = {"tool": "lgmet %s" % __version__, "sweep": name, "config": config.describe()}
     return ScanTable(metadata, np.concatenate(rows).view(np.recarray))
@@ -141,7 +140,7 @@ def violation_threshold_b(two_j: int, theta: float, tol: float = 1e-4,
                           partition: PartitionSpec | None = None) -> float:
     """Smallest b in (0, 1] with |K_LG(theta)| > 2, by bisection.
 
-    Requires no violation at b = 0 and violation at b = 1.  K_LG at the fixed
+    Requires no violation at b = 0 and one beyond rounding at b = 1.  K_LG at the fixed
     theta is the quadratic form a^T Q a in the observable diagonal a, so Q is
     built once (O(d^3)) and each step costs O(d^2).
     """
@@ -153,19 +152,25 @@ def violation_threshold_b(two_j: int, theta: float, tol: float = 1e-4,
     sys = make_spin_system(two_j)
     kernel = _klg_kernel(sys, theta)
 
-    def violates(b: float) -> bool:
+    def klg(b: float) -> float:
         a = _a_diags(gaps, [b])[0]
-        return abs(float(a @ kernel @ a)) > 2.0
+        return abs(float(a @ kernel @ a))
 
     lo, hi = 0.0, 1.0
-    if violates(lo):
+    if klg(lo) > 2.0:
         raise ValueError("already violated at b=0")
-    if not violates(hi):
-        raise ValueError("no violation at b=1")
+    # At theta in pi Z, |U|^2 is a permutation and |K_LG| = |2 C| <= 2 at every b, so b = 1 must
+    # clear 2 by more than a^T Q a rounds.  To first order in u = 2^-53, with |a_k| <= 1 and V
+    # orthogonal: phases, trig and h-term sums round each U entry by (h + 3 + 6 j |theta|) u
+    # <= 3 d (1 + |theta|) u, as sum_c |V_kc V_lc| <= 1; sum_kl |U_kl| <= d^1.5 then bounds
+    # sum_kl |dQ_kl| by 24 d^1.5 (1 + |theta|) u + 16 u, and the form's two d-term sums add
+    # 2 d u sum_kl |Q_kl| <= 8 d u: in all at most 20 d^1.5 (1 + |theta|) eps, eps = 2^-52.
+    if klg(hi) - 2.0 <= 20.0 * (two_j + 1) ** 1.5 * (1.0 + abs(theta)) * 2.0 ** -52:
+        raise ValueError("no violation at b=1 beyond the rounding of K_LG")
     mid = 0.5 * (lo + hi)
     # a tol below the float spacing at b* ends when lo and hi are adjacent floats
     while hi - lo > tol and lo < mid < hi:
-        if violates(mid):
+        if klg(mid) > 2.0:
             hi = mid
         else:
             lo = mid

@@ -23,9 +23,9 @@ MAX_TWO_J = 4095
 
 # The one rule for the bits that bench/reference.json's figure digests pin: up to this
 # dimension the J_x eigenvectors come from one solve of all of J_x, not the mirror block (25 is
-# dstedc's SMLSIZ, below which the block saves little), _series sums the d^2 weights through
-# Toeplitz tables, not harmonic coefficients, and so scan.sweep sizes its b blocks by d^2 values
-# per b, not d.  Once the digests are re-based, all three forks go with it.
+# dstedc's SMLSIZ, below which the block saves little), and correlations._coefficients keeps the
+# d^2 weights at their gaps k - l, unfolded, not d harmonic coefficients.  Once the digests are
+# re-based, both forks go with it.
 REFERENCE_DIM = 25
 
 

@@ -28,10 +28,9 @@ def parity52(spin52):
 @contextlib.contextmanager
 def narrow_blocks(sys, per_block=3):
     """Patch the element budget to per_block * d^2 values at this spin: per_block b values per
-    sweep block up to REFERENCE_DIM (its weight stack) and per_block * d above it (its d
-    coefficients per b), and per_block thetas per Toeplitz table or per_block * d per trig
-    table; at per_block = 1 the harmonic-coefficient fold runs each b's product in two or three
-    row chunks."""
+    sweep block and per_block thetas per trig table up to REFERENCE_DIM (d^2 frequencies), and
+    per_block * d of each above it (d frequencies); at per_block = 1 the harmonic-coefficient
+    fold runs each b's product in two or three row chunks."""
     budget = per_block * sys.dim ** 2
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lgmet.correlations, "BLOCK_ELEMENTS", budget)

@@ -9,8 +9,8 @@ Fisher information, and the general eigh-based QFI of any state.  The
 threshold bisection builds a full measurement at every step.  The
 direct Fourier sums apply the trig functions to all d^2 eigenvalue gaps
 and add them in one np.dot over the d^2 values, the summation order of
-lgmet's Toeplitz route, which must match them bit for bit (its harmonic
-coefficient route, above spin.REFERENCE_DIM, within a rounding bound).  The
+lgmet's unfolded sums up to spin.REFERENCE_DIM, which must match them bit
+for bit (its harmonic coefficients above it, within a rounding bound).  The
 derivative sums take the terms -g sin(g theta) and -g^2 cos(g theta) of
 each gap g.
 

@@ -535,10 +535,10 @@ def test_reference_dim_picks_both_forks(monkeypatch):
     for two_j in range(23, 27):
         del blocks[:]
         sys = make_spin_system(two_j)
-        toeplitz = sys.dim <= REFERENCE_DIM
+        unfolded = sys.dim <= REFERENCE_DIM
         meas = build_measurement(sys, 0.9, sign_partition(two_j))
         coefs = _coefficients(sys, meas.a_diag[None])
-        assert coefs.shape == (1, sys.dim ** 2 if toeplitz else sys.dim), two_j
-        assert len(blocks) == (two_j % 2 == 1 and not toeplitz), two_j
-        routes.add(toeplitz)
+        assert coefs.shape == (1, sys.dim ** 2 if unfolded else sys.dim), two_j
+        assert len(blocks) == (two_j % 2 == 1 and not unfolded), two_j
+        routes.add(unfolded)
     assert routes == {True, False}

@@ -1,7 +1,7 @@
 """The block evaluator of the Fourier sums against the direct d^2 sums.
 
-Up to d = REFERENCE_DIM (the Toeplitz route) every value is the direct sum bit for bit;
-above it (the harmonic-coefficient route) each value is within the rounding bound _bounds of
+Up to d = REFERENCE_DIM (the d^2 weights, unfolded) every value is the direct sum bit for
+bit; above it (d harmonic coefficients) each value is within the rounding bound _bounds of
 the direct sum.  The Hypothesis tests draw spins on both sides, two_j 1 to 40, and narrow the
 element budget, which splits theta blocks and the fold's row chunks but picks no route.
 """
@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lgmet import InconsistentCorrelationError, build_measurement, make_spin_system, max_violation
 import lgmet.correlations
@@ -27,7 +27,8 @@ from oracles import (direct_correlation, direct_correlation_derivatives, direct_
 SPECIAL = [0.0, -0.0, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e3, -1e3]
 thetas = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e3, 1e3))
 b_values = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
-# two_j 1 to 24 sum Toeplitz tables (d <= REFERENCE_DIM), 25 to 40 harmonic coefficients
+# two_j 1 to 24 sum the d^2 weights at the gaps k - l (d <= REFERENCE_DIM), 25 to 40 harmonic
+# coefficients
 setups = st.tuples(st.integers(1, 40), st.integers(0, 2 ** 32 - 1), b_values)
 # per_block for narrow_blocks: 1 folds the coefficients in two or three row chunks
 per_blocks = st.integers(1, 3)
@@ -44,8 +45,8 @@ def _bits(values) -> list[bytes]:
 
 
 def _record_operands(mp) -> list:
-    """Patch np.vecdot to record, per call, (C-contiguous, size) of its Toeplitz table and of
-    its weight slice."""
+    """Patch np.vecdot to record, per call, (C-contiguous, size) of its trig table and of its
+    coefficient stack."""
     operands = []
     vecdot = np.vecdot
     mp.setattr(np, "vecdot", lambda a, b, **kw: operands.append(
@@ -84,11 +85,17 @@ def _point_fisher(c, c1, c2):
 
 @settings(max_examples=150, deadline=None)
 @given(setup=setups, theta=thetas, per_block=per_blocks)
+# the largest and smallest unfolded d, where bit-equality rests on cos(-x) = cos(x) and
+# sin(-x) = -sin(x) for the negative gaps, at a large and at a negative multiple-of-pi theta
+@example(setup=(24, 1, 0.7), theta=-1e3, per_block=1)
+@example(setup=(24, 2, 1.0), theta=-3 * math.pi, per_block=3)
+@example(setup=(1, 3, 0.7), theta=-1e3, per_block=2)
+@example(setup=(1, 4, 0.3), theta=-3 * math.pi, per_block=1)
 def test_point_functions(setup, theta, per_block):
     """One theta: C, C(3 theta), C' and C'' as _series calls of order 0, 0, 1 and 2, and K_LG
     of a stack and of one measurement, each np.vecdot operand C-contiguous and within the
-    patched budget.  Bit-equal to the direct sums while d <= REFERENCE_DIM (the Toeplitz
-    route); above it (d coefficients per vecdot) within _bounds, five times the C bound for
+    patched budget.  Bit-equal to the direct sums while d <= REFERENCE_DIM (d^2 weights
+    per vecdot); above it (d coefficients per vecdot) within _bounds, five times the C bound for
     K_LG."""
     sys, meas = _measurement(setup)
     t = np.array([theta])

@@ -14,7 +14,6 @@ from lgmet.correlations import _coefficients, _correlation_klg
 from lgmet.estimation import COLUMNS, InconsistentCorrelationError, _fisher, _rows
 from lgmet.measurement import PartitionSpec, _a_diags, resolve_partition
 from lgmet.scan import RunConfig, sweep, violation_threshold_b
-from lgmet.spin import REFERENCE_DIM
 from conftest import (count_calls, parity_correlation_closed_form, random_partition, rows_at,
                       sign_partition)
 from oracles import (NearSingularProbabilityError, fisher_from_probabilities,
@@ -203,7 +202,7 @@ def test_sharp_closed_forms_at_every_spin(two_j):
     c = cos(theta / 2) and s = sin(theta / 2), C = (2/d)(c^(4j) - s^(4j)),
     C' = -(4j/d)(c^(4j-1) s + s^(4j-1) c) and F_Q = 8j / (3d), whence K_LG and
     F = C'^2 / (1 - C^2).  Checked against 30-digit values on both routes of the Fourier
-    sums (Toeplitz while d <= REFERENCE_DIM, up to two_j = 24), at random thetas and near 0
+    sums (d^2 weights while d <= REFERENCE_DIM, up to two_j = 24), at random thetas and near 0
     and pi.
     """
     d, four_j = two_j + 1, 2 * two_j
@@ -238,7 +237,7 @@ class TestQfiPerBlock:
         rng = np.random.default_rng(two_j)
         sys = make_spin_system(two_j)
         partition = random_partition(rng, two_j)
-        width = sys.dim ** 2 if sys.dim <= REFERENCE_DIM else sys.dim  # per b, as in sweep
+        width = lgmet.correlations._frequencies(sys.dim).size  # per b, as in sweep
         step = max(1, lgmet.correlations.BLOCK_ELEMENTS // width)  # b values per block
         for size in sorted({1, min(2, step), min(7, step), step}):
             bs = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, max(0, size - 2))])[:size]

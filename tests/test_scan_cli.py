@@ -297,6 +297,15 @@ class TestViolationThreshold:
             with pytest.raises(ValueError, match=re.escape("theta=%r rad is too large" % theta)):
                 violation_threshold_b(5, theta)
 
+    @pytest.mark.parametrize("two_j, theta", [(5, 0.0), (5, math.pi), (7, 0.0), (51, 0.0),
+                                              (201, 0.0)])
+    def test_no_violation_at_b1_where_klg_is_two(self, two_j, theta):
+        # at theta in pi Z, |U|^2 is a permutation, so K_LG = 2 C and |K_LG| <= 2 at every b;
+        # the b = 1 kernel form reads 2 + 2e-15 at two_j 5 and 7, rounding that must not start
+        # a bisection (it ended at b* = 0.999969482421875)
+        with pytest.raises(ValueError, match="no violation at b=1"):
+            violation_threshold_b(two_j, theta)
+
     def test_tol_below_float_spacing_terminates(self, monkeypatch):
         # the bracket stops shrinking at adjacent floats; count steps so that a
         # regression fails here instead of hanging the suite
